@@ -26,15 +26,12 @@ from .geometry import (
 from .grassmann import (
     GrassmannElement,
     GrassmannHom,
-    gr_mul,
-    gr_split,
     hom_apply,
     hom_compose,
     hom_validate,
     merge_sign,
 )
 from .jetcalc import (
-    SuperTaylor,
     TruncatedPolyMap,
     exp_pair,
     faa_di_bruno,
@@ -84,7 +81,6 @@ from .superfun import (
     SuperPoint,
     sf_eval,
     sf_eval_naive,
-    sf_mul,
     sf_substitute,
 )
 
@@ -116,7 +112,6 @@ __all__ = [
     "SuperFunction",
     "SuperMorphism",
     "SuperPoint",
-    "SuperTaylor",
     "TruncatedPolyMap",
     "bundle_exp",
     "certified_order",
@@ -125,8 +120,6 @@ __all__ = [
     "eta_decompose",
     "exp_pair",
     "faa_di_bruno",
-    "gr_mul",
-    "gr_split",
     "hom_apply",
     "hom_compose",
     "hom_validate",
@@ -150,7 +143,6 @@ __all__ = [
     "sc_point_to_pair",
     "sf_eval",
     "sf_eval_naive",
-    "sf_mul",
     "sf_substitute",
     "supersmooth_check",
     "taylor_coefficient",

@@ -29,8 +29,8 @@ from fractions import Fraction
 
 from .errors import DimensionError, DomainError
 from .grassmann import GrassmannElement
-from .jetcalc import TruncatedPolyMap, exp_pair, trunc_compose
-from .polyalg import Polynomial, mi_abs, mi_unit
+from .jetcalc import TruncatedPolyMap, exp_pair, pack_jet, trunc_compose, trunc_poly
+from .polyalg import Polynomial, mi_unit
 from .superfun import SuperPoint
 
 DEFAULT_TOL = 1e-9
@@ -117,28 +117,8 @@ def _series_of_poly(coeffs, increment: Polynomial, k: int) -> Polynomial:
     p = increment.p
     acc = Polynomial.zero(p)
     for c in reversed(coeffs[: k + 1]):
-        acc = _trunc_poly(acc * increment, k) + Polynomial.constant(p, c)
+        acc = trunc_poly(acc * increment, k) + Polynomial.constant(p, c)
     return acc
-
-
-def _trunc_poly(f: Polynomial, k: int) -> Polynomial:
-    return Polynomial(f.p, {e: c for e, c in f.terms.items() if mi_abs(e) <= k})
-
-
-def _pack_jet(k: int, m: int, base_point, polys) -> TruncatedPolyMap:
-    coeffs = {}
-    base = []
-    for j, f in enumerate(polys):
-        for e, c in f.terms.items():
-            if mi_abs(e) == 0:
-                continue
-            row = coeffs.setdefault(e, [0.0] * len(polys))
-            row[j] = c
-        base.append(f.terms.get((0,) * m, 0.0))
-    return TruncatedPolyMap(
-        k, m, len(polys), tuple(base_point), tuple(base),
-        {e: tuple(row) for e, row in coeffs.items()},
-    )
 
 
 class FlatBackend:
@@ -236,14 +216,7 @@ class Sphere2Backend:
     def log_closed(self, x, y):
         """Ambient closed form A(u) (y - (1-u) x) with u = 1 - <x, y>."""
         u = self._u(x, y)
-        if u < _A_SWITCH:
-            acc = 0.0
-            for c in reversed(THETA_OVER_SIN):
-                acc = acc * u + float(c)
-            a = acc
-        else:
-            theta = math.acos(1.0 - u)
-            a = theta / math.sin(theta)
+        a = theta_over_sin_coeffs(u, 0)[0]
         return tuple(a * (yc - (1.0 - u) * xc) for xc, yc in zip(x, y))
 
     def pt_closed(self, x, y, w):
@@ -288,9 +261,9 @@ class Sphere2Backend:
         polys = []
         for i in range(3):
             w = Polynomial(3, {(0,) * 3: y0[i] - (1.0 - u0) * x[i], mi_unit(3, i): 1.0})
-            w = w + _trunc_poly(du * Polynomial.constant(3, x[i]), k)
-            polys.append(_trunc_poly(a_poly * w, k))
-        return _pack_jet(k, 3, y0, polys)
+            w = w + trunc_poly(du * Polynomial.constant(3, x[i]), k)
+            polys.append(trunc_poly(a_poly * w, k))
+        return pack_jet(k, 3, y0, polys)
 
     def exp_jet(self, x, v0, k: int) -> TruncatedPolyMap:
         """Order-k Taylor data of V -> exp_x(V) at V = v0 (tangent coords)."""
@@ -302,33 +275,15 @@ class Sphere2Backend:
             e = [0, 0, 0]
             e[i] = 2
             ds = ds + Polynomial.monomial(3, tuple(e), 1.0)
-        ds = _trunc_poly(ds, k)
+        ds = trunc_poly(ds, k)
         c_poly = _series_of_poly(cos_sqrt_coeffs(s0, k), ds, k)
         s_poly = _series_of_poly(sinc_sqrt_coeffs(s0, k), ds, k)
         polys = []
         for i in range(3):
             vi = Polynomial(3, {(0,) * 3: v0[i], mi_unit(3, i): 1.0})
-            polys.append(_trunc_poly(c_poly * Polynomial.constant(3, x[i])
-                                     + s_poly * vi, k))
-        return _pack_jet(k, 3, v0, polys)
-
-    def transport_jet(self, x, y0, w0, k: int) -> TruncatedPolyMap:
-        """Taylor data of (Y, w) -> P_{Y,x}(w) at (y0, w0): transport into T_x."""
-        u0 = self._u(x, y0)
-        # variables: h (3, increment of Y), g (3, increment of w)
-        du = Polynomial(6, {mi_unit(6, i): -x[i] for i in range(3) if x[i]})
-        b_poly = _series_of_poly(inv_two_minus_coeffs(u0, k), du, k)
-        wx = Polynomial.constant(6, _dot(w0, x))
-        for i in range(3):
-            if x[i]:
-                wx = wx + Polynomial(6, {mi_unit(6, 3 + i): x[i]})
-        factor = _trunc_poly(wx * b_poly, k)
-        polys = []
-        for i in range(3):
-            wi = Polynomial(6, {(0,) * 6: w0[i], mi_unit(6, 3 + i): 1.0})
-            yx = Polynomial(6, {(0,) * 6: y0[i] + x[i], mi_unit(6, i): 1.0})
-            polys.append(_trunc_poly(wi - _trunc_poly(factor * yx, k), k))
-        return _pack_jet(k, 6, tuple(y0) + tuple(w0), polys)
+            polys.append(trunc_poly(c_poly * Polynomial.constant(3, x[i])
+                                    + s_poly * vi, k))
+        return pack_jet(k, 3, v0, polys)
 
     def transition_jet(self, x1, x2, v0, k: int) -> TruncatedPolyMap:
         """Taylor data of V -> exp_{x2}^{-1}(exp_{x1}(V)) at v0."""
@@ -361,13 +316,13 @@ class Sphere2Backend:
             for i in range(3):
                 if f_x[i]:
                     wx = wx + Polynomial(m, {mi_unit(m, off + i): f_x[i]})
-            factor = _trunc_poly(wx * b_poly, k)
+            factor = trunc_poly(wx * b_poly, k)
             for i in range(3):
                 wi = Polynomial(m, {(0,) * m: w0[i], mi_unit(m, off + i): 1.0})
                 yx = Polynomial(m, {(0,) * m: y0[i] + f_x[i], mi_unit(m, i): 1.0})
-                polys.append(_trunc_poly(wi - _trunc_poly(factor * yx, k), k))
+                polys.append(trunc_poly(wi - trunc_poly(factor * yx, k), k))
         base_pt = tuple(y0) + tuple(c for w in fib0 for c in w)
-        return _pack_jet(k, m, base_pt, polys)
+        return pack_jet(k, m, base_pt, polys)
 
     def _inv_chart_jet(self, f_x, v0, fib0, k: int) -> TruncatedPolyMap:
         """Joint jet of the inverse chart: exp on the base, transport out to it."""
@@ -387,7 +342,7 @@ class Sphere2Backend:
             u_poly = Polynomial.constant(m, 1.0)
             for j in range(3):
                 if f_x[j]:
-                    u_poly = u_poly - _trunc_poly(
+                    u_poly = u_poly - trunc_poly(
                         Polynomial.constant(m, f_x[j]) * y_polys[j], k)
             u0 = u_poly.terms.get((0,) * m, 0.0)
             if u0 >= 2.0 - 1e-12:
@@ -399,14 +354,14 @@ class Sphere2Backend:
                 wy = Polynomial.zero(m)
                 for j in range(3):
                     wj = Polynomial(m, {(0,) * m: w0[j], mi_unit(m, off + j): 1.0})
-                    wy = wy + _trunc_poly(wj * y_polys[j], k)
-                factor = _trunc_poly(wy * b_poly, k)
+                    wy = wy + trunc_poly(wj * y_polys[j], k)
+                factor = trunc_poly(wy * b_poly, k)
                 for i in range(3):
                     wi = Polynomial(m, {(0,) * m: w0[i], mi_unit(m, off + i): 1.0})
                     fy = Polynomial.constant(m, f_x[i]) + y_polys[i]
-                    polys.append(_trunc_poly(wi - _trunc_poly(factor * fy, k), k))
+                    polys.append(trunc_poly(wi - trunc_poly(factor * fy, k), k))
         base_pt = tuple(v0) + tuple(c for w in fib0 for c in w)
-        return _pack_jet(k, m, base_pt, polys)
+        return pack_jet(k, m, base_pt, polys)
 
     def superchart_pointwise(self, f_x, mu: SuperPoint, k: int | None = None) -> SuperPoint:
         """Chart value of a Lambda-point near f_x: log-jet and transport-jet
@@ -421,7 +376,7 @@ class Sphere2Backend:
         self.check_point(y0)
         jet = self._chart_jet(f_x, y0, fib0, k)
         nil = [c - GrassmannElement.scalar(mu.n, b) for c, b in zip(mu.even, body)]
-        even = exp_pair(jet, nil, [], n=mu.n)
+        even = exp_pair(jet, nil, n=mu.n)
         return SuperPoint(mu.n, even, list(mu.odd))
 
     def superchart_pointwise_inv(self, f_x, xi: SuperPoint, k: int | None = None) -> SuperPoint:
@@ -434,7 +389,7 @@ class Sphere2Backend:
         v0, fib0 = body[:3], [tuple(body[3 + 3 * a:6 + 3 * a]) for a in range(r)]
         jet = self._inv_chart_jet(f_x, v0, fib0, k)
         nil = [c - GrassmannElement.scalar(xi.n, b) for c, b in zip(xi.even, body)]
-        even = exp_pair(jet, nil, [], n=xi.n)
+        even = exp_pair(jet, nil, n=xi.n)
         return SuperPoint(xi.n, even, list(xi.odd))
 
 

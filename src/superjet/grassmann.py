@@ -11,8 +11,10 @@ product sign is the parity of the inversion count of the merge:
 
 Coefficients are exact rationals by default.  The arithmetic only assumes a
 commutative coefficient ring with +, *, - and truthiness-as-nonzero, which is
-what lets the symbolic Lambda-point machinery reuse these classes with
-polynomial coefficients (and the float geometry backend with binary64 ones).
+what lets superfunctions and the symbolic Lambda-point machinery reuse these
+classes with polynomial coefficients (and the float geometry backend with
+binary64 ones).  The wire form of a rational, shared by every JSON payload,
+is defined here too.
 """
 
 from __future__ import annotations
@@ -39,6 +41,20 @@ def _coerce(c):
     if isinstance(c, int):
         return Fraction(c)
     return c
+
+
+def rational_to_json(c) -> dict:
+    """Wire form {"num": "...", "den": "..."} of an exact rational."""
+    c = Fraction(c)
+    return {"num": str(c.numerator), "den": str(c.denominator)}
+
+
+def rational_from_json(item) -> Fraction:
+    """Parse the wire form of a rational; a zero denominator is a SchemaError."""
+    den = int(item["den"])
+    if not den:
+        raise SchemaError("rational with zero denominator")
+    return Fraction(int(item["num"]), den)
 
 
 class GrassmannElement:
@@ -196,15 +212,6 @@ class GrassmannElement:
     def is_odd(self) -> bool:
         return all(m.bit_count() & 1 for m in self.terms)
 
-    def soul_degree(self) -> int:
-        """Smallest monomial length appearing, or n+1 for the zero element."""
-        if not self.terms:
-            return self.n + 1
-        return min(m.bit_count() for m in self.terms)
-
-    def map_coefficients(self, fn) -> "GrassmannElement":
-        return GrassmannElement(self.n, {m: fn(c) for m, c in self.terms.items()})
-
     # -- presentation ------------------------------------------------------
 
     def __str__(self):
@@ -237,8 +244,7 @@ class GrassmannElement:
             if isinstance(c, float):
                 items.append({"subset": subset, "value": c})
             else:
-                c = Fraction(c)
-                items.append({"subset": subset, "num": str(c.numerator), "den": str(c.denominator)})
+                items.append({"subset": subset, **rational_to_json(c)})
         return {"n": self.n, "terms": items}
 
     @classmethod
@@ -258,7 +264,7 @@ class GrassmannElement:
                 if "value" in item:
                     c = float(item["value"])
                 else:
-                    c = Fraction(int(item["num"]), int(item["den"]))
+                    c = rational_from_json(item)
                 if mask in terms:
                     raise SchemaError("repeated subset")
                 terms[mask] = c
@@ -267,16 +273,6 @@ class GrassmannElement:
                 raise
             raise SchemaError(f"bad GrassmannElement payload: {exc}") from exc
         return cls(n, terms)
-
-
-def gr_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """Supercommutative product with the sorted-merge sign convention."""
-    return a * b
-
-
-def gr_split(a: GrassmannElement):
-    """Split into (body, even-nilpotent, odd)."""
-    return a.split()
 
 
 class GrassmannHom:

@@ -5,10 +5,16 @@ base point, base value, and Taylor-normalized coefficients c_I = (1/I!) D_I f,
 so the map reads  f(x0 + h) ~ f(x0) + sum_{1<=|I|<=k} c_I h^I.  Products and
 compositions drop everything above order k.
 
-`exp_pair` is the evaluation of such truncated data on Grassmann arguments:
-even slots receive even (typically nilpotent) elements, odd slots odd ones,
-and the value is  sum c_{I,J} eps^I omega^J  with ascending-ordered odd
-monomials.  The Lambda-point evaluators factor through this primitive.
+`taylor_monomials` is the one truncated-Taylor contraction kernel: given even
+(nilpotent) and odd arguments in a Grassmann algebra over any coefficient
+ring, it yields the surviving monomials eps^I omega^J, with powers and odd
+monomials built once.  Its callers supply the coefficients:
+
+* `exp_pair` evaluates jet data on even Grassmann arguments;
+* `superfun.sf_eval` evaluates a superfunction at a Lambda-point, with
+  coefficients (1/I!) D_I sigma_J at the body scalars;
+* `superfun.sf_substitute` pulls a superfunction back along a morphism over
+  the ring Q[x], with coefficients composed at the body polynomials.
 """
 
 from __future__ import annotations
@@ -19,14 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, rational_to_json
 from .polyalg import (
     Polynomial,
     iter_multiindices,
     iter_multiindices_upto,
     mi_abs,
     mi_factorial,
-    poly_compose,
     poly_derive,
 )
 
@@ -44,19 +49,14 @@ class TruncatedPolyMap:
         return self.coeffs.get(tuple(I), (Fraction(0),) * self.mt)
 
     def to_json(self) -> dict:
-        items = []
-        for I in sorted(self.coeffs):
-            vals = [{"num": str(Fraction(v).numerator), "den": str(Fraction(v).denominator)}
-                    for v in self.coeffs[I]]
-            items.append({"exp": list(I), "values": vals})
+        items = [{"exp": list(I), "values": [rational_to_json(v) for v in self.coeffs[I]]}
+                 for I in sorted(self.coeffs)]
         return {
             "k": self.k,
             "m": self.m,
             "mt": self.mt,
-            "base_point": [{"num": str(Fraction(v).numerator), "den": str(Fraction(v).denominator)}
-                           for v in self.base_point],
-            "base_value": [{"num": str(Fraction(v).numerator), "den": str(Fraction(v).denominator)}
-                           for v in self.base_value],
+            "base_point": [rational_to_json(v) for v in self.base_point],
+            "base_value": [rational_to_json(v) for v in self.base_value],
             "coeffs": items,
         }
 
@@ -82,7 +82,8 @@ def taylor_of(phis, x0, k: int) -> TruncatedPolyMap:
     return TruncatedPolyMap(k, m, len(phis), x0, base, coeffs)
 
 
-def _trunc(f: Polynomial, k: int) -> Polynomial:
+def trunc_poly(f: Polynomial, k: int) -> Polynomial:
+    """Drop every term of total degree above k."""
     return Polynomial(f.p, {e: c for e, c in f.terms.items() if mi_abs(e) <= k})
 
 
@@ -91,18 +92,17 @@ def _as_increment_poly(t: TruncatedPolyMap, j: int) -> Polynomial:
     return Polynomial(t.m, {I: vals[j] for I, vals in t.coeffs.items() if vals[j]})
 
 
-def _from_polys(k, m, base_point, base_value, polys) -> TruncatedPolyMap:
+def pack_jet(k: int, m: int, base_point, polys) -> TruncatedPolyMap:
+    """Order-k jet of the increment polynomials; constant terms give the base value."""
+    origin = (0,) * m
     coeffs: dict = {}
     for j, f in enumerate(polys):
         for e, c in f.terms.items():
-            if mi_abs(e) == 0 or mi_abs(e) > k:
-                continue
-            row = coeffs.setdefault(e, [None] * len(polys))
-            row[j] = c
-    fixed = {}
-    for e, row in coeffs.items():
-        fixed[e] = tuple(Fraction(0) if v is None else v for v in row)
-    return TruncatedPolyMap(k, m, len(polys), tuple(base_point), tuple(base_value), fixed)
+            if 0 < mi_abs(e) <= k:
+                coeffs.setdefault(e, [Fraction(0)] * len(polys))[j] = c
+    base = tuple(f.terms.get(origin, Fraction(0)) for f in polys)
+    return TruncatedPolyMap(k, m, len(polys), tuple(base_point), base,
+                            {e: tuple(row) for e, row in coeffs.items()})
 
 
 def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap, k: int) -> TruncatedPolyMap:
@@ -115,9 +115,7 @@ def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap, k: int) -> TruncatedPoly
         raise DimensionError("jets based at different points")
     fa = _as_increment_poly(a, 0) + a.base_value[0]
     fb = _as_increment_poly(b, 0) + b.base_value[0]
-    prod = _trunc(fa * fb, k)
-    base = prod.terms.get((0,) * a.m, Fraction(0))
-    return _from_polys(k, a.m, a.base_point, (base,), [prod])
+    return pack_jet(k, a.m, a.base_point, [trunc_poly(fa * fb, k)])
 
 
 def trunc_compose(outer: TruncatedPolyMap, inner: TruncatedPolyMap, k: int) -> TruncatedPolyMap:
@@ -134,7 +132,8 @@ def trunc_compose(outer: TruncatedPolyMap, inner: TruncatedPolyMap, k: int) -> T
         cache = powcache[i]
         got = cache.get(e)
         if got is None:
-            got = Polynomial.one(inner.m) if e == 0 else _trunc(power(i, e - 1) * increments[i], k)
+            got = (Polynomial.one(inner.m) if e == 0
+                   else trunc_poly(power(i, e - 1) * increments[i], k))
             cache[e] = got
         return got
 
@@ -146,11 +145,10 @@ def trunc_compose(outer: TruncatedPolyMap, inner: TruncatedPolyMap, k: int) -> T
             term = Polynomial.constant(inner.m, vals[j])
             for i, e in enumerate(I):
                 if e:
-                    term = _trunc(term * power(i, e), k)
+                    term = trunc_poly(term * power(i, e), k)
             acc = acc + term
         out_polys.append(acc)
-    base = tuple(f.terms.get((0,) * inner.m, Fraction(0)) for f in out_polys)
-    return _from_polys(k, inner.m, inner.base_point, base, out_polys)
+    return pack_jet(k, inner.m, inner.base_point, out_polys)
 
 
 # ---------------------------------------------------------------------------
@@ -236,92 +234,73 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
 # Grassmann contraction
 
 
-@dataclass(frozen=True)
-class SuperTaylor:
-    """Truncated Taylor data with even and odd slots.
+def taylor_monomials(indices, masks, even_args, odd_args, one):
+    """Yield (I, J, eps^I * omega^J) for every I in indices, J in masks whose
+    monomial does not vanish.
 
-    coeffs maps (I, J) -> value tuple, I a multi-index over the even slots and
-    J a bitmask over the odd slots; the (0, 0) entry is the base value.  Odd
-    monomials are ascending, signs live in the coefficients.
+    eps are the even arguments and omega the odd ones, all in one Grassmann
+    algebra over any coefficient ring; `one` is its unit.  Powers of each eps_i
+    and the ascending odd monomials omega^J are built once and reused.  I runs
+    outermost, so a vanishing eps^I skips all of its masks, and each I's masks
+    come in the order given.
     """
+    powers = [[one] for _ in even_args]
+    odd_monomials = {0: one}
 
-    p: int                      # even slots
-    q: int                      # odd slots
-    mt: int
-    coeffs: dict
+    def power(i: int, e: int):
+        cache = powers[i]
+        while len(cache) <= e:
+            cache.append(cache[-1] * even_args[i])
+        return cache[e]
+
+    def odd_monomial(mask: int):
+        got = odd_monomials.get(mask)
+        if got is None:
+            low = mask & -mask
+            got = odd_args[low.bit_length() - 1] * odd_monomial(mask ^ low)
+            odd_monomials[mask] = got
+        return got
+
+    for I in indices:
+        even = one
+        for i, e in enumerate(I):
+            if e:
+                even = even * power(i, e)
+                if not even:
+                    break
+        if not even:
+            continue
+        for J in masks:
+            mono = odd_monomial(J) * even if J else even
+            if mono:
+                yield I, J, mono
 
 
-def exp_pair(data, even_args, odd_args, n: int | None = None):
-    """Evaluate truncated Taylor data on Grassmann arguments.
+def exp_pair(data: TruncatedPolyMap, even_args, n: int | None = None):
+    """Evaluate jet data on Grassmann arguments.
 
-    even_args fill the even slots (even elements; nilpotent in the increment
-    reading), odd_args the odd slots.  Returns one GrassmannElement per target
-    component: sum over (I, J) of c_{I,J} * eps^I * omega^J.
+    even_args fill the jet's variables: even elements, nilpotent in the
+    increment reading.  Returns one GrassmannElement per target component:
+    sum_I c_I * eps^I, with the base value as the I = 0 term.
     """
     even_args = list(even_args)
-    odd_args = list(odd_args)
+    if len(even_args) != data.m:
+        raise DimensionError(f"expected {data.m} even arguments, got {len(even_args)}")
     if n is None:
-        pool = even_args + odd_args
-        if not pool:
+        if not even_args:
             raise DimensionError("cannot infer generator count from empty arguments")
-        n = pool[0].n
+        n = even_args[0].n
     for a in even_args:
         if a.n != n:
             raise DimensionError("mixed generator counts in arguments")
         if not a.is_even():
             raise ParityError("even slot received a non-even element")
-    for a in odd_args:
-        if a.n != n:
-            raise DimensionError("mixed generator counts in arguments")
-        if not a.is_odd():
-            raise ParityError("odd slot received a non-odd element")
 
-    if isinstance(data, TruncatedPolyMap):
-        coeffs = {(I, 0): vals for I, vals in data.coeffs.items()}
-        coeffs[((0,) * data.m, 0)] = data.base_value
-        p, q, mt = data.m, 0, data.mt
-    else:
-        coeffs, p, q, mt = data.coeffs, data.p, data.q, data.mt
-    if len(even_args) != p or len(odd_args) != q:
-        raise DimensionError(
-            f"expected {p} even and {q} odd arguments, got {len(even_args)}/{len(odd_args)}"
-        )
-
-    powcache: list[dict[int, GrassmannElement]] = [dict() for _ in even_args]
-
-    def power(i: int, e: int) -> GrassmannElement:
-        cache = powcache[i]
-        got = cache.get(e)
-        if got is None:
-            got = GrassmannElement.one(n) if e == 0 else power(i, e - 1) * even_args[i]
-            cache[e] = got
-        return got
-
-    odd_cache: dict[int, GrassmannElement] = {0: GrassmannElement.one(n)}
-
-    def odd_monomial(mask: int) -> GrassmannElement:
-        got = odd_cache.get(mask)
-        if got is None:
-            low = mask & -mask
-            got = odd_args[low.bit_length() - 1] * odd_monomial(mask ^ low)
-            odd_cache[mask] = got
-        return got
-
-    out = [GrassmannElement.zero(n) for _ in range(mt)]
-    for (I, J), vals in coeffs.items():
-        mono = GrassmannElement.one(n)
-        for i, e in enumerate(I):
-            if e:
-                mono = mono * power(i, e)
-                if mono.is_zero():
-                    break
-        if mono.is_zero():
-            continue
-        if J:
-            mono = odd_monomial(J) * mono
-            if mono.is_zero():
-                continue
-        for j, v in enumerate(vals):
+    coeffs = dict(data.coeffs)
+    coeffs[(0,) * data.m] = data.base_value
+    out = [GrassmannElement.zero(n) for _ in range(data.mt)]
+    for I, _, mono in taylor_monomials(coeffs, (0,), even_args, [], GrassmannElement.one(n)):
+        for j, v in enumerate(coeffs[I]):
             if v:
                 out[j] = out[j] + mono.scale(v)
     return out

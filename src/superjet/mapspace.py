@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionError, DomainError, ParityError
+from .errors import DimensionError, ParityError
 from .grassmann import GrassmannElement, GrassmannHom
 from .morphism import SuperMorphism, morphism_compose, pushforward
 from .polyalg import Polynomial, mi_unit
@@ -283,22 +283,11 @@ class SuperChart:
 
     to_model: SuperMorphism
     from_model: SuperMorphism
-    domain: list | None = None      # per even variable: (lo, hi) body interval
-
-    def overlap(self, other: "SuperChart"):
-        if self.domain is None or other.domain is None:
-            return True
-        for (a, b), (c, d) in zip(self.domain, other.domain):
-            if min(b, d) <= max(a, c):
-                return False
-        return True
 
 
 def chart_transition_map(chart1: SuperChart, chart2: SuperChart, n: int,
                          degree_bound=None) -> LambdaPointMap:
     """Lambda_n-point form of chart2 o chart1^{-1}."""
-    if not chart1.overlap(chart2):
-        raise DomainError("charts have empty overlap")
     transition = morphism_compose(chart2.to_model, chart1.from_model, degree_bound)
     return lambda_point_map_of(transition, n)
 

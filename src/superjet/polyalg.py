@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegreeBoundError, DimensionError, ParityError, SchemaError
+from .grassmann import rational_from_json, rational_to_json
 
 #: refuse compositions whose expanded total degree would exceed this
 DEFAULT_DEGREE_BOUND = 16
@@ -256,8 +257,7 @@ class Polynomial:
     def to_json(self) -> dict:
         items = []
         for e in sorted(self.terms):
-            c = Fraction(self.terms[e])
-            items.append({"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)})
+            items.append({"exp": list(e), **rational_to_json(self.terms[e])})
         return {"p": self.p, "terms": items}
 
     @classmethod
@@ -269,7 +269,7 @@ class Polynomial:
                 e = tuple(int(v) for v in item["exp"])
                 if e in terms:
                     raise SchemaError("repeated exponent")
-                terms[e] = Fraction(int(item["num"]), int(item["den"]))
+                terms[e] = rational_from_json(item)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SchemaError):
                 raise

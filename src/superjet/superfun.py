@@ -1,19 +1,25 @@
 """Superfunctions on R^{p|q} and their evaluation at Lambda-points.
 
 A superfunction is sigma = sum_J sigma_J(x) theta^J with polynomial
-coefficients, stored as {J bitmask: Polynomial}.  theta monomials are kept in
-ascending index order and all signs are absorbed into the coefficients; the
-same convention fixes every other odd-monomial ordering in the package.
+coefficients: an element of the Grassmann algebra on the q odd coordinates
+over the ring Q[x_1..x_p].  `SuperFunction` is a (p, q)-typed view of that
+`GrassmannElement`, which does all of its arithmetic.  theta monomials are
+kept in ascending index order and all signs are absorbed into the
+coefficients; the same convention fixes every other odd-monomial ordering in
+the package.
 
-Evaluation at a point nu = (nu_even, nu_odd) over Lambda_n expands each
-coefficient around the body and contracts the resulting truncated Taylor data
-against the nilpotent parts:
+Evaluation at a point nu = (nu_even, nu_odd) over Lambda_n and pullback along a
+morphism are one truncated-Taylor contraction over two coefficient rings (a
+Lambda_n-point is itself a morphism R^{0|n} -> R^{p|q}):
 
     nu(sigma) = sum_{I,J} (1/I!) (D_I sigma_J)(body) * nu2^I * nu1^J
 
-The iteration over I stops by itself once the nilpotent monomials vanish, so
-there is no truncation knob.  `sf_eval_naive` is the independent brute-force
-check: substitute the full coordinates into sigma_J and expand.
+`sf_eval` supplies the coefficients evaluated at the body scalars,
+`sf_substitute` composed at the body polynomials; `jetcalc.taylor_monomials`
+supplies the surviving monomials nu2^I nu1^J.  The sums stop by themselves
+once the nilpotent monomials vanish, so there is no truncation knob.
+`sf_eval_naive` is the independent brute-force check: substitute the full
+coordinates into sigma_J and expand.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionError, ParityError, SchemaError
-from .grassmann import GrassmannElement, merge_sign
-from .jetcalc import SuperTaylor, exp_pair
+from .grassmann import GrassmannElement
+from .jetcalc import taylor_monomials
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -36,22 +42,37 @@ from .polyalg import (
 
 
 class SuperFunction:
-    """sum_J sigma_J(x) theta^J with zero components omitted."""
+    """sum_J sigma_J(x) theta^J with zero components omitted.
 
-    __slots__ = ("p", "q", "components")
+    `element` is the GrassmannElement over q generators with Polynomial
+    coefficients in p variables; `components` is its {mask: Polynomial} dict.
+    """
+
+    __slots__ = ("p", "element")
 
     def __init__(self, p: int, q: int, components=None):
-        self.p = p
-        self.q = q
-        clean = {}
-        for mask, poly in (components or {}).items():
-            if mask < 0 or mask >> q:
-                raise DimensionError(f"theta mask {mask:b} uses more than {q} odd coordinates")
+        components = components or {}
+        for poly in components.values():
             if poly.p != p:
                 raise DimensionError("component polynomial has wrong variable count")
-            if poly:
-                clean[mask] = poly
-        self.components = clean
+        self.p = p
+        self.element = GrassmannElement(q, components)
+
+    @classmethod
+    def _of(cls, p: int, element: GrassmannElement) -> "SuperFunction":
+        """Wrap a result of the algebra, whose coefficients are already checked."""
+        out = cls.__new__(cls)
+        out.p = p
+        out.element = element
+        return out
+
+    @property
+    def q(self) -> int:
+        return self.element.n
+
+    @property
+    def components(self) -> dict:
+        return self.element.terms
 
     @classmethod
     def zero(cls, p: int, q: int) -> "SuperFunction":
@@ -91,73 +112,48 @@ class SuperFunction:
         if not isinstance(other, SuperFunction):
             return NotImplemented
         self._check(other)
-        comps = dict(self.components)
-        for mask, poly in other.components.items():
-            acc = comps.get(mask)
-            acc = poly if acc is None else acc + poly
-            if acc:
-                comps[mask] = acc
-            else:
-                comps.pop(mask, None)
-        return SuperFunction(self.p, self.q, comps)
+        return SuperFunction._of(self.p, self.element + other.element)
 
     def __neg__(self):
-        return SuperFunction(self.p, self.q, {m: -f for m, f in self.components.items()})
+        return SuperFunction._of(self.p, -self.element)
 
     def __sub__(self, other):
         if not isinstance(other, SuperFunction):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        return SuperFunction._of(self.p, self.element - other.element)
 
     def __mul__(self, other):
         if not isinstance(other, SuperFunction):
             return self.scale(other)
         self._check(other)
-        comps: dict = {}
-        for ma, fa in self.components.items():
-            for mb, fb in other.components.items():
-                if ma & mb:
-                    continue
-                poly = fa * fb
-                if merge_sign(ma, mb) < 0:
-                    poly = -poly
-                mask = ma | mb
-                acc = comps.get(mask)
-                acc = poly if acc is None else acc + poly
-                if acc:
-                    comps[mask] = acc
-                else:
-                    comps.pop(mask, None)
-        return SuperFunction(self.p, self.q, comps)
+        return SuperFunction._of(self.p, self.element * other.element)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "SuperFunction":
-        return SuperFunction(self.p, self.q, {m: f * c for m, f in self.components.items()})
+        return SuperFunction._of(self.p, self.element.scale(c))
 
     def __eq__(self, other):
         if isinstance(other, SuperFunction):
-            return (self.p, self.q) == (other.p, other.q) and self.components == other.components
+            return self.p == other.p and self.element == other.element
         return NotImplemented
 
     def __bool__(self):
-        return bool(self.components)
+        return bool(self.element)
 
     def is_zero(self) -> bool:
-        return not self.components
+        return self.element.is_zero()
 
     def parity(self):
-        seen = {m.bit_count() & 1 for m in self.components}
-        if len(seen) == 1:
-            return seen.pop()
-        return None if seen else 0
+        return self.element.parity()
 
     def is_even(self) -> bool:
-        return all(not (m.bit_count() & 1) for m in self.components)
+        return self.element.is_even()
 
     def is_odd(self) -> bool:
-        return all(m.bit_count() & 1 for m in self.components)
+        return self.element.is_odd()
 
     def body_poly(self) -> Polynomial:
         """The theta-free component."""
@@ -167,11 +163,6 @@ class SuperFunction:
         return SuperFunction(
             self.p, self.q, {m: f for m, f in self.components.items() if m != 0}
         )
-
-    def theta_degree(self) -> int:
-        if not self.components:
-            return -1
-        return max(m.bit_count() for m in self.components)
 
     def eval_body(self, x0) -> dict:
         """{mask: sigma_J(x0)} with zero values dropped."""
@@ -223,10 +214,6 @@ class SuperFunction:
                 raise
             raise SchemaError(f"bad SuperFunction payload: {exc}") from exc
         return cls(p, q, comps)
-
-
-def sf_mul(a: SuperFunction, b: SuperFunction) -> SuperFunction:
-    return a * b
 
 
 @dataclass
@@ -294,38 +281,15 @@ def sf_eval(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
         )
     n = nu.n
     body = nu.body()
-    nil = nu.nilpotent_even()
-
-    # multi-indices whose nilpotent monomial survives; soul degree >= 2 caps |I|
-    live = []
-    powcache: list[dict[int, GrassmannElement]] = [dict() for _ in nil]
-
-    def power(i, e):
-        cache = powcache[i]
-        got = cache.get(e)
-        if got is None:
-            got = GrassmannElement.one(n) if e == 0 else power(i, e - 1) * nil[i]
-            cache[e] = got
-        return got
-
-    for I in iter_multiindices_upto(sigma.p, n // 2):
-        mono = GrassmannElement.one(n)
-        for i, e in enumerate(I):
-            if e:
-                mono = mono * power(i, e)
-                if mono.is_zero():
-                    break
-        if not mono.is_zero():
-            live.append(I)
-
-    coeffs = {}
-    for mask, poly in sigma.components.items():
-        for I in live:
-            val = poly_derive(poly, I).eval_scalar(body) / mi_factorial(I)
-            if val:
-                coeffs[(I, mask)] = (val,)
-    data = SuperTaylor(p=sigma.p, q=sigma.q, mt=1, coeffs=coeffs)
-    return exp_pair(data, nil, nu.odd, n)[0]
+    comps = sigma.components
+    out = GrassmannElement.zero(n)
+    # every even nilpotent factor has soul degree >= 2, which caps |I| at n/2
+    for I, J, mono in taylor_monomials(iter_multiindices_upto(sigma.p, n // 2), comps,
+                                       nu.nilpotent_even(), nu.odd, GrassmannElement.one(n)):
+        val = poly_derive(comps[J], I).eval_scalar(body) / mi_factorial(I)
+        if val:
+            out = out + mono.scale(val)
+    return out
 
 
 def sf_eval_naive(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
@@ -368,47 +332,16 @@ def sf_substitute(sigma: SuperFunction, phi,
     for sf in phi.odd_pb:
         if not sf.is_odd():
             raise ParityError("odd pullback is not odd")
-    kwargs = {"degree_bound": degree_bound}
-
     bodies = [sf.body_poly() for sf in phi.even_pb]
-    nils = [sf.nilpotent_part() for sf in phi.even_pb]
-
-    powcache: list[dict[int, SuperFunction]] = [dict() for _ in nils]
-
-    def power(i, e):
-        cache = powcache[i]
-        got = cache.get(e)
-        if got is None:
-            got = SuperFunction.one(p, q) if e == 0 else power(i, e - 1) * nils[i]
-            cache[e] = got
-        return got
-
-    odd_cache: dict[int, SuperFunction] = {0: SuperFunction.one(p, q)}
-
-    def odd_monomial(mask):
-        got = odd_cache.get(mask)
-        if got is None:
-            low = mask & -mask
-            got = phi.odd_pb[low.bit_length() - 1] * odd_monomial(mask ^ low)
-            odd_cache[mask] = got
-        return got
-
-    out = SuperFunction.zero(p, q)
-    for mask, poly in sigma.components.items():
-        wedge = odd_monomial(mask)
-        if wedge.is_zero():
-            continue
-        for I in iter_multiindices_upto(p2, q // 2):
-            mono = SuperFunction.one(p, q)
-            for i, e in enumerate(I):
-                if e:
-                    mono = mono * power(i, e)
-                    if mono.is_zero():
-                        break
-            if mono.is_zero():
-                continue
-            coeff = poly_compose(poly_derive(poly, I), bodies, **kwargs) / mi_factorial(I)
-            if not coeff:
-                continue
-            out = out + SuperFunction.from_poly(coeff, q) * mono * wedge
-    return out
+    comps = sigma.components
+    out = GrassmannElement.zero(q)
+    # odd source coordinates cap the theta-degree, so |I| <= q/2
+    for I, J, mono in taylor_monomials(iter_multiindices_upto(p2, q // 2), comps,
+                                       [sf.nilpotent_part().element for sf in phi.even_pb],
+                                       [sf.element for sf in phi.odd_pb],
+                                       SuperFunction.one(p, q).element):
+        coeff = poly_compose(poly_derive(comps[J], I), bodies, degree_bound=degree_bound)
+        coeff = coeff / mi_factorial(I)
+        if coeff:
+            out = out + mono.scale(coeff)
+    return SuperFunction._of(p, out)

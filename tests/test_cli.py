@@ -77,6 +77,20 @@ def test_eval_rejects_parity_violation(tmp_path, capsys, point):
     assert "error:" in err
 
 
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, scaling, point):
+    mu = json.loads(open(point).read())
+    mu["even"][0]["terms"][0]["den"] = "0"
+    bad_point = write(tmp_path / "bad_mu.json", mu)
+    phi = json.loads(open(scaling).read())
+    phi["odd"][0]["components"][0]["poly"]["terms"][0]["den"] = "0"
+    bad_phi = write(tmp_path / "bad_phi.json", phi)
+    for args in ((scaling, bad_point), (bad_phi, point)):
+        code, out, err = run(capsys, "eval", *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_missing_file_is_a_usage_error(capsys, point):
     code, _, err = run(capsys, "eval", "/nonexistent/m.json", point)
     assert code == 2

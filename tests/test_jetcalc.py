@@ -115,7 +115,7 @@ def test_exp_pair_evaluates_on_nilpotents():
         nil = GrassmannElement(3, {3: Fraction(1, 2), 5: Fraction(rng.randint(-2, 2))})
         jet = taylor_of([f], [x0], 3)
         direct = poly_eval(f, [GrassmannElement.scalar(3, x0) + nil])
-        (via_jet,) = exp_pair(jet, [nil], [], n=3)
+        (via_jet,) = exp_pair(jet, [nil], n=3)
         assert via_jet == direct
 
 
@@ -123,4 +123,4 @@ def test_exp_pair_checks_parities():
     jet = taylor_of([Polynomial.variable(1, 0)], [Fraction(0)], 1)
     odd = GrassmannElement.gen(2, 1)
     with pytest.raises(ParityError):
-        exp_pair(jet, [odd], [], n=2)
+        exp_pair(jet, [odd], n=2)

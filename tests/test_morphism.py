@@ -23,7 +23,7 @@ from superjet import (
     sf_eval,
     sf_substitute,
 )
-from superjet.suites import random_morphism, random_polynomial, random_superpoint
+from superjet.suites import random_morphism, random_polynomial, random_superpoint, run_suite
 
 
 def scaling_example():
@@ -198,6 +198,12 @@ def test_eta_free_coefficient_of_theta_shift_is_order_zero():
     coefficients = eta_decompose(phi, 1, default_probes(1, 1, 4))
     empty = [c for c in coefficients if c.index == (0,)][0]
     assert order_bound_check(empty, 0).passed
+
+
+@pytest.mark.parametrize("seed", [16, 41, 83])
+def test_sharpness_search_finds_its_witness_on_every_seed(seed):
+    # these seeds reach the order-0 witness only after the default 8 trials
+    assert run_suite("morphism", seed=seed, cases=2)["failed"] == 0
 
 
 def test_order_verdicts_are_seed_deterministic():

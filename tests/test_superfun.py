@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from superjet import (
     DimensionError,
@@ -9,6 +9,7 @@ from superjet import (
     ParityError,
     Polynomial,
     SuperFunction,
+    SuperMorphism,
     SuperPoint,
     sf_eval,
     sf_eval_naive,
@@ -106,3 +107,38 @@ def test_substitution_expands_composite():
     )
     out = sf_substitute(sigma, phi)
     assert out == SuperFunction(1, 1, {1: Polynomial.monomial(1, (3,))})
+
+
+@st.composite
+def morphisms(draw, source, target):
+    p, q = source
+
+    def pullback(parity):
+        sf = draw(superfunctions(p=p, q=q, degree=2))
+        return SuperFunction(p, q, {m: f for m, f in sf.components.items()
+                                    if m.bit_count() & 1 == parity})
+
+    return SuperMorphism(source, target, [pullback(0) for _ in range(target[0])],
+                         [pullback(1) for _ in range(target[1])])
+
+
+def substitute_oracle(sigma, phi):
+    """sum_J sigma_J(even pullbacks) * (odd pullbacks)^J, expanded monomial by monomial."""
+    p, q = phi.source
+    out = SuperFunction.zero(p, q)
+    for mask, poly in sigma.components.items():
+        for exp, c in poly.terms.items():
+            term = SuperFunction.constant(p, q, c)
+            for pb, e in zip(phi.even_pb, exp):
+                for _ in range(e):
+                    term = term * pb
+            for b, pb in enumerate(phi.odd_pb):
+                if mask >> b & 1:
+                    term = term * pb
+            out = out + term
+    return out
+
+
+@given(superfunctions(p=2, q=2), morphisms((1, 3), (2, 2)))
+def test_substitution_matches_direct_substitution(sigma, phi):
+    assert sf_substitute(sigma, phi) == substitute_oracle(sigma, phi)

@@ -25,6 +25,7 @@ from .errors import (
     SchemaError,
 )
 from .geometry import make_backend
+from .grassmann import float_from_json
 from .morphism import (
     SuperMorphism,
     certified_order,
@@ -69,6 +70,12 @@ def _emit(data: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    # a count below its floor would make a vacuous certificate or an empty report
+    if value < least:
+        raise SchemaError(f"{name} must be >= {least}, got {value}")
+
+
 def _degree_bound(value: int | None):
     # omitted -> library default; zero or negative -> bound disabled
     if value is None:
@@ -92,10 +99,10 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    _at_least("n_eta", args.n_eta, 0)
+    _at_least("--trials", args.trials, 1)
     phi = SuperMorphism.from_json(_load(args.morphism))
     n_eta = args.n_eta
-    if n_eta < 0:
-        raise SchemaError("n_eta must be >= 0")
     p2, q2 = phi.target
     probes = default_probes(p2, q2, 2)
     coefficients = eta_decompose(phi, n_eta, probes)
@@ -126,6 +133,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
+    if args.order is not None:
+        _at_least("--order", args.order, 0)
     point = SuperPoint.from_json(_load(args.point))
     try:
         base = json.loads(args.base)
@@ -135,7 +144,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
         base = _load(args.base).get("base")
     if not isinstance(base, list):
         raise SchemaError("base must be a JSON list of coordinates")
-    base = [float(v) for v in base]
+    base = [float_from_json(v) for v in base]
 
     probe = make_backend(args.geometry)
     if point.p % probe.m or point.p < probe.m:
@@ -153,6 +162,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _at_least("--cases", args.cases, 1)
     start = time.perf_counter()
     report = run_suite(args.suite, seed=args.seed, cases=args.cases, geometry=args.geometry)
     elapsed = time.perf_counter() - start

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the one policy that folds payload errors into SchemaError."""
+
+from contextlib import contextmanager
 
 
 class DimensionError(ValueError):
@@ -19,3 +21,18 @@ class DomainError(ValueError):
 
 class SchemaError(ValueError):
     """A JSON payload does not match the documented schema."""
+
+
+@contextmanager
+def payload_errors(kind: str):
+    """Report a missing key or bad value met while parsing a `kind` payload as a SchemaError.
+
+    Each from_json calls its own constructor after this block, so that
+    constructor's DimensionError or ParityError keeps its type.
+    """
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
+        raise SchemaError(f"bad {kind} payload: {exc}") from exc

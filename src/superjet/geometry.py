@@ -125,11 +125,11 @@ class FlatBackend:
     """Affine R^m with a trivial bundle: exp adds, log subtracts, transport is id."""
 
     kind = "flat"
+    tol = DEFAULT_TOL
 
-    def __init__(self, m: int, bundle_rank: int = 0, tol: float = DEFAULT_TOL):
+    def __init__(self, m: int, bundle_rank: int = 0):
         self.m = m
         self.bundle_rank = bundle_rank
-        self.tol = tol
 
     def check_point(self, x):
         if len(x) != self.m:
@@ -157,32 +157,21 @@ class FlatBackend:
             coeffs = {}
         return TruncatedPolyMap(k, self.m, self.m, tuple(y0), base, coeffs)
 
-    def exp_jet(self, x, v0, k: int) -> TruncatedPolyMap:
-        coeffs = {mi_unit(self.m, i): tuple(
-            1.0 if j == i else 0.0 for j in range(self.m)) for i in range(self.m)}
-        base = tuple(a + b for a, b in zip(x, v0))
-        if k < 1:
-            coeffs = {}
-        return TruncatedPolyMap(k, self.m, self.m, tuple(v0), base, coeffs)
-
     def superchart_pointwise(self, f_x, mu: SuperPoint, k: int | None = None) -> SuperPoint:
         """Affine chart: subtract the base map; nilpotent and odd parts pass through."""
+        return self._shift(f_x, mu, -1)
+
+    def superchart_pointwise_inv(self, f_x, xi: SuperPoint, k: int | None = None) -> SuperPoint:
+        return self._shift(f_x, xi, 1)
+
+    def _shift(self, f_x, mu: SuperPoint, sign: int) -> SuperPoint:
         d = self.m * (1 + self.bundle_rank)
         if mu.p != d:
             raise DimensionError(f"expected {d} even coordinates, got {mu.p}")
         shift = list(f_x) + [0.0] * (d - self.m)
-        even = [c - GrassmannElement.scalar(mu.n, s) if s else c
+        even = [c + GrassmannElement.scalar(mu.n, sign * s) if s else c
                 for c, s in zip(mu.even, shift)]
         return SuperPoint(mu.n, even, list(mu.odd))
-
-    def superchart_pointwise_inv(self, f_x, xi: SuperPoint, k: int | None = None) -> SuperPoint:
-        d = self.m * (1 + self.bundle_rank)
-        if xi.p != d:
-            raise DimensionError(f"expected {d} even coordinates, got {xi.p}")
-        shift = list(f_x) + [0.0] * (d - self.m)
-        even = [c + GrassmannElement.scalar(xi.n, s) if s else c
-                for c, s in zip(xi.even, shift)]
-        return SuperPoint(xi.n, even, list(xi.odd))
 
 
 class Sphere2Backend:
@@ -190,10 +179,10 @@ class Sphere2Backend:
 
     kind = "sphere2"
     m = 3
+    tol = DEFAULT_TOL
 
-    def __init__(self, bundle_rank: int = 0, tol: float = DEFAULT_TOL):
+    def __init__(self, bundle_rank: int = 0):
         self.bundle_rank = bundle_rank
-        self.tol = tol
 
     def check_point(self, x):
         if len(x) != 3:
@@ -295,6 +284,7 @@ class Sphere2Backend:
 
     def _chart_jet(self, f_x, y0, fib0, k: int) -> TruncatedPolyMap:
         """Joint jet: base sector by exp^{-1}, each fibre slot transported to f_x."""
+        self.check_point(y0)
         r = len(fib0)
         m = 3 + 3 * r
         log_part = self.log_jet(f_x, y0, k)
@@ -366,31 +356,21 @@ class Sphere2Backend:
     def superchart_pointwise(self, f_x, mu: SuperPoint, k: int | None = None) -> SuperPoint:
         """Chart value of a Lambda-point near f_x: log-jet and transport-jet
         contracted against the nilpotent part; odd coordinates pass through."""
+        return self._superchart(self._chart_jet, f_x, mu, k)
+
+    def superchart_pointwise_inv(self, f_x, xi: SuperPoint, k: int | None = None) -> SuperPoint:
+        return self._superchart(self._inv_chart_jet, f_x, xi, k)
+
+    def _superchart(self, joint_jet, f_x, mu: SuperPoint, k: int | None) -> SuperPoint:
         r = self.bundle_rank
         if mu.p != 3 * (1 + r):
             raise DimensionError(f"expected {3 * (1 + r)} even coordinates, got {mu.p}")
         if k is None:
             k = (mu.n + mu.q) // 2
         body = [c.body() for c in mu.even]
-        y0, fib0 = body[:3], [tuple(body[3 + 3 * a:6 + 3 * a]) for a in range(r)]
-        self.check_point(y0)
-        jet = self._chart_jet(f_x, y0, fib0, k)
+        jet = joint_jet(f_x, body[:3], [tuple(body[3 + 3 * a:6 + 3 * a]) for a in range(r)], k)
         nil = [c - GrassmannElement.scalar(mu.n, b) for c, b in zip(mu.even, body)]
-        even = exp_pair(jet, nil, n=mu.n)
-        return SuperPoint(mu.n, even, list(mu.odd))
-
-    def superchart_pointwise_inv(self, f_x, xi: SuperPoint, k: int | None = None) -> SuperPoint:
-        r = self.bundle_rank
-        if xi.p != 3 * (1 + r):
-            raise DimensionError(f"expected {3 * (1 + r)} even coordinates, got {xi.p}")
-        if k is None:
-            k = (xi.n + xi.q) // 2
-        body = [c.body() for c in xi.even]
-        v0, fib0 = body[:3], [tuple(body[3 + 3 * a:6 + 3 * a]) for a in range(r)]
-        jet = self._inv_chart_jet(f_x, v0, fib0, k)
-        nil = [c - GrassmannElement.scalar(xi.n, b) for c, b in zip(xi.even, body)]
-        even = exp_pair(jet, nil, n=xi.n)
-        return SuperPoint(xi.n, even, list(xi.odd))
+        return SuperPoint(mu.n, exp_pair(jet, nil, n=mu.n), list(mu.odd))
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +433,10 @@ def local_detrivialize(backend, f_samples, pairs):
     return out
 
 
-def make_backend(spec: str, bundle_rank: int = 0, tol: float = DEFAULT_TOL):
+def make_backend(spec: str, bundle_rank: int = 0):
     """Backend from a selector string: 'flat:m' or 'sphere2'."""
     if spec == "sphere2":
-        return Sphere2Backend(bundle_rank=bundle_rank, tol=tol)
+        return Sphere2Backend(bundle_rank=bundle_rank)
     if spec.startswith("flat:"):
         try:
             m = int(spec.split(":", 1)[1])
@@ -464,5 +444,5 @@ def make_backend(spec: str, bundle_rank: int = 0, tol: float = DEFAULT_TOL):
             raise DimensionError(f"bad flat dimension in {spec!r}") from None
         if m <= 0:
             raise DimensionError("flat dimension must be positive")
-        return FlatBackend(m, bundle_rank=bundle_rank, tol=tol)
+        return FlatBackend(m, bundle_rank=bundle_rank)
     raise DimensionError(f"unknown geometry {spec!r} (use 'flat:m' or 'sphere2')")

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionError, ParityError
+from .errors import DimensionError, ParityError, payload_errors
 from .grassmann import GrassmannElement, GrassmannHom
 from .morphism import SuperMorphism, morphism_compose, pushforward
 from .polyalg import Polynomial, mi_unit
@@ -44,9 +44,9 @@ class MappingPoint:
 
     def __post_init__(self):
         _, qs = self.morphism.source
-        if self.n > qs:
+        if not 0 <= self.n <= qs:
             raise DimensionError(
-                f"level {self.n} needs {self.n} leading odd coordinates, source has {qs}"
+                f"level {self.n} outside 0..{qs}, the source's odd coordinate count"
             )
 
     @property
@@ -61,7 +61,8 @@ class MappingPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "MappingPoint":
-        n = int(data["n"])
+        with payload_errors("MappingPoint"):
+            n = int(data["n"])
         return cls(n, SuperMorphism.from_json(data))
 
 
@@ -413,13 +414,13 @@ def top_order_cancellation(n: int, p: int, r: int) -> bool:
 # charts of mapping spaces
 
 
-def mapping_chart(f, point: MappingPoint, backend, x_samples=None, k=None):
+def mapping_chart(f, point: MappingPoint, backend):
     """Chart image of a mapping point around the base map f.
 
     Flat backend: f is a list of body polynomials, the result is the exact
     (body - f, sections) pair of the affine-shifted morphism.  Sphere backend:
-    f is a list of (x, base point) samples aligned with x_samples and the
-    result is the per-sample tangent/fibre chart value.
+    f is a list of (x, base point) samples and the result is the per-sample
+    tangent/fibre chart value.
     """
     phi = point.morphism
     pt, qt = phi.target
@@ -434,8 +435,7 @@ def mapping_chart(f, point: MappingPoint, backend, x_samples=None, k=None):
         out = []
         p, qs = phi.source
         n_total = qs
-        samples = f if x_samples is None else list(zip(x_samples, (b for _, b in f)))
-        for x, base_pt in samples:
+        for x, base_pt in f:
             even = [
                 GrassmannElement(n_total, sf.eval_body(list(x))) for sf in phi.even_pb
             ]
@@ -443,6 +443,6 @@ def mapping_chart(f, point: MappingPoint, backend, x_samples=None, k=None):
                 GrassmannElement(n_total, sf.eval_body(list(x))) for sf in phi.odd_pb
             ]
             mu = SuperPoint(n_total, even, odd)
-            out.append(backend.superchart_pointwise(base_pt, mu, k))
+            out.append(backend.superchart_pointwise(base_pt, mu))
         return out
     raise DimensionError(f"unsupported geometry backend {backend!r}")

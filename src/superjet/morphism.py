@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DimensionError, ParityError, SchemaError
+from .errors import DimensionError, ParityError, payload_errors
 from .grassmann import GrassmannElement
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
@@ -31,14 +31,20 @@ from .rng import SplitMix64
 from .superfun import SuperFunction, SuperPoint, sf_eval, sf_substitute
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuperMorphism:
+    """Coordinate pullbacks; frozen and stored as tuples, so __post_init__ checks them once."""
+
     source: tuple
     target: tuple
-    even_pb: list
-    odd_pb: list
+    even_pb: tuple
+    odd_pb: tuple
 
     def __post_init__(self):
+        for name in ("source", "target", "even_pb", "odd_pb"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len(self.source) != 2 or len(self.target) != 2:
+            raise DimensionError("source and target must be (p, q) pairs")
         p, q = self.source
         p2, q2 = self.target
         if len(self.even_pb) != p2 or len(self.odd_pb) != q2:
@@ -79,17 +85,11 @@ class SuperMorphism:
 
     @classmethod
     def from_json(cls, data: dict) -> "SuperMorphism":
-        try:
-            source = tuple(int(v) for v in data["source"])
-            target = tuple(int(v) for v in data["target"])
+        with payload_errors("SuperMorphism"):
+            source = [int(v) for v in data["source"]]
+            target = [int(v) for v in data["target"]]
             even = [SuperFunction.from_json(d) for d in data["even"]]
             odd = [SuperFunction.from_json(d) for d in data["odd"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"bad SuperMorphism payload: {exc}") from exc
-        if len(source) != 2 or len(target) != 2:
-            raise SchemaError("source/target must be [p, q] pairs")
         return cls(source, target, even, odd)
 
 

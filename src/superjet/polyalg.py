@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import DegreeBoundError, DimensionError, ParityError, SchemaError
+from .errors import DegreeBoundError, DimensionError, ParityError, SchemaError, payload_errors
 from .grassmann import rational_from_json, rational_to_json
 
 #: refuse compositions whose expanded total degree would exceed this
@@ -262,7 +262,7 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
-        try:
+        with payload_errors("Polynomial"):
             p = int(data["p"])
             terms = {}
             for item in data["terms"]:
@@ -270,10 +270,6 @@ class Polynomial:
                 if e in terms:
                     raise SchemaError("repeated exponent")
                 terms[e] = rational_from_json(item)
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"bad Polynomial payload: {exc}") from exc
         return cls(p, terms)
 
 

@@ -127,8 +127,9 @@ def random_hom(rng: SplitMix64, source_n: int, target_n: int) -> GrassmannHom:
 
 def _shear_pair(rng: SplitMix64, p: int, q: int, degree: int = 2):
     """One elementary triangular shear of R^{p|q} and its exact inverse."""
-    fwd = SuperMorphism.identity(p, q)
-    inv = SuperMorphism.identity(p, q)
+    ident = SuperMorphism.identity(p, q)
+    fwd_even, fwd_odd = list(ident.even_pb), list(ident.odd_pb)
+    inv_even, inv_odd = list(ident.even_pb), list(ident.odd_pb)
     kind = rng.randint(0, 2)
     c = rng.nonzero_fraction()
     if kind == 0:
@@ -141,28 +142,28 @@ def _shear_pair(rng: SplitMix64, p: int, q: int, degree: int = 2):
                 exp[l if l < j else l + 1] += 1
         masks = [m for m in range(1 << q) if not (m.bit_count() & 1)]
         g = SuperFunction(p, q, {rng.choice(masks): Polynomial.monomial(p, tuple(exp), c)})
-        fwd.even_pb[j] = fwd.even_pb[j] + g
-        inv.even_pb[j] = inv.even_pb[j] - g
+        fwd_even[j] = fwd_even[j] + g
+        inv_even[j] = inv_even[j] - g
     elif kind == 1 and q >= 2:
         # odd shear: theta_b += poly(y) * theta_a, a != b
         b = rng.randint(0, q - 1)
         a = rng.randint(0, q - 2)
         a = a if a < b else a + 1
         g = SuperFunction(p, q, {1 << a: random_polynomial(rng, p, degree, terms=1)})
-        fwd.odd_pb[b] = fwd.odd_pb[b] + g
-        inv.odd_pb[b] = inv.odd_pb[b] - g
+        fwd_odd[b] = fwd_odd[b] + g
+        inv_odd[b] = inv_odd[b] - g
     else:
         # coordinate rescale
         if rng.randint(0, 1) and q:
             b = rng.randint(0, q - 1)
-            fwd.odd_pb[b] = fwd.odd_pb[b].scale(c)
-            inv.odd_pb[b] = inv.odd_pb[b].scale(1 / c)
+            fwd_odd[b] = fwd_odd[b].scale(c)
+            inv_odd[b] = inv_odd[b].scale(1 / c)
         else:
             j = rng.randint(0, p - 1)
-            fwd.even_pb[j] = fwd.even_pb[j].scale(c)
-            inv.even_pb[j] = inv.even_pb[j].scale(1 / c)
-    return SuperMorphism(fwd.source, fwd.target, fwd.even_pb, fwd.odd_pb), \
-        SuperMorphism(inv.source, inv.target, inv.even_pb, inv.odd_pb)
+            fwd_even[j] = fwd_even[j].scale(c)
+            inv_even[j] = inv_even[j].scale(1 / c)
+    src = (p, q)
+    return SuperMorphism(src, src, fwd_even, fwd_odd), SuperMorphism(src, src, inv_even, inv_odd)
 
 
 def random_shear_chart(rng: SplitMix64, p: int, q: int, layers: int = 2,

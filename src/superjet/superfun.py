@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionError, ParityError, SchemaError
+from .errors import DimensionError, ParityError, SchemaError, payload_errors
 from .grassmann import GrassmannElement
 from .jetcalc import taylor_monomials
 from .polyalg import (
@@ -197,7 +197,7 @@ class SuperFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "SuperFunction":
-        try:
+        with payload_errors("SuperFunction"):
             p = int(data["p"])
             q = int(data["q"])
             comps = {}
@@ -209,10 +209,6 @@ class SuperFunction:
                 if mask in comps:
                     raise SchemaError("repeated odd multi-index")
                 comps[mask] = Polynomial.from_json(item["poly"])
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"bad SuperFunction payload: {exc}") from exc
         return cls(p, q, comps)
 
 
@@ -259,17 +255,10 @@ class SuperPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "SuperPoint":
-        try:
+        with payload_errors("SuperPoint"):
             n = int(data["n"])
             even = [GrassmannElement.from_json(d) for d in data["even"]]
             odd = [GrassmannElement.from_json(d) for d in data["odd"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"bad SuperPoint payload: {exc}") from exc
-        for c in even + odd:
-            if c.n != n:
-                raise SchemaError("coordinate over wrong generator count")
         return cls(n, even, odd)
 
 
@@ -317,7 +306,8 @@ def sf_substitute(sigma: SuperFunction, phi,
     nilpotent remainder; sigma_J is Taylor-expanded in the remainder, which
     terminates because the theta-degree is bounded.  Odd coordinate monomials are
     substituted by the odd pullbacks in ascending order.  `degree_bound` is the
-    poly_compose guardrail; None disables it.
+    poly_compose guardrail; None disables it.  The pullbacks' parity is not
+    checked again: phi's constructor checked it and phi is frozen.
     """
     p2, q2 = phi.target
     if (sigma.p, sigma.q) != (p2, q2):
@@ -326,12 +316,6 @@ def sf_substitute(sigma: SuperFunction, phi,
             f"morphism into R^({p2}|{q2})"
         )
     p, q = phi.source
-    for sf in phi.even_pb:
-        if not sf.is_even():
-            raise ParityError("even pullback is not even")
-    for sf in phi.odd_pb:
-        if not sf.is_odd():
-            raise ParityError("odd pullback is not odd")
     bodies = [sf.body_poly() for sf in phi.even_pb]
     comps = sigma.components
     out = GrassmannElement.zero(q)
@@ -340,7 +324,9 @@ def sf_substitute(sigma: SuperFunction, phi,
                                        [sf.nilpotent_part().element for sf in phi.even_pb],
                                        [sf.element for sf in phi.odd_pb],
                                        SuperFunction.one(p, q).element):
-        coeff = poly_compose(poly_derive(comps[J], I), bodies, degree_bound=degree_bound)
+        coeff = poly_derive(comps[J], I)
+        # into R^{0|s} each sigma_J is a constant, a scalar over the source's variables
+        coeff = poly_compose(coeff, bodies, degree_bound) if bodies else coeff.eval_scalar(())
         coeff = coeff / mi_factorial(I)
         if coeff:
             out = out + mono.scale(coeff)

@@ -118,6 +118,61 @@ def test_compose_degree_bound_violation(tmp_path, capsys):
     )
 
 
+def test_compose_into_a_purely_odd_target(tmp_path, capsys):
+    phi = SuperMorphism((1, 1), (0, 1), [], [SuperFunction.theta(1, 1, 0)])
+    inner = write(tmp_path / "collapse.json", phi.to_json())
+    outer = write(tmp_path / "id01.json", SuperMorphism.identity(0, 1).to_json())
+    code, out, _ = run(capsys, "compose", outer, inner)
+    assert code == 0
+    assert SuperMorphism.from_json(json.loads(out)) == phi
+
+
+def assert_one_line_input_error(result):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_decompose_refuses_a_certificate_without_trials(capsys, scaling, trials):
+    assert_one_line_input_error(run(capsys, "decompose", scaling, "1", "--trials", trials))
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_verify_refuses_an_empty_corpus(capsys, cases):
+    assert_one_line_input_error(run(capsys, "verify", "grassmann", "--cases", cases))
+
+
+def tangent_at_north_pole() -> SuperPoint:
+    """A chart-side point whose body is tangent to the sphere at (0, 0, 1)."""
+    return SuperPoint(1, [GrassmannElement(1, {0: 0.1})] * 2 + [GrassmannElement(1, {})], [])
+
+
+@pytest.fixture
+def chart_point(tmp_path):
+    return write(tmp_path / "xi.json", tangent_at_north_pole().to_json())
+
+
+def test_chart_refuses_a_negative_order(capsys, chart_point):
+    assert run(capsys, "chart", chart_point, "--base", "[0,0,1]", "--inverse")[0] == 0
+    result = run(capsys, "chart", chart_point, "--base", "[0,0,1]", "--inverse", "--order", "-3")
+    assert_one_line_input_error(result)
+
+
+@pytest.mark.parametrize("base", ['["a",0,1]', "[NaN,0,1]", "[0,Infinity,1]", "[0,0,[1]]"])
+def test_chart_base_must_be_finite_numbers(capsys, chart_point, base):
+    assert_one_line_input_error(run(capsys, "chart", chart_point, "--base", base, "--inverse"))
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "x", 1e400])
+def test_chart_point_values_must_be_finite_numbers(tmp_path, capsys, value):
+    xi = tangent_at_north_pole().to_json()
+    xi["even"][0]["terms"][0]["value"] = value
+    bad = write(tmp_path / "bad_xi.json", xi)
+    assert_one_line_input_error(run(capsys, "chart", bad, "--base", "[0,0,1]", "--inverse"))
+
+
 def test_decompose_certifies_sharp_orders(tmp_path, capsys):
     shift = SuperMorphism(
         (1, 2),

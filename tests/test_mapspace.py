@@ -75,6 +75,14 @@ def test_functor_action_rejects_level_mismatch():
         sc_functor_action(random_hom(rng, 3, 4), point)
 
 
+def test_mapping_point_level_lies_between_zero_and_the_odd_count():
+    phi = SuperMorphism.identity(1, 2)
+    assert MappingPoint(2, phi).base_source == (1, 0)
+    for level in (-1, 3):
+        with pytest.raises(DimensionError):
+            MappingPoint(level, phi)
+
+
 def test_coefficient_map_agrees_with_pushforward():
     rng = SplitMix64(44)
     for _ in range(10):

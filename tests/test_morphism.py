@@ -7,6 +7,7 @@ import pytest
 from superjet import (
     DimensionError,
     GrassmannElement,
+    ParityError,
     Polynomial,
     SplitMix64,
     SuperFunction,
@@ -131,6 +132,38 @@ def test_pushforward_commutes_with_coefficient_homs():
 def test_composition_dimension_mismatch():
     with pytest.raises(DimensionError):
         morphism_compose(SuperMorphism.identity(2, 1), SuperMorphism.identity(1, 1))
+
+
+def odd_collapse():
+    """Phi*(theta') = theta, from R^(1|1) to R^(0|1)."""
+    return SuperMorphism((1, 1), (0, 1), [], [SuperFunction.theta(1, 1, 0)])
+
+
+def test_composition_through_a_purely_odd_target():
+    # pulled-back coefficients live in the source's even variables, not in none
+    phi = odd_collapse()
+    assert morphism_compose(SuperMorphism.identity(0, 1), phi) == phi
+    three_theta = SuperFunction.theta(0, 1, 0).scale(3)
+    assert sf_substitute(three_theta, phi) == SuperFunction.theta(1, 1, 0).scale(3)
+    assert sf_substitute(SuperFunction.one(0, 1), phi) == SuperFunction.one(1, 1)
+
+
+def test_morphism_is_frozen():
+    phi = scaling_example()
+    with pytest.raises(AttributeError):
+        phi.even_pb = []
+    with pytest.raises(TypeError):
+        phi.odd_pb[0] = SuperFunction.theta(1, 1, 0)
+    assert isinstance(phi.source, tuple) and isinstance(phi.even_pb, tuple)
+
+
+def test_morphism_checks_its_shape_once_at_construction():
+    with pytest.raises(DimensionError):
+        SuperMorphism((1, 1, 0), (1, 1), [SuperFunction.coordinate(1, 1, 0)],
+                      [SuperFunction.theta(1, 1, 0)])
+    with pytest.raises(ParityError):
+        SuperMorphism((1, 1), (1, 1), [SuperFunction.theta(1, 1, 0)],
+                      [SuperFunction.theta(1, 1, 0)])
 
 
 # -- eta expansion ---------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -157,7 +158,11 @@ def cmd_chart(args: argparse.Namespace) -> int:
     if backend.kind == "sphere2":
         backend.check_point(base)
     fn = backend.superchart_pointwise_inv if args.inverse else backend.superchart_pointwise
-    _emit(fn(base, point, k=args.order).to_json(), args.out)
+    result = fn(base, point, k=args.order)
+    # finite but huge coefficients can overflow in the Taylor products
+    if not all(math.isfinite(c) for g in (*result.even, *result.odd) for c in g.terms.values()):
+        raise DomainError("chart result is not finite: the point's coefficients overflow a float")
+    _emit(result.to_json(), args.out)
     return 0
 
 

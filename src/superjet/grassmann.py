@@ -286,7 +286,8 @@ class GrassmannHom:
     """Algebra map determined by purely odd generator images.
 
     Odd images force parity preservation and nilpotency, which is exactly the
-    admissibility condition for these homomorphisms.
+    admissibility condition for these homomorphisms.  The constructor checks
+    it once and stores the images as a tuple, so `apply` does not re-check.
     """
 
     __slots__ = ("source", "target", "images", "_cache")
@@ -299,7 +300,9 @@ class GrassmannHom:
                 raise DimensionError("generator image lives in the wrong algebra")
         self.source = source
         self.target = target
-        self.images = list(images)
+        self.images = tuple(images)
+        if not self.is_valid():
+            raise ParityError("generator images must be purely odd")
         self._cache = {0: GrassmannElement.one(target)}
 
     def is_valid(self) -> bool:
@@ -323,8 +326,6 @@ class GrassmannHom:
         return out
 
     def apply(self, a: GrassmannElement) -> GrassmannElement:
-        if not self.is_valid():
-            raise ParityError("generator images must be purely odd")
         if a.n != self.source:
             raise DimensionError(f"element in Lambda_{a.n}, hom expects Lambda_{self.source}")
         out = GrassmannElement.zero(self.target)

@@ -110,8 +110,6 @@ def sc_functor_action(rho: GrassmannHom, point: MappingPoint) -> MappingPoint:
 
     Functorial: the identity acts trivially and composites act as composites.
     """
-    if not rho.is_valid():
-        raise ParityError("generator images must be purely odd")
     if rho.source != point.n:
         raise DimensionError(f"hom from Lambda_{rho.source} applied to a level-{point.n} point")
     p, q = point.base_source

@@ -11,6 +11,13 @@ linear operator on probe superfunctions of the target.  `order_bound_check`
 then tests whether such a coefficient is a differential operator of order <= k
 along the underlying body map, by feeding it probe pairs with matching k-jets
 at the relevant body image and comparing values exactly.
+
+A morphism's pullback phi^* is fixed once phi is, so `SuperMorphism.pullback`
+memoizes the guardrail-free phi^*(g) per morphism, and `EtaCoefficient.apply`
+reads that memo: every coefficient of one decomposition, and every trial of
+`order_bound_check`, shares it.  The oracles do not: `eta_decompose` (which
+keeps the degree guardrail), `pushforward_general` and the verifier's
+reference sides call `sf_substitute` or their own expansions directly.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ class SuperMorphism:
     target: tuple
     even_pb: tuple
     odd_pb: tuple
+    _pullbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("source", "target", "even_pb", "odd_pb"):
@@ -70,6 +78,19 @@ class SuperMorphism:
             [SuperFunction.coordinate(p, q, j) for j in range(p)],
             [SuperFunction.theta(p, q, b) for b in range(q)],
         )
+
+    def pullback(self, g: SuperFunction) -> SuperFunction:
+        """phi^*(g) without the degree guardrail, memoized on g's content.
+
+        Sound because no Polynomial or GrassmannElement is mutated in place.
+        """
+        key = (g.p, g.q, frozenset((mask, frozenset(poly.terms.items()))
+                                   for mask, poly in g.components.items()))
+        out = self._pullbacks.get(key)
+        if out is None:
+            # the module global, so a tracer that rebinds sf_substitute sees each miss
+            out = self._pullbacks[key] = sf_substitute(g, self, degree_bound=None)
+        return out
 
     def body_map(self) -> list:
         """The classical map underneath: theta-free parts of the even pullbacks."""
@@ -191,8 +212,7 @@ class EtaCoefficient:
 
     def apply(self, g: SuperFunction) -> SuperFunction:
         # probe substitutions are the verifier's own, so no degree guardrail
-        full = sf_substitute(g, self.phi, degree_bound=None)
-        return _extract_eta(full, self.n_eta, self.mask)
+        return _extract_eta(self.phi.pullback(g), self.n_eta, self.mask)
 
     def order_bound(self) -> int:
         """|I| in the eta grading."""

@@ -2,7 +2,7 @@
 
 from hypothesis import settings, strategies as st
 
-from superjet import GrassmannElement, Polynomial, SuperFunction, SuperPoint
+from superjet import GrassmannElement, Polynomial, SuperFunction, SuperMorphism, SuperPoint
 
 # algebra ops on bigger cases can exceed the default per-example deadline
 settings.register_profile("exact", deadline=None)
@@ -62,3 +62,16 @@ def superpoints(draw, n=None, p=1, q=1):
     even = [draw(grassmann_elements(n=n, parity=0)) for _ in range(p)]
     odd = [draw(grassmann_elements(n=n, parity=1)) for _ in range(q)]
     return SuperPoint(n, even, odd)
+
+
+@st.composite
+def morphisms(draw, source, target):
+    p, q = source
+
+    def pullback(parity):
+        sf = draw(superfunctions(p=p, q=q, degree=2))
+        return SuperFunction(p, q, {m: f for m, f in sf.components.items()
+                                    if m.bit_count() & 1 == parity})
+
+    return SuperMorphism(source, target, [pullback(0) for _ in range(target[0])],
+                         [pullback(1) for _ in range(target[1])])

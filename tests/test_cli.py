@@ -173,6 +173,15 @@ def test_chart_point_values_must_be_finite_numbers(tmp_path, capsys, value):
     assert_one_line_input_error(run(capsys, "chart", bad, "--base", "[0,0,1]", "--inverse"))
 
 
+def test_chart_refuses_a_result_that_overflows(tmp_path, capsys):
+    # finite souls whose Taylor products overflow a float: the chart must not
+    # write an Infinity or NaN token
+    huge = {0b0011: 1e200, 0b1100: 1e200, 0b0101: 1e200, 0b1010: 1e200}
+    mu = SuperPoint(4, [GrassmannElement(4, {0: b, **huge}) for b in (0.0, 0.0, 1.0)], [])
+    src = write(tmp_path / "huge.json", mu.to_json())
+    assert_one_line_input_error(run(capsys, "chart", src, "--base", "[0,0,1]"))
+
+
 def test_decompose_certifies_sharp_orders(tmp_path, capsys):
     shift = SuperMorphism(
         (1, 2),

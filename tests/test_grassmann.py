@@ -130,10 +130,9 @@ def test_hom_compose_agrees_with_sequential_application(rho, sigma, x):
 
 
 def test_hom_validate_rejects_even_image():
-    bad = GrassmannHom(1, 2, [GrassmannElement.monomial(2, 3)])
-    assert not hom_validate(bad)
     with pytest.raises(ParityError):
-        hom_apply(bad, GrassmannElement.gen(1, 1))
+        GrassmannHom(1, 2, [GrassmannElement.monomial(2, 3)])
+    assert hom_validate(GrassmannHom(1, 2, [GrassmannElement.gen(2, 1)]))
 
 
 @given(homs(source=2, target=2), small_fractions)

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superjet import (
+    DegreeBoundError,
     DimensionError,
     GrassmannElement,
     ParityError,
@@ -25,6 +27,8 @@ from superjet import (
     sf_substitute,
 )
 from superjet.suites import random_morphism, random_polynomial, random_superpoint, run_suite
+
+from conftest import morphisms, superfunctions
 
 
 def scaling_example():
@@ -246,6 +250,87 @@ def test_order_verdicts_are_seed_deterministic():
     v2 = order_bound_check(coef, 0, seed=3)
     assert not v1.passed
     assert v1.to_json() == v2.to_json()
+
+
+# -- the per-morphism pullback memo ------------------------------------------
+
+
+def fresh(phi: SuperMorphism) -> SuperMorphism:
+    """An equal morphism with an empty pullback memo."""
+    return SuperMorphism.from_json(phi.to_json())
+
+
+@given(morphisms((1, 3), (2, 2)), superfunctions(p=2, q=2))
+def test_pullback_memo_agrees_with_substitution_cold_and_warm(phi, g):
+    expected = sf_substitute(g, phi, degree_bound=None)
+    cold = phi.pullback(g)
+    assert cold == expected
+    # equal content in another component order is the same memo entry
+    g_again = SuperFunction(g.p, g.q, dict(reversed(list(g.components.items()))))
+    assert phi.pullback(g_again) is cold
+    assert phi.pullback(g) == sf_substitute(g, phi, degree_bound=None)
+
+
+@settings(max_examples=30)
+@given(morphisms((1, 3), (1, 1)), st.integers(1, 2), st.integers(0, 99))
+def test_order_verdicts_do_not_depend_on_memo_order(phi, n_eta, seed):
+    probes = default_probes(1, 1, 2)
+
+    def verdicts(morphism, reverse=False):
+        dec = eta_decompose(morphism, n_eta, probes)
+        checked = {c.index: order_bound_check(c, c.order_bound(), seed=seed).to_json()
+                   for c in (reversed(dec) if reverse else dec)}
+        return [checked[c.index] for c in dec]
+
+    forward = verdicts(phi)
+    assert verdicts(fresh(phi), reverse=True) == forward   # cold, reverse order
+    assert verdicts(phi) == forward                         # warm
+
+
+def test_memo_is_invisible_to_equality_and_wire_format():
+    phi = theta_pair_shift()
+    before = phi.to_json()
+    for g in default_probes(1, 2, 2):
+        phi.pullback(g)
+    assert phi._pullbacks
+    assert phi == fresh(phi) and fresh(phi) == phi
+    assert phi.to_json() == before == fresh(phi).to_json()
+    assert repr(phi) == repr(fresh(phi))
+
+
+def test_oracles_do_not_read_the_memo(monkeypatch):
+    rng = SplitMix64(12)
+    phi = random_morphism(rng, (1, 3), (1, 1), degree=2)
+    probes = default_probes(1, 1, 2)
+    expected = [sf_substitute(g, phi) for g in probes]
+
+    def refuse(self, g):
+        raise AssertionError("oracle went through SuperMorphism.pullback")
+
+    monkeypatch.setattr(SuperMorphism, "pullback", refuse)
+    coefficients = eta_decompose(phi, 2, probes)
+    for g, full in zip(probes, expected):
+        # the morphism/decomp-* right-hand side
+        assert sf_substitute(g, phi) == full
+        total = SuperFunction.zero(1, 3)
+        for coef in coefficients:
+            value = next(v for probe, v in coef.table if probe is g)
+            total = total + embed(value, coef.index, 3)
+        assert total == full
+    mu = random_superpoint(rng, 3, 1, 3)
+    assert pushforward_general(phi, mu) == pushforward(phi, mu)
+
+
+def test_a_warm_memo_never_lifts_the_degree_guardrail():
+    # y -> x^5 pulls y^4 back to x^20, past the default degree bound of 16
+    fifth = SuperFunction.from_poly(Polynomial.monomial(1, (5,)), 0)
+    phi = SuperMorphism((1, 0), (1, 0), [fifth], [])
+    g = SuperFunction.from_poly(Polynomial.monomial(1, (4,)), 0)
+    assert phi.pullback(g) == SuperFunction.from_poly(Polynomial.monomial(1, (20,)), 0)
+    with pytest.raises(DegreeBoundError):
+        eta_decompose(phi, 0, [g])
+    with pytest.raises(DegreeBoundError):
+        sf_substitute(g, phi)
 
 
 def test_morphism_json_roundtrip():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from superjet import (
     DimensionError,
@@ -9,14 +9,13 @@ from superjet import (
     ParityError,
     Polynomial,
     SuperFunction,
-    SuperMorphism,
     SuperPoint,
     sf_eval,
     sf_eval_naive,
     sf_substitute,
 )
 
-from conftest import superfunctions, superpoints
+from conftest import morphisms, superfunctions, superpoints
 
 
 @given(superfunctions(p=1, q=2), superpoints(n=3, p=1, q=2))
@@ -107,19 +106,6 @@ def test_substitution_expands_composite():
     )
     out = sf_substitute(sigma, phi)
     assert out == SuperFunction(1, 1, {1: Polynomial.monomial(1, (3,))})
-
-
-@st.composite
-def morphisms(draw, source, target):
-    p, q = source
-
-    def pullback(parity):
-        sf = draw(superfunctions(p=p, q=q, degree=2))
-        return SuperFunction(p, q, {m: f for m, f in sf.components.items()
-                                    if m.bit_count() & 1 == parity})
-
-    return SuperMorphism(source, target, [pullback(0) for _ in range(target[0])],
-                         [pullback(1) for _ in range(target[1])])
 
 
 def substitute_oracle(sigma, phi):

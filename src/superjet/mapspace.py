@@ -9,21 +9,22 @@ exact polynomial objects.
 `LambdaPointMap` is the fully explicit form of a map between Lambda-point
 sets: one exact polynomial per output Grassmann coefficient, in the input
 Grassmann coefficients.  `supersmooth_check` differentiates those polynomials
-and tests even-scalar linearity of the differential, which is the property
-separating maps that come from morphisms from those that merely permute
-coefficients.
+once and decides, as a polynomial identity over Q, that the differential
+commutes with multiplication by even scalars (the Molotkov-Sachse condition).
+That property separates maps that come from morphisms from those that merely
+permute coefficients, and the identity holds at every base point, so no body
+point is sampled and no Grassmann product is taken.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, ParityError, payload_errors
-from .grassmann import GrassmannElement, GrassmannHom
+from .grassmann import GrassmannElement, GrassmannHom, merge_sign
 from .morphism import SuperMorphism, morphism_compose, pushforward
-from .polyalg import Polynomial, mi_unit
+from .polyalg import Polynomial
 from .superfun import SuperFunction, SuperPoint
 
 
@@ -162,19 +163,6 @@ class LambdaPointMap:
             vec.append(coords[slot].terms.get(mask, Fraction(0)))
         return vec
 
-    def point_from_vector(self, vec) -> SuperPoint:
-        p, q = self.source
-        even = [dict() for _ in range(p)]
-        odd = [dict() for _ in range(q)]
-        for (kind, slot, mask), v in zip(self.var_order, vec):
-            if v:
-                (even if kind == "even" else odd)[slot][mask] = v
-        return SuperPoint(
-            self.n,
-            [GrassmannElement(self.n, t) for t in even],
-            [GrassmannElement(self.n, t) for t in odd],
-        )
-
     def apply(self, point: SuperPoint) -> SuperPoint:
         vec = self.coefficient_vector(point)
         pt, qt = self.target
@@ -187,44 +175,6 @@ class LambdaPointMap:
             terms = {m: poly.eval_scalar(vec) for m, poly in self.odds[b].items()}
             odd.append(GrassmannElement(self.n, terms))
         return SuperPoint(self.n, even, odd)
-
-    def differential_at(self, kappa: SuperPoint):
-        """Jacobian at kappa, as a function on tangent points."""
-        vec = self.coefficient_vector(kappa)
-        rows = []   # (kind, slot, mask, {in_var: value})
-        for kind, comps in (("even", self.evens), ("odd", self.odds)):
-            for slot, table in enumerate(comps):
-                for mask, poly in table.items():
-                    entries = {}
-                    for v in range(self.nvars):
-                        dp = poly.derive(mi_unit(self.nvars, v))
-                        if dp:
-                            val = dp.eval_scalar(vec)
-                            if val:
-                                entries[v] = val
-                    rows.append((kind, slot, mask, entries))
-
-        p, q = self.source
-        pt, qt = self.target
-
-        def apply_tangent(tau: SuperPoint) -> SuperPoint:
-            tvec = self.coefficient_vector(tau)
-            even = [dict() for _ in range(pt)]
-            odd = [dict() for _ in range(qt)]
-            for kind, slot, mask, entries in rows:
-                val = Fraction(0)
-                for v, j in entries.items():
-                    if tvec[v]:
-                        val += j * tvec[v]
-                if val:
-                    (even if kind == "even" else odd)[slot][mask] = val
-            return SuperPoint(
-                self.n,
-                [GrassmannElement(self.n, t) for t in even],
-                [GrassmannElement(self.n, t) for t in odd],
-            )
-
-        return apply_tangent
 
 
 def lambda_point_map_of(phi: SuperMorphism, n: int) -> LambdaPointMap:
@@ -293,6 +243,8 @@ def chart_transition_map(chart1: SuperChart, chart2: SuperChart, n: int,
 
 @dataclass
 class SmoothVerdict:
+    """Verdict of supersmooth_check; checks counts the identity entries compared."""
+
     passed: bool
     checks: int
     witness: dict | None = None
@@ -304,77 +256,75 @@ class SmoothVerdict:
         return out
 
 
-def default_scalar_samples(n: int) -> list:
-    """Spanning set of even scalars, body and zero-body monomials plus a mix."""
-    out = [GrassmannElement.monomial(n, m) for m in even_masks(n)]
-    if n >= 2:
-        out.append(GrassmannElement.one(n) + GrassmannElement.monomial(n, 3))
-    return out
+def _jacobian(F: LambdaPointMap) -> dict:
+    """{output slot: {input variable: derivative polynomial}}, nonzeros only.
 
-
-def default_tangent_samples(F: LambdaPointMap) -> list:
-    """Coordinate basis of the tangent coefficient space, plus one dense one."""
-    outs = []
-    for i in range(F.nvars):
-        vec = [Fraction(0)] * F.nvars
-        vec[i] = Fraction(1)
-        outs.append(F.point_from_vector(vec))
-    outs.append(F.point_from_vector([Fraction(1)] * F.nvars))
-    return outs
-
-
-def default_point_samples(F: LambdaPointMap) -> list:
-    """A few rational points: coefficients cycle over a small value set."""
-    cycles = [
-        [Fraction(1, 2), Fraction(-1, 3), Fraction(1), Fraction(0), Fraction(2, 5)],
-        [Fraction(-1), Fraction(1, 4), Fraction(0), Fraction(1, 3), Fraction(-2)],
-        [Fraction(1), Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(0)],
-    ]
-    return [
-        F.point_from_vector([cycle[i % len(cycle)] for i in range(F.nvars)])
-        for cycle in cycles
-    ]
-
-
-def _scale_point(lam: GrassmannElement, point: SuperPoint) -> SuperPoint:
-    return SuperPoint(point.n, [lam * c for c in point.even], [lam * c for c in point.odd])
-
-
-def supersmooth_check(F: LambdaPointMap, sample_points=None, sample_tangents=None,
-                      sample_scalars=None) -> SmoothVerdict:
-    """Verify that dF is linear over even scalars at the sampled points.
-
-    The defect dF|_k(lam*tau) - lam*dF|_k(tau) is bilinear in (lam, tau), so
-    checking a basis of even scalars against a basis of tangent coefficient
-    vectors decides those two slots exactly; body points are sampled.  The
-    scalar set includes zero-body elements, where the top-order terms only
-    cancel because a nilpotent even scalar times a maximal nilpotent monomial
-    dies -- the cancellation that makes these maps well defined at all.
+    One pass over each output polynomial's terms derives it in every variable
+    it contains, where Polynomial.derive per variable would rescan every term
+    once per variable.
     """
-    if sample_points is None:
-        sample_points = default_point_samples(F)
-    if sample_tangents is None:
-        sample_tangents = default_tangent_samples(F)
-    if sample_scalars is None:
-        sample_scalars = default_scalar_samples(F.n)
+    jac = {}
+    for kind, comps in (("even", F.evens), ("odd", F.odds)):
+        for slot, table in enumerate(comps):
+            for mask, poly in table.items():
+                parts = {}
+                for e, c in poly.terms.items():
+                    for v, k in enumerate(e):
+                        if k:
+                            parts.setdefault(v, {})[e[:v] + (k - 1,) + e[v + 1:]] = c * k
+                jac[(kind, slot, mask)] = {v: Polynomial(F.nvars, t) for v, t in parts.items()}
+    return jac
+
+
+def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
+    """Decide that dF is linear over even scalars, as a polynomial identity.
+
+    Multiplying a tangent by the even monomial lam = eta^m moves coefficient
+    slot a to slot a|m with sign merge_sign(m, a) when a & m == 0, and drops
+    it otherwise: a signed partial permutation M_lam of coefficient slots.
+    Supersmoothness is J M_lam = M_lam J for the Jacobian J of derivative
+    polynomials, and each entry of that identity compares two signed entries
+    of J with ==.  The identity is linear in lam, so the nonzero even
+    monomials decide it for every even scalar (body monomial 1 is trivial);
+    it holds over Q, so for every base point kappa, not only sampled ones.
+    Zero-body scalars are where the top-order terms only cancel because a
+    nilpotent even scalar times a maximal nilpotent monomial dies -- the
+    cancellation that makes these maps well defined at all.
+
+    A failure's witness names the monomial mask, the output slot and the
+    input slot [kind, slot, mask] of the differing entry, with the entry of
+    dF(lam tau) and of lam dF(tau) for tau the unit tangent on that input.
+    """
+    jac = _jacobian(F)
     checks = 0
-    for kappa in sample_points:
-        dF = F.differential_at(kappa)
-        base_images = [dF(tau) for tau in sample_tangents]
-        for tau, dtau in zip(sample_tangents, base_images):
-            for lam in sample_scalars:
-                checks += 1
-                got = dF(_scale_point(lam, tau))
-                want = _scale_point(lam, dtau)
-                if got.even != want.even or got.odd != want.odd:
-                    witness = {
-                        "kappa": kappa.to_json(),
-                        "tau": tau.to_json(),
-                        "lambda": lam.to_json(),
-                        "dF_of_lambda_tau": got.to_json(),
-                        "lambda_dF_of_tau": want.to_json(),
-                    }
-                    return SmoothVerdict(passed=False, checks=checks, witness=witness)
+    for m in even_masks(F.n)[1:]:
+        moved_in = {}    # (J M_lam)[out][v] = sign * J[out][v + m]
+        moved_out = {}   # (M_lam J)[out + m][v] = sign * J[out][v]
+        for out, row in jac.items():
+            kind, slot, b = out
+            if not b & m:
+                s = merge_sign(m, b)
+                for v, d in row.items():
+                    moved_out[((kind, slot, b | m), v)] = d if s > 0 else -d
+            for w, d in row.items():
+                wkind, wslot, c = F.var_order[w]
+                if c & m == m:
+                    a = c ^ m
+                    key = (out, F.var_index[(wkind, wslot, a)])
+                    moved_in[key] = d if merge_sign(m, a) > 0 else -d
+        keys = moved_in.keys() | moved_out.keys()
+        checks += len(keys)
+        if moved_in != moved_out:
+            zero = Polynomial.zero(F.nvars)
+            out, v = min(k for k in keys if moved_in.get(k, zero) != moved_out.get(k, zero))
+            witness = {
+                "lambda_mask": m,
+                "output": list(out),
+                "input": list(F.var_order[v]),
+                "dF_of_lambda_tau": moved_in.get((out, v), zero).to_json(),
+                "lambda_dF_of_tau": moved_out.get((out, v), zero).to_json(),
+            }
+            return SmoothVerdict(passed=False, checks=checks, witness=witness)
     return SmoothVerdict(passed=True, checks=checks)
 
 

@@ -228,11 +228,6 @@ class Polynomial:
             return Fraction(0)
         return out
 
-    def shift(self, x0) -> "Polynomial":
-        """f(x + x0) as a polynomial in x."""
-        vars_shifted = [Polynomial.variable(self.p, k) + x0[k] for k in range(self.p)]
-        return poly_compose(self, vars_shifted, degree_bound=None)
-
     def __str__(self):
         if not self.terms:
             return "0"

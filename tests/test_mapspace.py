@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superjet import (
     DimensionError,
+    GrassmannElement,
     GrassmannHom,
+    LambdaPointMap,
     MappingPoint,
     Polynomial,
     SplitMix64,
@@ -18,6 +21,7 @@ from superjet import (
     lambda_point_map_of,
     mapping_chart,
     make_backend,
+    merge_sign,
     morphism_compose,
     pushforward,
     sc_functor_action,
@@ -26,6 +30,7 @@ from superjet import (
     supersmooth_check,
     top_order_cancellation,
 )
+from superjet.polyalg import mi_unit
 from superjet.suites import (
     coefficient_squaring_map,
     random_hom,
@@ -37,6 +42,105 @@ from superjet.suites import (
 
 def random_mapping_point(rng, n, p=1, q=1):
     return MappingPoint(n, random_morphism(rng, (p, n + q), (1, 1), degree=2))
+
+
+# ---------------------------------------------------------------------------
+# pointwise oracle: the sampled form of the supersmoothness condition.  It
+# evaluates the Jacobian at a few body points and multiplies tangents by even
+# scalars with Grassmann products, so it shares neither the Jacobian nor the
+# slot permutation with the identity that supersmooth_check decides.
+
+
+def point_from_vector(F, vec) -> SuperPoint:
+    p, q = F.source
+    even = [dict() for _ in range(p)]
+    odd = [dict() for _ in range(q)]
+    for (kind, slot, mask), v in zip(F.var_order, vec):
+        if v:
+            (even if kind == "even" else odd)[slot][mask] = v
+    return SuperPoint(
+        F.n,
+        [GrassmannElement(F.n, t) for t in even],
+        [GrassmannElement(F.n, t) for t in odd],
+    )
+
+
+def differential_at(F, kappa: SuperPoint):
+    """Jacobian of F at kappa, as a function on tangent points."""
+    vec = F.coefficient_vector(kappa)
+    rows = []   # (kind, slot, mask, {in_var: value})
+    for kind, comps in (("even", F.evens), ("odd", F.odds)):
+        for slot, table in enumerate(comps):
+            for mask, poly in table.items():
+                entries = {}
+                for v in range(F.nvars):
+                    val = poly.derive(mi_unit(F.nvars, v)).eval_scalar(vec)
+                    if val:
+                        entries[v] = val
+                rows.append((kind, slot, mask, entries))
+    pt, qt = F.target
+
+    def apply_tangent(tau: SuperPoint) -> SuperPoint:
+        tvec = F.coefficient_vector(tau)
+        even = [dict() for _ in range(pt)]
+        odd = [dict() for _ in range(qt)]
+        for kind, slot, mask, entries in rows:
+            val = sum((j * tvec[v] for v, j in entries.items()), Fraction(0))
+            if val:
+                (even if kind == "even" else odd)[slot][mask] = val
+        return SuperPoint(
+            F.n,
+            [GrassmannElement(F.n, t) for t in even],
+            [GrassmannElement(F.n, t) for t in odd],
+        )
+
+    return apply_tangent
+
+
+def pointwise_supersmooth(F) -> bool:
+    """dF(lam tau) == lam dF(tau) at three rational body points kappa.
+
+    The defect is bilinear in (lam, tau), so the even monomials plus a mix and
+    the coordinate tangents plus a dense one decide those two slots exactly;
+    only kappa is sampled.
+    """
+    scalars = [GrassmannElement.monomial(F.n, m) for m in range(1 << F.n)
+               if not m.bit_count() & 1]
+    if F.n >= 2:
+        scalars.append(GrassmannElement.one(F.n) + GrassmannElement.monomial(F.n, 3))
+    tangents = []
+    for i in range(F.nvars):
+        vec = [Fraction(0)] * F.nvars
+        vec[i] = Fraction(1)
+        tangents.append(point_from_vector(F, vec))
+    tangents.append(point_from_vector(F, [Fraction(1)] * F.nvars))
+    cycles = [
+        [Fraction(1, 2), Fraction(-1, 3), Fraction(1), Fraction(0), Fraction(2, 5)],
+        [Fraction(-1), Fraction(1, 4), Fraction(0), Fraction(1, 3), Fraction(-2)],
+        [Fraction(1), Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(0)],
+    ]
+
+    def scale(lam, point):
+        return SuperPoint(point.n, [lam * c for c in point.even], [lam * c for c in point.odd])
+
+    for cycle in cycles:
+        dF = differential_at(F, point_from_vector(
+            F, [cycle[i % len(cycle)] for i in range(F.nvars)]))
+        for tau in tangents:
+            dtau = dF(tau)
+            for lam in scalars:
+                got = dF(scale(lam, tau))
+                want = scale(lam, dtau)
+                if got.even != want.even or got.odd != want.odd:
+                    return False
+    return True
+
+
+def assert_both_pass(F):
+    verdict = supersmooth_check(F)
+    assert verdict.passed, verdict.witness
+    assert verdict.witness is None
+    assert pointwise_supersmooth(F)
 
 
 def test_pair_encoding_roundtrip():
@@ -113,14 +217,70 @@ def test_pushforward_maps_are_supersmooth():
     rng = SplitMix64(45)
     for n in (2, 3):
         phi = random_morphism(rng, (1, 1), (1, 1), degree=2)
-        verdict = supersmooth_check(lambda_point_map_of(phi, n))
-        assert verdict.passed, verdict.witness
+        assert_both_pass(lambda_point_map_of(phi, n))
 
 
 def test_coefficient_squaring_map_is_rejected():
     verdict = supersmooth_check(coefficient_squaring_map())
     assert not verdict.passed
     assert verdict.witness is not None
+    assert not pointwise_supersmooth(coefficient_squaring_map())
+
+
+def _derivative_entry(F, kind, slot, mask, var):
+    table = (F.evens if kind == "even" else F.odds)[slot]
+    poly = table.get(mask, Polynomial.zero(F.nvars))
+    return poly.derive(mi_unit(F.nvars, F.var_index[var]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rejection_witness_replays_from_the_map(n):
+    F = coefficient_squaring_map(n)
+    witness = supersmooth_check(F).to_json()["witness"]
+    m = witness["lambda_mask"]
+    kind, slot, b = witness["output"]
+    in_kind, in_slot, a = witness["input"]
+    zero = Polynomial.zero(F.nvars)
+    # dF(lam tau) at the output slot: tau's slot a moves to a|m under lam
+    lhs = (merge_sign(m, a) * _derivative_entry(F, kind, slot, b, (in_kind, in_slot, a | m))
+           if not a & m else zero)
+    # lam dF(tau) at the output slot: it comes from slot b - m of dF(tau)
+    rhs = (merge_sign(m, b ^ m) * _derivative_entry(F, kind, slot, b ^ m, (in_kind, in_slot, a))
+           if b & m == m else zero)
+    assert lhs != rhs
+    assert lhs == Polynomial.from_json(witness["dF_of_lambda_tau"])
+    assert rhs == Polynomial.from_json(witness["lambda_dF_of_tau"])
+
+
+def _cubic_mutants(F):
+    """F with x_v^3 added to the top even-mask coefficient of the first even
+    output, once for each input variable v on a nilpotent even slot."""
+    top = max(m for m in range(1 << F.n) if not m.bit_count() & 1)
+    for v, (kind, _, mask) in enumerate(F.var_order):
+        if kind == "even" and mask:
+            evens = [dict(table) for table in F.evens]
+            cubic = Polynomial.variable(F.nvars, v) ** 3
+            evens[0][top] = evens[0].get(top, Polynomial.zero(F.nvars)) + cubic
+            yield LambdaPointMap(F.n, F.source, F.target, evens, [dict(t) for t in F.odds])
+
+
+def test_cubic_mutants_fail_both_checks():
+    rng = SplitMix64(49)
+    maps = [lambda_point_map_of(random_morphism(rng, (1, 1), (1, 1), degree=2), n)
+            for n in (2, 3, 4)]
+    for n in (2, 3, 4):
+        c1 = random_shear_chart(rng, 1, 1)
+        c2 = random_shear_chart(rng, 1, 1)
+        maps.append(chart_transition_map(c1, c2, n))
+    mutants = 0
+    for F in maps:
+        assert_both_pass(F)
+        for mutant in _cubic_mutants(F):
+            mutants += 1
+            verdict = supersmooth_check(mutant)
+            assert not verdict.passed and verdict.witness is not None
+            assert not pointwise_supersmooth(mutant)
+    assert mutants == 2 * (1 + 3 + 7)
 
 
 def test_shear_charts_invert_exactly():
@@ -137,9 +297,20 @@ def test_chart_transitions_are_supersmooth():
     for n in (2, 3, 4):
         c1 = random_shear_chart(rng, 1, 2)
         c2 = random_shear_chart(rng, 1, 2)
-        F = chart_transition_map(c1, c2, n)
-        verdict = supersmooth_check(F)
-        assert verdict.passed, verdict.witness
+        assert_both_pass(chart_transition_map(c1, c2, n))
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=2**32), p=st.integers(1, 2),
+       q=st.integers(0, 2), n=st.integers(0, 3), transition=st.booleans())
+def test_identity_and_pointwise_oracle_accept_morphism_maps(seed, p, q, n, transition):
+    rng = SplitMix64(seed)
+    if transition:
+        F = chart_transition_map(random_shear_chart(rng, p, q), random_shear_chart(rng, p, q), n)
+    else:
+        phi = random_morphism(rng, (p, q), (rng.randint(1, 2), rng.randint(0, 2)), degree=2)
+        F = lambda_point_map_of(phi, n)
+    assert_both_pass(F)
 
 
 def test_mapping_chart_flat_is_an_affine_shift():
@@ -159,3 +330,30 @@ def test_top_order_cancellation_table():
     assert top_order_cancellation(5, 2, 2)
     assert not top_order_cancellation(4, 2, 1)
     assert not top_order_cancellation(6, 2, 2)
+
+
+def test_cancellation_laws_fail_with_replayable_witnesses(monkeypatch):
+    import superjet.suites as suites
+
+    def inverted(n, p, r):
+        return not top_order_cancellation(n, p, r)
+
+    monkeypatch.setattr(suites, "top_order_cancellation", inverted)
+    failures = {f["id"]: f.get("witness") for f in suites.suite_mapspace(0, 1)["failures"]}
+    assert sorted(failures) == [f"mapspace/cancel-{n}" for n in range(2, 7)] + [
+        "mapspace/cancel-sharp"]
+    for case_id, witness in failures.items():
+        assert set(witness) == {"n", "p", "r"}
+        # replaying the witness alone reproduces the failed verdict
+        assert inverted(**witness) == (case_id == "mapspace/cancel-sharp")
+
+
+def test_pair_law_lets_unexpected_errors_through(monkeypatch):
+    import superjet.suites as suites
+
+    def broken(*args):
+        raise ValueError("not a missing-section error")
+
+    monkeypatch.setattr(suites, "sc_pair_to_point", broken)
+    with pytest.raises(ValueError):
+        suites.suite_mapspace(0, 1)

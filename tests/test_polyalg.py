@@ -52,14 +52,6 @@ def test_derive_monomial_coefficients():
     assert poly_derive(f, (5,)) == Polynomial.zero(1)
 
 
-@given(polynomials(p=2, degree=2), points2)
-def test_shift_translates_the_argument(f, x0):
-    g = f.shift(x0)
-    for y in ([Fraction(0), Fraction(1)], [Fraction(1, 2), Fraction(-1)]):
-        shifted = [yi + xi for yi, xi in zip(y, x0)]
-        assert g.eval_scalar(y) == f.eval_scalar(shifted)
-
-
 @given(polynomials(p=1, degree=3), polynomials(p=2, degree=2))
 def test_compose_agrees_with_evaluation(f, g):
     h = poly_compose(f, [g], degree_bound=None)

@@ -9,20 +9,29 @@ coordinates ("eta" generators), writes every pullback as a sum over eta
 monomials, and represents the coefficient of each eta^I extensionally: as a
 linear operator on probe superfunctions of the target.  `order_bound_check`
 then tests whether such a coefficient is a differential operator of order <= k
-along the underlying body map, by feeding it probe pairs with matching k-jets
-at the relevant body image and comparing values exactly.
+along the underlying body map (Grothendieck's commutator definition) on a
+probe family, comparing values exactly.
+
+Because phi^* is a ring map and the eta-free twist psi is even and
+multiplicative, the (k+1)-fold commutator of D_I with coordinate increments
+telescopes into one product: E_I(b_{j_0} ... b_{j_k} phi^*(h)), where b_j is
+the eta-part of the j-th even pullback and E_I takes the eta^I component.  So
+a trial multiplies k+1 fixed b's and at most one pullback instead of expanding
+2^(k+1) subset terms; `tests/test_morphism.py` keeps the expansion as the
+oracle.
 
 A morphism's pullback phi^* is fixed once phi is, so `SuperMorphism.pullback`
 memoizes the guardrail-free phi^*(g) per morphism, and `EtaCoefficient.apply`
-reads that memo: every coefficient of one decomposition, and every trial of
-`order_bound_check`, shares it.  The oracles do not: `eta_decompose` (which
-keeps the degree guardrail), `pushforward_general` and the verifier's
-reference sides call `sf_substitute` or their own expansions directly.
+and `order_bound_check` read that memo: every coefficient of one
+decomposition shares it.  The oracles do not: `eta_decompose` (which keeps
+the degree guardrail), `pushforward_general` and the verifier's reference
+sides call `sf_substitute` or their own expansions directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DimensionError, ParityError, payload_errors
 from .grassmann import GrassmannElement
@@ -183,12 +192,21 @@ def pushforward_general(phi: SuperMorphism, mu: SuperPoint) -> SuperPoint:
 
 
 def default_probes(p: int, q: int, max_degree: int) -> list:
-    """All monomial superfunctions y^I theta^J with |I| <= max_degree."""
-    out = []
-    for mask in range(1 << q):
-        for I in iter_multiindices_upto(p, max_degree):
-            out.append(SuperFunction(p, q, {mask: Polynomial.monomial(p, I)}))
-    return out
+    """All monomial superfunctions y^I theta^J with |I| <= max_degree, as a fresh list."""
+    return list(_probe_family(p, q, max_degree))
+
+
+@lru_cache(maxsize=64)
+def _probe_family(p: int, q: int, max_degree: int) -> tuple:
+    # built once per shape: order_bound_check asks for the same family on every call
+    return tuple(SuperFunction(p, q, {mask: Polynomial.monomial(p, I)})
+                 for mask in range(1 << q) for I in iter_multiindices_upto(p, max_degree))
+
+
+@lru_cache(maxsize=16)
+def _body_lattice(p: int) -> tuple:
+    """The body points order_bound_check draws from, in canonical order."""
+    return tuple(lattice_points(p, radius=1, den=2))
 
 
 @dataclass
@@ -229,6 +247,12 @@ def _extract_eta(sf: SuperFunction, n_eta: int, eta_mask: int) -> SuperFunction:
     return SuperFunction(sf.p, sf.q - n_eta, comps)
 
 
+def _eta_part(sf: SuperFunction, n_eta: int) -> SuperFunction:
+    """The terms of sf that carry an eta, still on the whole source."""
+    eta_all = (1 << n_eta) - 1
+    return SuperFunction(sf.p, sf.q, {m: f for m, f in sf.components.items() if m & eta_all})
+
+
 def eta_decompose(phi: SuperMorphism, n_eta: int, probes) -> list:
     """Expand each probe's pullback over the leading n_eta odd coordinates.
 
@@ -265,7 +289,7 @@ class OrderVerdict:
 
 
 def order_bound_check(coef: EtaCoefficient, k: int, trials: int = 8,
-                      seed: int = 0, probe_degree: int | None = None) -> OrderVerdict:
+                      seed: int = 0) -> OrderVerdict:
     """Test whether coef acts as a differential operator of order <= k.
 
     Order means the commutator filtration along the morphism: with psi the
@@ -275,61 +299,54 @@ def order_bound_check(coef: EtaCoefficient, k: int, trials: int = 8,
     taken with even coordinate increments f_i = y_{j_i} - y0_{j_i} at
     y0 = body_map(x0), so when psi is plain composition with the body map
     (the full theta expansion) this is the usual locality test: operators of
-    order <= k cannot see past the k-jet of the probe at y0.  Body points x0
-    come from a fixed rational lattice, shuffled by the seed.  PASS certifies
-    order <= k on the probe family; FAIL carries a replayable witness.
+    order <= k cannot see past the k-jet of the probe at y0.
+
+    The alternating sum over all 2^(k+1) subsets S telescopes:
+
+        sum_S (-1)^(k+1-|S|) psi(f_{S^c}) D_I(f_S h)
+            = E_I( prod_i (phi^* f_i - psi f_i) * phi^* h ),
+
+    E_I taking the eta^I component.  It holds because phi^* is a ring map,
+    so phi^*(f_S h) = phi^*(f_S) phi^*(h), and because each psi(f_i) is even
+    and eta-free, so it commutes with everything and with E_I.  Each factor
+    phi^*(y_j - c) - psi(y_j - c) is b_j, the eta-part of the j-th even
+    pullback, whatever the constant c; so a trial costs k+1 products of b's
+    and, only if that product is nonzero, one product with the memoized
+    phi^*(h).  Body points x0 come from a fixed rational lattice, shuffled by
+    the seed.  PASS certifies order <= k on the probe family only; FAIL carries
+    a replayable witness.
     """
     if k < 0:
         raise ValueError("order must be >= 0")
     phi = coef.phi
     p, _ = phi.source
     p2, q2 = phi.target
-    bodies = phi.body_map()
     rng = SplitMix64(seed)
-    if probe_degree is None:
-        probe_degree = 2 * k + 2
     if p2 == 0:
         # no even target coordinates, so nothing to commute with
         return OrderVerdict(passed=True, k=k, trials=0)
-    lattice = lattice_points(p, radius=1, den=2)
-    lattice = list(lattice)
+    lattice = list(_body_lattice(p))
     rng.shuffle(lattice)
-    probes = default_probes(p2, q2, probe_degree)
+    probes = default_probes(p2, q2, 2 * k + 2)
     # cycle through a shuffled copy instead of drawing independently: distinct
     # probes across trials, so a sharp operator cannot hide behind repeats
     rng.shuffle(probes)
-    psi = EtaCoefficient(index=(0,) * coef.n_eta, n_eta=coef.n_eta, phi=phi)
+    etas = [_eta_part(sf, coef.n_eta) for sf in phi.even_pb]
 
     for t in range(trials):
         x0 = lattice[t % len(lattice)]
-        y0 = [f.eval_scalar(x0) for f in bodies]
         coords = [rng.randint(0, p2 - 1) for _ in range(k + 1)]
-        factors = [
-            SuperFunction.from_poly(Polynomial.variable(p2, j) - Polynomial.constant(p2, y0[j]), q2)
-            for j in coords
-        ]
-        psi_factors = [psi.apply(f) for f in factors]
         h = probes[t % len(probes)]
-        total = None
-        for subset in range(1 << (k + 1)):
-            arg = h
-            twist = None
-            for i in range(k + 1):
-                if subset >> i & 1:
-                    arg = factors[i] * arg
-                else:
-                    twist = psi_factors[i] if twist is None else twist * psi_factors[i]
-            term = coef.apply(arg)
-            if twist is not None:
-                term = twist * term
-            if (k + 1 - subset.bit_count()) & 1:
-                term = -term
-            total = term if total is None else total + term
-        value = total.eval_body(x0)
+        product = etas[coords[0]]
+        for j in coords[1:]:
+            product = product * etas[j]
+        if not product:
+            continue
+        value = _extract_eta(product * phi.pullback(h), coef.n_eta, coef.mask).eval_body(x0)
         if value:
             witness = {
                 "x0": [str(v) for v in x0],
-                "y0": [str(v) for v in y0],
+                "y0": [str(f.eval_scalar(x0)) for f in phi.body_map()],
                 "coords": coords,
                 "h": h.to_json(),
                 "value": {str(mm): str(v) for mm, v in sorted(value.items())},

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from superjet import (
     DegreeBoundError,
     DimensionError,
+    EtaCoefficient,
     GrassmannElement,
+    OrderVerdict,
     ParityError,
     Polynomial,
     SplitMix64,
@@ -19,6 +21,7 @@ from superjet import (
     default_probes,
     eta_decompose,
     hom_apply,
+    lattice_points,
     morphism_compose,
     order_bound_check,
     pushforward,
@@ -250,6 +253,120 @@ def test_order_verdicts_are_seed_deterministic():
     v2 = order_bound_check(coef, 0, seed=3)
     assert not v1.passed
     assert v1.to_json() == v2.to_json()
+
+
+# -- the telescoped commutator against its expansion -------------------------
+
+
+def order_check_expanded(coef, k, trials=8, seed=0):
+    """order_bound_check's (k+1)-fold commutator expanded over all 2^(k+1) subsets.
+
+    Independent of the telescoped product: each subset S costs
+    psi(f_{S^c}) * coef.apply(f_S h), with psi the eta-free coefficient, and
+    the signed terms are summed before evaluation.  It draws the same random
+    numbers in the same order, so its verdicts must match to the byte.
+    """
+    phi = coef.phi
+    p, _ = phi.source
+    p2, q2 = phi.target
+    bodies = phi.body_map()
+    rng = SplitMix64(seed)
+    if p2 == 0:
+        return OrderVerdict(passed=True, k=k, trials=0)
+    lattice = lattice_points(p, radius=1, den=2)
+    rng.shuffle(lattice)
+    probes = default_probes(p2, q2, 2 * k + 2)
+    rng.shuffle(probes)
+    psi = EtaCoefficient(index=(0,) * coef.n_eta, n_eta=coef.n_eta, phi=phi)
+    for t in range(trials):
+        x0 = lattice[t % len(lattice)]
+        y0 = [f.eval_scalar(x0) for f in bodies]
+        coords = [rng.randint(0, p2 - 1) for _ in range(k + 1)]
+        factors = [
+            SuperFunction.from_poly(Polynomial.variable(p2, j) - Polynomial.constant(p2, y0[j]), q2)
+            for j in coords
+        ]
+        psi_factors = [psi.apply(f) for f in factors]
+        h = probes[t % len(probes)]
+        total = None
+        for subset in range(1 << (k + 1)):
+            arg = h
+            twist = None
+            for i in range(k + 1):
+                if subset >> i & 1:
+                    arg = factors[i] * arg
+                else:
+                    twist = psi_factors[i] if twist is None else twist * psi_factors[i]
+            term = coef.apply(arg)
+            if twist is not None:
+                term = twist * term
+            if (k + 1 - subset.bit_count()) & 1:
+                term = -term
+            total = term if total is None else total + term
+        value = total.eval_body(x0)
+        if value:
+            witness = {
+                "x0": [str(v) for v in x0],
+                "y0": [str(v) for v in y0],
+                "coords": coords,
+                "h": h.to_json(),
+                "value": {str(mm): str(v) for mm, v in sorted(value.items())},
+                "eta_index": list(coef.index),
+                "k": k,
+            }
+            return OrderVerdict(passed=False, k=k, trials=t + 1, witness=witness)
+    return OrderVerdict(passed=True, k=k, trials=trials)
+
+
+def order_check_disagreements(phi, n_eta, trials, seed):
+    """(failing verdicts, verdicts unlike the expansion's) over every coefficient and k <= |I|."""
+    failed = differ = 0
+    for coef in eta_decompose(phi, n_eta, []):
+        for k in range(coef.order_bound() + 1):
+            verdict = order_bound_check(coef, k, trials=trials, seed=seed).to_json()
+            failed += not verdict["passed"]
+            differ += verdict != order_check_expanded(coef, k, trials, seed).to_json()
+    return failed, differ
+
+
+ORDER_SHAPES = [((1, 2), (1, 1)), ((1, 3), (1, 1)), ((2, 2), (2, 1)), ((1, 2), (2, 2)),
+                ((1, 2), (0, 1))]
+
+
+@settings(max_examples=40)
+@given(st.data(), st.integers(1, 10), st.integers(0, 2**32))
+def test_telescoped_order_check_matches_the_expansion(data, trials, seed):
+    source, target = data.draw(st.sampled_from(ORDER_SHAPES))
+    phi = data.draw(morphisms(source, target))
+    n_eta = data.draw(st.integers(1, source[1]))
+    assert order_check_disagreements(phi, n_eta, trials, seed)[1] == 0
+
+
+def seeded_order_sweep(cases=10):
+    """Morphisms drawn as the verifier's etaorder cases are, with their n_eta."""
+    rng = SplitMix64(2024)
+    for _ in range(cases):
+        p, q = rng.randint(1, 2), rng.randint(2, 3)
+        r, s = rng.randint(1, 2), rng.randint(0, 2)
+        yield random_morphism(rng, (p, q), (r, s), degree=2), rng.randint(1, q)
+
+
+def test_telescoped_order_check_matches_the_expansion_on_failing_cases():
+    failed = 0
+    for i, (phi, n_eta) in enumerate(seeded_order_sweep()):
+        f, differ = order_check_disagreements(phi, n_eta, trials=8, seed=i)
+        assert differ == 0
+        failed += f
+    assert failed > 0   # the agreement covers witnesses, not only passes
+
+
+def test_expansion_catches_the_whole_pullback_in_place_of_its_eta_part(monkeypatch):
+    import superjet.morphism
+
+    monkeypatch.setattr(superjet.morphism, "_eta_part", lambda sf, n_eta: sf)
+    differ = sum(order_check_disagreements(phi, n_eta, trials=8, seed=i)[1]
+                 for i, (phi, n_eta) in enumerate(seeded_order_sweep()))
+    assert differ > 0
 
 
 # -- the per-morphism pullback memo ------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from superjet import (
     DimensionError,
@@ -15,7 +15,7 @@ from superjet import (
     sf_substitute,
 )
 
-from conftest import morphisms, superfunctions, superpoints
+from conftest import morphisms, small_fractions, superfunctions, superpoints
 
 
 @given(superfunctions(p=1, q=2), superpoints(n=3, p=1, q=2))
@@ -128,3 +128,21 @@ def substitute_oracle(sigma, phi):
 @given(superfunctions(p=2, q=2), morphisms((1, 3), (2, 2)))
 def test_substitution_matches_direct_substitution(sigma, phi):
     assert sf_substitute(sigma, phi) == substitute_oracle(sigma, phi)
+
+
+# order_bound_check telescopes its commutator on these two facts
+
+
+@given(superfunctions(p=2, q=2), superfunctions(p=2, q=2), morphisms((1, 3), (2, 2)))
+def test_pullback_is_multiplicative(f, g, phi):
+    assert sf_substitute(f * g, phi, degree_bound=None) == (
+        sf_substitute(f, phi, degree_bound=None) * sf_substitute(g, phi, degree_bound=None)
+    )
+
+
+@given(morphisms((1, 3), (2, 2)), st.integers(0, 1), small_fractions)
+def test_pullback_of_a_coordinate_increment(phi, j, c):
+    increment = SuperFunction.from_poly(Polynomial.variable(2, j) - Polynomial.constant(2, c), 2)
+    assert sf_substitute(increment, phi, degree_bound=None) == (
+        phi.even_pb[j] - SuperFunction.constant(1, 3, c)
+    )

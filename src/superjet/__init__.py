@@ -57,7 +57,6 @@ from .morphism import (
     EtaCoefficient,
     OrderVerdict,
     SuperMorphism,
-    certified_order,
     default_probes,
     eta_decompose,
     morphism_compose,
@@ -114,7 +113,6 @@ __all__ = [
     "SuperPoint",
     "TruncatedPolyMap",
     "bundle_exp",
-    "certified_order",
     "chart_transition_map",
     "default_probes",
     "eta_decompose",

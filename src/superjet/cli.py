@@ -27,15 +27,7 @@ from .errors import (
 )
 from .geometry import make_backend
 from .grassmann import float_from_json
-from .morphism import (
-    SuperMorphism,
-    certified_order,
-    default_probes,
-    eta_decompose,
-    morphism_compose,
-    pushforward,
-)
-from .rng import ALGORITHM
+from .morphism import SuperMorphism, eta_decompose, morphism_compose, pushforward
 from .suites import SUITES, run_suite
 from .superfun import SuperPoint
 
@@ -101,36 +93,29 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     _at_least("n_eta", args.n_eta, 0)
-    _at_least("--trials", args.trials, 1)
     phi = SuperMorphism.from_json(_load(args.morphism))
-    n_eta = args.n_eta
-    p2, q2 = phi.target
-    probes = default_probes(p2, q2, 2)
-    coefficients = eta_decompose(phi, n_eta, probes)
-    _, qs = phi.source
+    q2 = phi.target[1]
     entries = []
-    for coef in coefficients:
-        weight = coef.order_bound()
-        # eta grading admits order |I|; the full theta expansion halves it
-        bound = weight if n_eta < qs else weight // 2
-        order = certified_order(coef, bound, trials=args.trials, seed=args.seed)
+    for coef in eta_decompose(phi, args.n_eta):
+        # the sharpness evidence: the first symbol term of largest |beta|
+        top = max(coef.symbol.items(), key=lambda term: sum(term[0][0]), default=None)
         entries.append(
             {
                 "index": list(coef.index),
-                "order_bound": bound,
-                "certified_order": order if order <= bound else None,
+                "order_bound": coef.order_bound(),
+                "certified_order": coef.order(),
+                "top": top and {"beta": list(top[0][0]), "c": top[1].to_json(),
+                                "K": [top[0][1] >> b & 1 for b in range(q2)]},
             }
         )
     report = {
-        "algorithm": ALGORITHM,
-        "seed": args.seed,
-        "n_eta": n_eta,
+        "n_eta": args.n_eta,
         "source": list(phi.source),
         "target": list(phi.target),
         "coefficients": entries,
     }
     _emit(report, args.out)
-    return 0 if all(e["certified_order"] is not None for e in entries) else 1
+    return 0 if all(e["certified_order"] <= e["order_bound"] for e in entries) else 1
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
@@ -207,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dec.add_argument("morphism", help="morphism JSON file")
     p_dec.add_argument("n_eta", type=int, help="how many leading odd coordinates to expand over")
-    p_dec.add_argument("--seed", type=int, default=0)
-    p_dec.add_argument("--trials", type=int, default=8, help="probe trials per order check")
     p_dec.add_argument("--out", help="write result here instead of stdout")
     p_dec.set_defaults(fn=cmd_decompose)
 

@@ -5,12 +5,14 @@ and q' odd superfunctions on the source.  Composition is pullback of
 pullbacks; pushforward moves Lambda-points coordinate-wise.
 
 The decomposition machinery singles out a block of leading odd source
-coordinates ("eta" generators), writes every pullback as a sum over eta
-monomials, and represents the coefficient of each eta^I extensionally: as a
-linear operator on probe superfunctions of the target.  `order_bound_check`
-then tests whether such a coefficient is a differential operator of order <= k
-along the underlying body map (Grothendieck's commutator definition) on a
-probe family, comparing values exactly.
+coordinates ("eta" generators) and writes phi^*(g) = sum_I eta^I D_I(g).
+Each D_I is a differential operator, held as its symbol:
+D_I = sum_{beta,K} c_{beta,K} psi o d^beta d_theta^K, with psi the eta-free
+part of phi.  Its order in Grothendieck's commutator filtration (EGA IV 16.8)
+is exactly max |beta|: a commutator with a coordinate increment lowers beta
+by one step and keeps c, so k+1 of them kill every term with |beta| <= k and
+leave the top terms.  `order_bound_check` is the independent oracle: it tests
+the commutator definition on a probe family, comparing values exactly.
 
 Because phi^* is a ring map and the eta-free twist psi is even and
 multiplicative, the (k+1)-fold commutator of D_I with coordinate increments
@@ -23,18 +25,20 @@ oracle.
 A morphism's pullback phi^* is fixed once phi is, so `SuperMorphism.pullback`
 memoizes the guardrail-free phi^*(g) per morphism, and `EtaCoefficient.apply`
 and `order_bound_check` read that memo: every coefficient of one
-decomposition shares it.  The oracles do not: `eta_decompose` (which keeps
-the degree guardrail), `pushforward_general` and the verifier's reference
-sides call `sf_substitute` or their own expansions directly.
+decomposition shares it.  The oracles do not: `pushforward_general` and the
+verifier's reference sides call `sf_substitute` or their own expansions
+directly, and `eta_decompose` pulls nothing back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionError, ParityError, payload_errors
 from .grassmann import GrassmannElement
+from .jetcalc import taylor_monomials
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -211,18 +215,20 @@ def _body_lattice(p: int) -> tuple:
 
 @dataclass
 class EtaCoefficient:
-    """Coefficient operator of eta^I in the expansion of a morphism's pullback.
+    """Coefficient operator D_I of eta^I in a morphism's pullback, held as its symbol.
 
-    Extensional representation: `table` records the operator's value on the
-    probe family it was built with, and `apply` recomputes it for any other
-    probe.  Values are superfunctions on the reduced source R^{p|q} (the
-    source with the eta block removed).
+    D_I(g) = sum c_{beta,K} psi(d^beta d_theta^K g) over `symbol`'s (beta, K):
+    K masks the target's odd coordinates, and d_theta^K is the left odd
+    derivative, theta^J = +-theta^K theta^(J-K) in ascending order.  The c
+    live on the reduced source R^{p|q} (the eta block removed).  The order is
+    exactly max |beta|, since each commutator with a coordinate increment
+    lowers beta by one step and keeps c.  `apply` evaluates D_I via the pullback.
     """
 
     index: tuple            # 0/1 per eta generator
     n_eta: int
     phi: SuperMorphism
-    table: list = field(default_factory=list)   # (probe, value) pairs
+    symbol: dict = field(default_factory=dict)   # (beta, K) -> c_{beta,K}
 
     @property
     def mask(self) -> int:
@@ -232,9 +238,15 @@ class EtaCoefficient:
         # probe substitutions are the verifier's own, so no degree guardrail
         return _extract_eta(self.phi.pullback(g), self.n_eta, self.mask)
 
+    def order(self) -> int:
+        """max |beta| over the symbol; 0 for D_I = 0."""
+        return max((sum(beta) for beta, _ in self.symbol), default=0)
+
     def order_bound(self) -> int:
-        """|I| in the eta grading."""
-        return sum(self.index)
+        """|I|, as every b_j carries an eta; floor(|I|/2) when the etas are the
+        whole odd sector, as every b_j then has theta-degree >= 2."""
+        weight = sum(self.index)
+        return weight // 2 if self.n_eta == self.phi.source[1] else weight
 
 
 def _extract_eta(sf: SuperFunction, n_eta: int, eta_mask: int) -> SuperFunction:
@@ -253,25 +265,31 @@ def _eta_part(sf: SuperFunction, n_eta: int) -> SuperFunction:
     return SuperFunction(sf.p, sf.q, {m: f for m, f in sf.components.items() if m & eta_all})
 
 
-def eta_decompose(phi: SuperMorphism, n_eta: int, probes) -> list:
-    """Expand each probe's pullback over the leading n_eta odd coordinates.
+def eta_decompose(phi: SuperMorphism, n_eta: int) -> list:
+    """Every eta^I coefficient over the leading n_eta odd coordinates, as its symbol.
 
-    The source's first n_eta odd coordinates play the role of Grassmann
-    generators; the returned coefficients reconstruct the pullback exactly:
-    sum_I eta^I coef_I(g) == phi^*(g) for every probe g.
+    Taylor's formula in the eta-parts b of the even pullbacks, with odd
+    monomials expanded in the eta-parts omega of the odd ones, gives
+    c_{beta,K} = E_I(b^beta omega^K) / beta!; b^beta vanishes past |beta| = n_eta.
     """
     p, qs = phi.source
     if n_eta > qs:
         raise DimensionError(f"morphism has only {qs} odd coordinates, wanted {n_eta} etas")
-    coefficients = []
-    for mask in range(1 << n_eta):
-        index = tuple(mask >> i & 1 for i in range(n_eta))
-        coefficients.append(EtaCoefficient(index=index, n_eta=n_eta, phi=phi))
-    for g in probes:
-        full = sf_substitute(g, phi)
-        for coef in coefficients:
-            coef.table.append((g, _extract_eta(full, n_eta, coef.mask)))
-    return coefficients
+    p2, q2 = phi.target
+    eta_all = (1 << n_eta) - 1
+    symbols = [{} for _ in range(1 << n_eta)]
+    for beta, K, mono in taylor_monomials(iter_multiindices_upto(p2, n_eta), range(1 << q2),
+                                          [_eta_part(sf, n_eta).element for sf in phi.even_pb],
+                                          [_eta_part(sf, n_eta).element for sf in phi.odd_pb],
+                                          SuperFunction.one(p, qs).element):
+        by_index = {}
+        for mask, poly in mono.scale(Fraction(1, mi_factorial(beta))).terms.items():
+            by_index.setdefault(mask & eta_all, {})[mask >> n_eta] = poly
+        for eta_mask, comps in by_index.items():
+            symbols[eta_mask][beta, K] = SuperFunction(p, qs - n_eta, comps)
+    return [EtaCoefficient(index=tuple(mask >> i & 1 for i in range(n_eta)), n_eta=n_eta,
+                           phi=phi, symbol=symbols[mask])
+            for mask in range(1 << n_eta)]
 
 
 @dataclass
@@ -356,10 +374,3 @@ def order_bound_check(coef: EtaCoefficient, k: int, trials: int = 8,
             return OrderVerdict(passed=False, k=k, trials=t + 1, witness=witness)
     return OrderVerdict(passed=True, k=k, trials=trials)
 
-
-def certified_order(coef: EtaCoefficient, k_max: int, trials: int = 8, seed: int = 0) -> int:
-    """Smallest k <= k_max whose order_bound_check passes; k_max+1 if none do."""
-    for k in range(k_max + 1):
-        if order_bound_check(coef, k, trials=trials, seed=seed).passed:
-            return k
-    return k_max + 1

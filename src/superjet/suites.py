@@ -418,6 +418,16 @@ def _eta_embed(value: SuperFunction, n_eta: int, eta_mask: int, q_total: int) ->
     return SuperFunction(value.p, q_total, comps)
 
 
+def _order_failure(dec, seed: int) -> dict | None:
+    """The first coefficient whose symbol order breaks its bound or fails the sampled check."""
+    for coef in dec:
+        verdict = order_bound_check(coef, coef.order(), seed=seed)
+        if coef.order() > coef.order_bound() or not verdict.passed:
+            return {"index": list(coef.index), "order": coef.order(),
+                    "order_bound": coef.order_bound(), "verdict": verdict.to_json()}
+    return None
+
+
 def suite_morphism(seed: int = 0, cases: int = 100) -> dict:
     """Functoriality of pushforward, naturality, and coefficient order bounds."""
     rng = SplitMix64(seed)
@@ -459,17 +469,12 @@ def suite_morphism(seed: int = 0, cases: int = 100) -> dict:
         probes = default_probes(r, s, 2)
 
         n_eta = rng.randint(1, q - 1)       # proper leading block: eta grading
-        dec = eta_decompose(phi, n_eta, probes)
-        bad = None
-        for coef in dec:
-            verdict = order_bound_check(coef, coef.order_bound(), seed=seed + i)
-            if not verdict.passed:
-                bad = verdict
-                break
+        dec = eta_decompose(phi, n_eta)
+        bad = _order_failure(dec, seed + i)
         rec.check(
             f"morphism/etaorder-{i:04d}",
             bad is None,
-            lambda: {"phi": phi.to_json(), "n_eta": n_eta, "verdict": bad.to_json()},
+            lambda: {"phi": phi.to_json(), "n_eta": n_eta, **bad},
         )
 
         # sampled reconstruction: the coefficients reassemble the pullback
@@ -484,17 +489,12 @@ def suite_morphism(seed: int = 0, cases: int = 100) -> dict:
             lambda: {"phi": phi.to_json(), "g": g.to_json(), "n_eta": n_eta},
         )
 
-        dec = eta_decompose(phi, q, probes)  # whole odd sector: theta grading
-        bad = None
-        for coef in dec:
-            verdict = order_bound_check(coef, coef.order_bound() // 2, seed=seed + i)
-            if not verdict.passed:
-                bad = verdict
-                break
+        # whole odd sector: theta grading
+        bad = _order_failure(eta_decompose(phi, q), seed + i)
         rec.check(
             f"morphism/thetaorder-{i:04d}",
             bad is None,
-            lambda: {"phi": phi.to_json(), "n_eta": q, "verdict": bad.to_json()},
+            lambda: {"phi": phi.to_json(), "n_eta": q, **bad},
         )
 
     # sharpness: y -> y + theta1 theta2 has a genuine first-order coefficient,
@@ -504,19 +504,18 @@ def suite_morphism(seed: int = 0, cases: int = 100) -> dict:
         [SuperFunction(1, 2, {0: Polynomial.variable(1, 0), 3: Polynomial.one(1)})],
         [SuperFunction.theta(1, 2, 0), SuperFunction.theta(1, 2, 1)],
     )
-    probes = default_probes(1, 2, 4)
     # the order-0 search cycles through 12 probes and 5 body points; the counts
     # are coprime, so this many trials try every probe at every point (it stops
     # at the first witness)
     every_pair = len(default_probes(1, 2, 2)) * len(lattice_points(1, radius=1, den=2))
     for label, n_eta, index in (("sharp-eta", 1, (1,)), ("sharp-theta", 2, (1, 1))):
-        coef = next(c for c in eta_decompose(phi, n_eta, probes) if c.index == index)
+        coef = next(c for c in eta_decompose(phi, n_eta) if c.index == index)
         at_one = order_bound_check(coef, 1, seed=seed)
         at_zero = order_bound_check(coef, 0, trials=every_pair, seed=seed)
         rec.check(
             f"morphism/{label}",
-            at_one.passed and not at_zero.passed,
-            lambda: {"phi": phi.to_json(), "n_eta": n_eta,
+            coef.order() == 1 and at_one.passed and not at_zero.passed,
+            lambda: {"phi": phi.to_json(), "n_eta": n_eta, "order": coef.order(),
                      "k1": at_one.to_json(), "k0": at_zero.to_json()},
         )
     return rec.report()

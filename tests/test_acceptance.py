@@ -21,7 +21,6 @@ from superjet import (
     SuperMorphism,
     SuperPoint,
     chart_transition_map,
-    default_probes,
     eta_decompose,
     faa_di_bruno,
     hom_apply,
@@ -127,15 +126,16 @@ def test_coefficient_operators_meet_order_bounds_sharply():
         q = rng.randint(2, 3)
         r, s = rng.randint(1, 2), rng.randint(0, 2)
         phi = random_morphism(rng, (p, q), (r, s), degree=2)
-        probes = default_probes(r, s, 2)
 
         n_eta = rng.randint(1, q - 1)
-        for coef in eta_decompose(phi, n_eta, probes):
+        for coef in eta_decompose(phi, n_eta):
+            assert coef.order() <= coef.order_bound(), (i, coef.index)
             verdict = order_bound_check(coef, coef.order_bound(), seed=i)
             assert verdict.passed, (i, coef.index, verdict.to_json())
 
-        for coef in eta_decompose(phi, q, probes):
-            verdict = order_bound_check(coef, coef.order_bound() // 2, seed=i)
+        for coef in eta_decompose(phi, q):
+            assert coef.order() <= coef.order_bound(), (i, coef.index)
+            verdict = order_bound_check(coef, coef.order_bound(), seed=i)
             assert verdict.passed, (i, coef.index, verdict.to_json())
 
     # sharpness: y -> y + theta1 theta2 needs a first-order coefficient, so
@@ -145,9 +145,8 @@ def test_coefficient_operators_meet_order_bounds_sharply():
         [SuperFunction(1, 2, {0: Polynomial.variable(1, 0), 3: Polynomial.one(1)})],
         [SuperFunction.theta(1, 2, 0), SuperFunction.theta(1, 2, 1)],
     )
-    probes = default_probes(1, 2, 4)
     for n_eta, index in ((1, (1,)), (2, (1, 1))):
-        coef = next(c for c in eta_decompose(phi, n_eta, probes) if c.index == index)
+        coef = next(c for c in eta_decompose(phi, n_eta) if c.index == index)
         assert order_bound_check(coef, 1, seed=0).passed
         below = order_bound_check(coef, 0, seed=0)
         assert not below.passed

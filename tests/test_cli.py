@@ -6,12 +6,14 @@ import pytest
 from superjet import (
     GrassmannElement,
     Polynomial,
+    SplitMix64,
     SuperFunction,
     SuperMorphism,
     SuperPoint,
     morphism_compose,
 )
 from superjet.cli import main
+from superjet.suites import random_morphism
 
 
 def write(path, payload):
@@ -134,11 +136,6 @@ def assert_one_line_input_error(result):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("trials", ["0", "-1"])
-def test_decompose_refuses_a_certificate_without_trials(capsys, scaling, trials):
-    assert_one_line_input_error(run(capsys, "decompose", scaling, "1", "--trials", trials))
-
-
 @pytest.mark.parametrize("cases", ["0", "-5"])
 def test_verify_refuses_an_empty_corpus(capsys, cases):
     assert_one_line_input_error(run(capsys, "verify", "grassmann", "--cases", cases))
@@ -190,13 +187,30 @@ def test_decompose_certifies_sharp_orders(tmp_path, capsys):
         [SuperFunction.theta(1, 2, 0), SuperFunction.theta(1, 2, 1)],
     )
     path = write(tmp_path / "shift.json", shift.to_json())
-    code, out, _ = run(capsys, "decompose", path, "2", "--seed", "5")
+    code, out, _ = run(capsys, "decompose", path, "2")
     assert code == 0
     report = json.loads(out)
-    assert report["algorithm"] == "splitmix64"
     orders = {tuple(entry["index"]): entry["certified_order"] for entry in report["coefficients"]}
     assert orders[(0, 0)] == 0
     assert orders[(1, 1)] == 1
+
+
+def test_decompose_certifies_an_order_the_lattice_cannot_see(tmp_path, capsys):
+    # y2 -> -3 - 2/3 x^2 + (x - 2x^2) theta1 theta2: the eta^1 coefficient
+    # differentiates along y2 with weight x - 2x^2, which vanishes at the body
+    # lattice points 0 and 1/2, so an 8-trial sampled search misses it and says 0
+    rng = SplitMix64(7)
+    for _ in range(3):
+        p, q, r, s = rng.randint(1, 2), rng.randint(2, 3), rng.randint(1, 2), rng.randint(0, 2)
+        phi = random_morphism(rng, (p, q), (r, s), degree=2)
+        rng.randint(1, q - 1)
+    assert phi.even_pb[1].components[3] == Polynomial(1, {(1,): 1, (2,): -2})
+    path = write(tmp_path / "phi.json", phi.to_json())
+    code, out, _ = run(capsys, "decompose", path, "1")
+    assert code == 0
+    (_, eta) = json.loads(out)["coefficients"]
+    assert eta["index"] == [1] and eta["certified_order"] == eta["order_bound"] == 1
+    assert eta["top"]["beta"] == [0, 1] and eta["top"]["K"] == [0]
 
 
 def test_chart_roundtrip_through_files(tmp_path, capsys):

@@ -17,7 +17,6 @@ from superjet import (
     SuperFunction,
     SuperMorphism,
     SuperPoint,
-    certified_order,
     default_probes,
     eta_decompose,
     hom_apply,
@@ -29,6 +28,7 @@ from superjet import (
     sf_eval,
     sf_substitute,
 )
+from superjet.polyalg import poly_derive
 from superjet.suites import random_morphism, random_polynomial, random_superpoint, run_suite
 
 from conftest import morphisms, superfunctions
@@ -191,7 +191,7 @@ def test_eta_decompose_reconstructs_the_pullback():
     probes = default_probes(1, 1, 2)
     for _ in range(10):
         phi = random_morphism(rng, (1, 3), (1, 1), degree=2)
-        coefficients = eta_decompose(phi, 2, probes)
+        coefficients = eta_decompose(phi, 2)
         for g in probes:
             total = SuperFunction.zero(1, 3)
             for coef in coefficients:
@@ -203,24 +203,23 @@ def test_classical_morphism_has_single_order_zero_coefficient():
     phi = SuperMorphism(
         (2, 0), (1, 0), [SuperFunction.from_poly(Polynomial.monomial(2, (1, 2)), 0)], []
     )
-    coefficients = eta_decompose(phi, 0, default_probes(1, 0, 2))
+    coefficients = eta_decompose(phi, 0)
     assert len(coefficients) == 1
-    assert certified_order(coefficients[0], 0) == 0
+    assert coefficients[0].order() == 0
 
 
 def test_theta_pair_shift_certifies_order_one_not_zero():
     phi = theta_pair_shift()
-    probes = default_probes(1, 2, 4)
 
     # whole odd sector: coefficient at theta1 theta2 is a derivation
-    (c_full,) = [c for c in eta_decompose(phi, 2, probes) if c.index == (1, 1)]
+    (c_full,) = [c for c in eta_decompose(phi, 2) if c.index == (1, 1)]
     assert order_bound_check(c_full, 1).passed
     bad = order_bound_check(c_full, 0)
     assert not bad.passed and bad.witness is not None
-    assert certified_order(c_full, 1) == 1
+    assert c_full.order() == 1
 
     # single leading eta: same sharpness in the partial expansion
-    (c_eta,) = [c for c in eta_decompose(phi, 1, probes) if c.index == (1,)]
+    (c_eta,) = [c for c in eta_decompose(phi, 1) if c.index == (1,)]
     assert order_bound_check(c_eta, 1).passed
     assert not order_bound_check(c_eta, 0).passed
 
@@ -235,8 +234,9 @@ def test_eta_free_coefficient_of_theta_shift_is_order_zero():
         [SuperFunction(1, 3, {0: Polynomial.variable(1, 0), 6: Polynomial.one(1)})],
         [SuperFunction.theta(1, 3, 0)],
     )
-    coefficients = eta_decompose(phi, 1, default_probes(1, 1, 4))
+    coefficients = eta_decompose(phi, 1)
     empty = [c for c in coefficients if c.index == (0,)][0]
+    assert empty.order() == 0
     assert order_bound_check(empty, 0).passed
 
 
@@ -248,7 +248,7 @@ def test_sharpness_search_finds_its_witness_on_every_seed(seed):
 
 def test_order_verdicts_are_seed_deterministic():
     phi = theta_pair_shift()
-    (coef,) = [c for c in eta_decompose(phi, 2, default_probes(1, 2, 4)) if c.index == (1, 1)]
+    (coef,) = [c for c in eta_decompose(phi, 2) if c.index == (1, 1)]
     v1 = order_bound_check(coef, 0, seed=3)
     v2 = order_bound_check(coef, 0, seed=3)
     assert not v1.passed
@@ -321,8 +321,8 @@ def order_check_expanded(coef, k, trials=8, seed=0):
 def order_check_disagreements(phi, n_eta, trials, seed):
     """(failing verdicts, verdicts unlike the expansion's) over every coefficient and k <= |I|."""
     failed = differ = 0
-    for coef in eta_decompose(phi, n_eta, []):
-        for k in range(coef.order_bound() + 1):
+    for coef in eta_decompose(phi, n_eta):
+        for k in range(sum(coef.index) + 1):
             verdict = order_bound_check(coef, k, trials=trials, seed=seed).to_json()
             failed += not verdict["passed"]
             differ += verdict != order_check_expanded(coef, k, trials, seed).to_json()
@@ -369,6 +369,99 @@ def test_expansion_catches_the_whole_pullback_in_place_of_its_eta_part(monkeypat
     assert differ > 0
 
 
+# -- the symbol against its oracles ------------------------------------------
+
+
+def odd_derivative(g: SuperFunction, K: int) -> SuperFunction:
+    """Left derivative d_theta^K, with theta^J = +-theta^K theta^(J-K) in ascending masks."""
+    comps = {}
+    for J, poly in g.components.items():
+        if J & K == K:
+            # each coordinate of K moves left past the smaller ones of J - K
+            swaps = sum((J & ~K & ((1 << b) - 1)).bit_count() for b in range(g.q) if K >> b & 1)
+            comps[J ^ K] = -poly if swaps & 1 else poly
+    return SuperFunction(g.p, g.q, comps)
+
+
+def eta_free(phi: SuperMorphism, n_eta: int) -> SuperMorphism:
+    """psi: phi with every eta-carrying term of its pullbacks dropped."""
+    def keep(sf):
+        return SuperFunction(sf.p, sf.q, {m: f for m, f in sf.components.items()
+                                          if not m & ((1 << n_eta) - 1)})
+
+    return SuperMorphism(phi.source, phi.target, [keep(sf) for sf in phi.even_pb],
+                         [keep(sf) for sf in phi.odd_pb])
+
+
+def symbol_pullback(phi: SuperMorphism, n_eta: int, g: SuperFunction) -> SuperFunction:
+    """sum_I eta^I sum_{beta,K} c_{beta,K} psi(d^beta d_theta^K g), from the symbols alone."""
+    psi = eta_free(phi, n_eta)
+    total = SuperFunction.zero(*phi.source)
+    for coef in eta_decompose(phi, n_eta):
+        for (beta, K), c in coef.symbol.items():
+            d_beta = SuperFunction(g.p, g.q, {J: poly_derive(f, beta)
+                                              for J, f in g.components.items()})
+            term = sf_substitute(odd_derivative(d_beta, K), psi, degree_bound=None)
+            total = total + embed(c, coef.index, phi.source[1]) * term
+    return total
+
+
+def order_failures(phi: SuperMorphism, n_eta: int, seed: int) -> list:
+    """Coefficients whose symbol order breaks its bound or fails the sampled check."""
+    return [c.index for c in eta_decompose(phi, n_eta)
+            if c.order() > c.order_bound() or not order_bound_check(c, c.order(), seed=seed).passed]
+
+
+SYMBOL_SHAPES = ORDER_SHAPES + [((1, 4), (1, 1)), ((2, 4), (2, 2))]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_the_symbol_rebuilds_the_pullback(data):
+    source, target = data.draw(st.sampled_from(SYMBOL_SHAPES))
+    phi = data.draw(morphisms(source, target))
+    g = data.draw(superfunctions(p=target[0], q=target[1]))
+    n_eta = data.draw(st.integers(1, source[1]))
+    assert symbol_pullback(phi, n_eta, g) == sf_substitute(g, phi, degree_bound=None)
+
+
+@settings(max_examples=40)
+@given(st.data(), st.integers(0, 2**32))
+def test_the_sampled_check_passes_at_the_symbol_order(data, seed):
+    source, target = data.draw(st.sampled_from(SYMBOL_SHAPES))
+    phi = data.draw(morphisms(source, target))
+    n_eta = data.draw(st.integers(1, source[1]))
+    assert order_failures(phi, n_eta, seed) == []
+
+
+@pytest.mark.parametrize("mutant", [None, "mi_factorial", "_eta_part"])
+def test_the_rebuild_catches_a_broken_symbol(monkeypatch, mutant):
+    import superjet.morphism
+
+    broken = {"mi_factorial": lambda beta: 1,            # 1/beta! dropped
+              "_eta_part": lambda sf, n_eta: sf}        # whole pullback for its eta-part
+    if mutant:
+        monkeypatch.setattr(superjet.morphism, mutant, broken[mutant])
+    rng = SplitMix64(2025)
+    differ = 0
+    for _ in range(6):
+        # four etas, so some b_j squares to nonzero and beta! reaches 2
+        phi = random_morphism(rng, (1, 4), (2, 1), degree=2)
+        for g in default_probes(2, 1, 2):
+            differ += symbol_pullback(phi, 4, g) != sf_substitute(g, phi, degree_bound=None)
+    assert (differ > 0) == (mutant is not None)
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+def test_the_sampled_check_catches_an_order_below_the_symbol(monkeypatch, mutant):
+    if mutant:
+        exact = EtaCoefficient.order
+        monkeypatch.setattr(EtaCoefficient, "order", lambda self: max(exact(self) - 1, 0))
+    failed = sum(len(order_failures(phi, n_eta, seed=i))
+                 for i, (phi, n_eta) in enumerate(seeded_order_sweep()))
+    assert (failed > 0) == mutant
+
+
 # -- the per-morphism pullback memo ------------------------------------------
 
 
@@ -391,10 +484,8 @@ def test_pullback_memo_agrees_with_substitution_cold_and_warm(phi, g):
 @settings(max_examples=30)
 @given(morphisms((1, 3), (1, 1)), st.integers(1, 2), st.integers(0, 99))
 def test_order_verdicts_do_not_depend_on_memo_order(phi, n_eta, seed):
-    probes = default_probes(1, 1, 2)
-
     def verdicts(morphism, reverse=False):
-        dec = eta_decompose(morphism, n_eta, probes)
+        dec = eta_decompose(morphism, n_eta)
         checked = {c.index: order_bound_check(c, c.order_bound(), seed=seed).to_json()
                    for c in (reversed(dec) if reverse else dec)}
         return [checked[c.index] for c in dec]
@@ -416,26 +507,25 @@ def test_memo_is_invisible_to_equality_and_wire_format():
 
 
 def test_oracles_do_not_read_the_memo(monkeypatch):
+    import superjet.morphism
+
     rng = SplitMix64(12)
     phi = random_morphism(rng, (1, 3), (1, 1), degree=2)
     probes = default_probes(1, 1, 2)
     expected = [sf_substitute(g, phi) for g in probes]
 
-    def refuse(self, g):
-        raise AssertionError("oracle went through SuperMorphism.pullback")
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle pulled back through SuperMorphism.pullback or sf_substitute")
 
     monkeypatch.setattr(SuperMorphism, "pullback", refuse)
-    coefficients = eta_decompose(phi, 2, probes)
     for g, full in zip(probes, expected):
         # the morphism/decomp-* right-hand side
         assert sf_substitute(g, phi) == full
-        total = SuperFunction.zero(1, 3)
-        for coef in coefficients:
-            value = next(v for probe, v in coef.table if probe is g)
-            total = total + embed(value, coef.index, 3)
-        assert total == full
     mu = random_superpoint(rng, 3, 1, 3)
     assert pushforward_general(phi, mu) == pushforward(phi, mu)
+    # the symbols are built from the pullbacks' eta-parts alone
+    monkeypatch.setattr(superjet.morphism, "sf_substitute", refuse)
+    assert len(eta_decompose(phi, 2)) == 4
 
 
 def test_a_warm_memo_never_lifts_the_degree_guardrail():
@@ -444,8 +534,6 @@ def test_a_warm_memo_never_lifts_the_degree_guardrail():
     phi = SuperMorphism((1, 0), (1, 0), [fifth], [])
     g = SuperFunction.from_poly(Polynomial.monomial(1, (4,)), 0)
     assert phi.pullback(g) == SuperFunction.from_poly(Polynomial.monomial(1, (20,)), 0)
-    with pytest.raises(DegreeBoundError):
-        eta_decompose(phi, 0, [g])
     with pytest.raises(DegreeBoundError):
         sf_substitute(g, phi)
 

@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chart.add_argument(
         "--order", type=int, default=None, metavar="K",
-        help="jet truncation order (default: floor((n+q)/2))",
+        help="jet truncation order (default: floor(n/2), which is exact)",
     )
     p_chart.add_argument("--out", help="write result here instead of stdout")
     p_chart.set_defaults(fn=cmd_chart)

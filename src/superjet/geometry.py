@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, DomainError
 from .grassmann import GrassmannElement
-from .jetcalc import TruncatedPolyMap, exp_pair, pack_jet, trunc_compose, trunc_poly
+from .jetcalc import TruncatedPolyMap, exp_pair, trunc_compose, trunc_poly
 from .polyalg import Polynomial, mi_unit
 from .superfun import SuperPoint
 
@@ -57,9 +57,11 @@ def _frozen_theta_over_sin(order: int):
     return out
 
 
-COS_SQRT = [Fraction((-1) ** k, math.factorial(2 * k)) for k in range(SERIES_ORDER + 1)]
-SINC_SQRT = [Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(SERIES_ORDER + 1)]
-THETA_OVER_SIN = _frozen_theta_over_sin(SERIES_ORDER)
+# rounded to binary64 once, here: the series are only ever summed in floats
+COS_SQRT = [float(Fraction((-1) ** k, math.factorial(2 * k))) for k in range(SERIES_ORDER + 1)]
+SINC_SQRT = [float(Fraction((-1) ** k, math.factorial(2 * k + 1)))
+             for k in range(SERIES_ORDER + 1)]
+THETA_OVER_SIN = [float(c) for c in _frozen_theta_over_sin(SERIES_ORDER)]
 
 
 def _shift_series(series, t0: float, k: int):
@@ -68,7 +70,7 @@ def _shift_series(series, t0: float, k: int):
     for j in range(k + 1):
         acc = 0.0
         for deg in range(len(series) - 1, j - 1, -1):
-            acc = acc * t0 + float(series[deg]) * math.comb(deg, j)
+            acc = acc * t0 + series[deg] * math.comb(deg, j)
         out.append(acc)
     return out
 
@@ -150,12 +152,10 @@ class FlatBackend:
         return math.sqrt(sum((b - a) ** 2 for a, b in zip(x, y)))
 
     def log_jet(self, x, y0, k: int) -> TruncatedPolyMap:
-        coeffs = {mi_unit(self.m, i): tuple(
-            1.0 if j == i else 0.0 for j in range(self.m)) for i in range(self.m)}
-        base = tuple(b - a for a, b in zip(x, y0))
-        if k < 1:
-            coeffs = {}
-        return TruncatedPolyMap(k, self.m, self.m, tuple(y0), base, coeffs)
+        polys = tuple(trunc_poly(Polynomial(self.m, {(0,) * self.m: b - a,
+                                                     mi_unit(self.m, i): 1.0}), k)
+                      for i, (a, b) in enumerate(zip(x, y0)))
+        return TruncatedPolyMap(k, tuple(y0), polys)
 
     def superchart_pointwise(self, f_x, mu: SuperPoint, k: int | None = None) -> SuperPoint:
         """Affine chart: subtract the base map; nilpotent and odd parts pass through."""
@@ -243,36 +243,42 @@ class Sphere2Backend:
 
     def log_jet(self, x, y0, k: int) -> TruncatedPolyMap:
         """Order-k Taylor data of Y -> exp_x^{-1}(Y) at Y = y0 (ambient coords)."""
+        return TruncatedPolyMap(k, tuple(y0), self._log_polys(x, y0, k, 3))
+
+    def _log_polys(self, x, y0, k: int, m: int) -> tuple:
+        # the increment of Y is the first 3 of m variables
         self.check_point(x)
         u0 = self._u(x, y0)
-        du = Polynomial(3, {mi_unit(3, i): -x[i] for i in range(3) if x[i]})
+        du = Polynomial(m, {mi_unit(m, i): -x[i] for i in range(3) if x[i]})
         a_poly = _series_of_poly(theta_over_sin_coeffs(u0, k), du, k)
         polys = []
         for i in range(3):
-            w = Polynomial(3, {(0,) * 3: y0[i] - (1.0 - u0) * x[i], mi_unit(3, i): 1.0})
-            w = w + trunc_poly(du * Polynomial.constant(3, x[i]), k)
+            w = Polynomial(m, {(0,) * m: y0[i] - (1.0 - u0) * x[i], mi_unit(m, i): 1.0})
+            w = w + trunc_poly(du * Polynomial.constant(m, x[i]), k)
             polys.append(trunc_poly(a_poly * w, k))
-        return pack_jet(k, 3, y0, polys)
+        return tuple(polys)
 
     def exp_jet(self, x, v0, k: int) -> TruncatedPolyMap:
         """Order-k Taylor data of V -> exp_x(V) at V = v0 (tangent coords)."""
+        return TruncatedPolyMap(k, tuple(v0), self._exp_polys(x, v0, k, 3))
+
+    def _exp_polys(self, x, v0, k: int, m: int) -> tuple:
+        # the increment of V is the first 3 of m variables
         self.check_point(x)
         self.check_tangent(x, v0)
         s0 = _dot(v0, v0)
-        ds = Polynomial(3, {mi_unit(3, i): 2.0 * v0[i] for i in range(3) if v0[i]})
+        ds = Polynomial(m, {mi_unit(m, i): 2.0 * v0[i] for i in range(3) if v0[i]})
         for i in range(3):
-            e = [0, 0, 0]
-            e[i] = 2
-            ds = ds + Polynomial.monomial(3, tuple(e), 1.0)
+            ds = ds + Polynomial.monomial(m, tuple(2 * u for u in mi_unit(m, i)), 1.0)
         ds = trunc_poly(ds, k)
         c_poly = _series_of_poly(cos_sqrt_coeffs(s0, k), ds, k)
         s_poly = _series_of_poly(sinc_sqrt_coeffs(s0, k), ds, k)
         polys = []
         for i in range(3):
-            vi = Polynomial(3, {(0,) * 3: v0[i], mi_unit(3, i): 1.0})
-            polys.append(trunc_poly(c_poly * Polynomial.constant(3, x[i])
+            vi = Polynomial(m, {(0,) * m: v0[i], mi_unit(m, i): 1.0})
+            polys.append(trunc_poly(c_poly * Polynomial.constant(m, x[i])
                                     + s_poly * vi, k))
-        return pack_jet(k, 3, v0, polys)
+        return tuple(polys)
 
     def transition_jet(self, x1, x2, v0, k: int) -> TruncatedPolyMap:
         """Taylor data of V -> exp_{x2}^{-1}(exp_{x1}(V)) at v0."""
@@ -287,19 +293,10 @@ class Sphere2Backend:
         self.check_point(y0)
         r = len(fib0)
         m = 3 + 3 * r
-        log_part = self.log_jet(f_x, y0, k)
+        polys = list(self._log_polys(f_x, y0, k, m))
         u0 = self._u(f_x, y0)
         du = Polynomial(m, {mi_unit(m, i): -f_x[i] for i in range(3) if f_x[i]})
         b_poly = _series_of_poly(inv_two_minus_coeffs(u0, k), du, k)
-        polys = []
-        for j in range(3):
-            terms = {}
-            for I, vals in log_part.coeffs.items():
-                if vals[j]:
-                    terms[I + (0,) * (3 * r)] = vals[j]
-            if log_part.base_value[j]:
-                terms[(0,) * m] = log_part.base_value[j]
-            polys.append(Polynomial(m, terms))
         for a, w0 in enumerate(fib0):
             off = 3 + 3 * a
             wx = Polynomial.constant(m, _dot(w0, f_x))
@@ -312,21 +309,14 @@ class Sphere2Backend:
                 yx = Polynomial(m, {(0,) * m: y0[i] + f_x[i], mi_unit(m, i): 1.0})
                 polys.append(trunc_poly(wi - trunc_poly(factor * yx, k), k))
         base_pt = tuple(y0) + tuple(c for w in fib0 for c in w)
-        return pack_jet(k, m, base_pt, polys)
+        return TruncatedPolyMap(k, base_pt, tuple(polys))
 
     def _inv_chart_jet(self, f_x, v0, fib0, k: int) -> TruncatedPolyMap:
         """Joint jet of the inverse chart: exp on the base, transport out to it."""
         r = len(fib0)
         m = 3 + 3 * r
-        exp_part = self.exp_jet(f_x, v0, k)
-        y_polys = []
-        for j in range(3):
-            terms = {(0,) * m: exp_part.base_value[j]}
-            for I, vals in exp_part.coeffs.items():
-                if vals[j]:
-                    terms[I + (0,) * (3 * r)] = vals[j]
-            y_polys.append(Polynomial(m, terms))
-        polys = [Polynomial(m, dict(f.terms)) for f in y_polys]
+        y_polys = self._exp_polys(f_x, v0, k, m)
+        polys = list(y_polys)
         if r:
             # u(V) = 1 - <f_x, Y(V)>;  P_{f_x, Y}(w) = w - <w, Y>/(2-u) (f_x + Y)
             u_poly = Polynomial.constant(m, 1.0)
@@ -351,7 +341,7 @@ class Sphere2Backend:
                     fy = Polynomial.constant(m, f_x[i]) + y_polys[i]
                     polys.append(trunc_poly(wi - trunc_poly(factor * fy, k), k))
         base_pt = tuple(v0) + tuple(c for w in fib0 for c in w)
-        return pack_jet(k, m, base_pt, polys)
+        return TruncatedPolyMap(k, base_pt, tuple(polys))
 
     def superchart_pointwise(self, f_x, mu: SuperPoint, k: int | None = None) -> SuperPoint:
         """Chart value of a Lambda-point near f_x: log-jet and transport-jet
@@ -366,7 +356,8 @@ class Sphere2Backend:
         if mu.p != 3 * (1 + r):
             raise DimensionError(f"expected {3 * (1 + r)} even coordinates, got {mu.p}")
         if k is None:
-            k = (mu.n + mu.q) // 2
+            # odd coordinates pass through, and nil^I = 0 once 2|I| > n
+            k = mu.n // 2
         body = [c.body() for c in mu.even]
         jet = joint_jet(f_x, body[:3], [tuple(body[3 + 3 * a:6 + 3 * a]) for a in range(r)], k)
         nil = [c - GrassmannElement.scalar(mu.n, b) for c, b in zip(mu.even, body)]

@@ -1,9 +1,11 @@
 """Truncated Taylor calculus: jets, their algebra, and Grassmann contraction.
 
-A `TruncatedPolyMap` records the order-<=k Taylor data of a map at a point:
-base point, base value, and Taylor-normalized coefficients c_I = (1/I!) D_I f,
-so the map reads  f(x0 + h) ~ f(x0) + sum_{1<=|I|<=k} c_I h^I.  Products and
-compositions drop everything above order k.
+A `TruncatedPolyMap` records the order-<=k Taylor data of a map at a point x0
+as its Taylor polynomials: one polynomial per target component in the
+increment h, with Taylor-normalized coefficients c_I = (1/I!) D_I f and no
+term above degree k, so the map reads  f(x0 + h) ~ sum_{|I|<=k} c_I h^I.  The
+constant terms are the base value f(x0).  Products and compositions drop
+everything above order k.
 
 `taylor_monomials` is the one truncated-Taylor contraction kernel: given even
 (nilpotent) and odd arguments in a Grassmann algebra over any coefficient
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement, rational_to_json
+from .grassmann import GrassmannElement
 from .polyalg import (
     Polynomial,
     iter_multiindices,
@@ -39,26 +41,27 @@ from .polyalg import (
 @dataclass(frozen=True)
 class TruncatedPolyMap:
     k: int
-    m: int                      # source dimension
-    mt: int                     # target dimension
     base_point: tuple
-    base_value: tuple
-    coeffs: dict                # multi-index (len m, 1<=|I|<=k) -> tuple (len mt)
+    polys: tuple                # per target component, in the increment h, degree <= k
+
+    @property
+    def m(self) -> int:
+        """Source dimension."""
+        return len(self.base_point)
+
+    @property
+    def mt(self) -> int:
+        """Target dimension."""
+        return len(self.polys)
+
+    @property
+    def base_value(self) -> tuple:
+        return self.coefficient((0,) * self.m)
 
     def coefficient(self, I) -> tuple:
-        return self.coeffs.get(tuple(I), (Fraction(0),) * self.mt)
-
-    def to_json(self) -> dict:
-        items = [{"exp": list(I), "values": [rational_to_json(v) for v in self.coeffs[I]]}
-                 for I in sorted(self.coeffs)]
-        return {
-            "k": self.k,
-            "m": self.m,
-            "mt": self.mt,
-            "base_point": [rational_to_json(v) for v in self.base_point],
-            "base_value": [rational_to_json(v) for v in self.base_value],
-            "coeffs": items,
-        }
+        """c_I per target component; I = 0 gives the base value."""
+        I = tuple(I)
+        return tuple(f.terms.get(I, Fraction(0)) for f in self.polys)
 
 
 def taylor_of(phis, x0, k: int) -> TruncatedPolyMap:
@@ -71,38 +74,17 @@ def taylor_of(phis, x0, k: int) -> TruncatedPolyMap:
     for f in phis:
         if f.p != m:
             raise DimensionError("component polynomials disagree on variable count")
-    base = tuple(f.eval_scalar(x0) for f in phis)
-    coeffs = {}
-    for I in iter_multiindices_upto(m, k):
-        if mi_abs(I) == 0:
-            continue
-        vals = tuple(poly_derive(f, I).eval_scalar(x0) / mi_factorial(I) for f in phis)
-        if any(vals):
-            coeffs[I] = vals
-    return TruncatedPolyMap(k, m, len(phis), x0, base, coeffs)
+    polys = tuple(
+        Polynomial(m, {I: poly_derive(f, I).eval_scalar(x0) / mi_factorial(I)
+                       for I in iter_multiindices_upto(m, k)})
+        for f in phis
+    )
+    return TruncatedPolyMap(k, x0, polys)
 
 
 def trunc_poly(f: Polynomial, k: int) -> Polynomial:
     """Drop every term of total degree above k."""
     return Polynomial(f.p, {e: c for e, c in f.terms.items() if mi_abs(e) <= k})
-
-
-def _as_increment_poly(t: TruncatedPolyMap, j: int) -> Polynomial:
-    """Component j of the increment polynomial sum_I c_I h^I (no base term)."""
-    return Polynomial(t.m, {I: vals[j] for I, vals in t.coeffs.items() if vals[j]})
-
-
-def pack_jet(k: int, m: int, base_point, polys) -> TruncatedPolyMap:
-    """Order-k jet of the increment polynomials; constant terms give the base value."""
-    origin = (0,) * m
-    coeffs: dict = {}
-    for j, f in enumerate(polys):
-        for e, c in f.terms.items():
-            if 0 < mi_abs(e) <= k:
-                coeffs.setdefault(e, [Fraction(0)] * len(polys))[j] = c
-    base = tuple(f.terms.get(origin, Fraction(0)) for f in polys)
-    return TruncatedPolyMap(k, m, len(polys), tuple(base_point), base,
-                            {e: tuple(row) for e, row in coeffs.items()})
 
 
 def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap, k: int) -> TruncatedPolyMap:
@@ -113,42 +95,40 @@ def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap, k: int) -> TruncatedPoly
         raise DimensionError("trunc_mul handles scalar-valued jets")
     if a.base_point != b.base_point:
         raise DimensionError("jets based at different points")
-    fa = _as_increment_poly(a, 0) + a.base_value[0]
-    fb = _as_increment_poly(b, 0) + b.base_value[0]
-    return pack_jet(k, a.m, a.base_point, [trunc_poly(fa * fb, k)])
+    return TruncatedPolyMap(k, a.base_point, (trunc_poly(a.polys[0] * b.polys[0], k),))
 
 
 def trunc_compose(outer: TruncatedPolyMap, inner: TruncatedPolyMap, k: int) -> TruncatedPolyMap:
     """Order-k composition; outer must be expanded at inner's base value."""
     if outer.m != inner.mt:
         raise DimensionError("outer source dimension != inner target dimension")
-    if tuple(outer.base_point) != tuple(inner.base_value):
+    if tuple(outer.base_point) != inner.base_value:
         raise ValueError("base-point mismatch: outer jet not based at inner's value")
-    increments = [_as_increment_poly(inner, j) for j in range(inner.mt)]
-    out_polys = []
+    m = inner.m
+    increments = [Polynomial(m, {e: c for e, c in f.terms.items() if any(e)})
+                  for f in inner.polys]
     powcache: list[dict[int, Polynomial]] = [dict() for _ in increments]
 
     def power(i: int, e: int) -> Polynomial:
         cache = powcache[i]
         got = cache.get(e)
         if got is None:
-            got = (Polynomial.one(inner.m) if e == 0
+            got = (Polynomial.one(m) if e == 0
                    else trunc_poly(power(i, e - 1) * increments[i], k))
             cache[e] = got
         return got
 
-    for j in range(outer.mt):
-        acc = Polynomial.constant(inner.m, outer.base_value[j])
-        for I, vals in outer.coeffs.items():
-            if not vals[j]:
-                continue
-            term = Polynomial.constant(inner.m, vals[j])
+    out_polys = []
+    for g in outer.polys:
+        acc = Polynomial.zero(m)
+        for I, c in g.terms.items():
+            term = Polynomial.constant(m, c)
             for i, e in enumerate(I):
                 if e:
                     term = trunc_poly(term * power(i, e), k)
             acc = acc + term
         out_polys.append(acc)
-    return pack_jet(k, inner.m, inner.base_point, out_polys)
+    return TruncatedPolyMap(k, inner.base_point, tuple(out_polys))
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +168,9 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
     inner = taylor_of(phi, x0, m)
     y0 = inner.base_value
     # homogeneous Taylor parts of phi: hom[j][l] is a degree-j polynomial in v
-    hom = {}
-    for j in range(1, m + 1):
-        hom[j] = [
-            Polynomial(dim_x, {I: vals[l] for I, vals in inner.coeffs.items() if mi_abs(I) == j and vals[l]})
-            for l in range(dim_y)
-        ]
+    hom = {j: [Polynomial(dim_x, {I: c for I, c in f.terms.items() if mi_abs(I) == j})
+               for f in inner.polys]
+           for j in range(1, m + 1)}
     # derivative tables of each outer component at y0
     tables = []
     for f in b:
@@ -281,7 +258,7 @@ def exp_pair(data: TruncatedPolyMap, even_args, n: int | None = None):
 
     even_args fill the jet's variables: even elements, nilpotent in the
     increment reading.  Returns one GrassmannElement per target component:
-    sum_I c_I * eps^I, with the base value as the I = 0 term.
+    each increment polynomial at eps, sum_I c_I * eps^I.
     """
     even_args = list(even_args)
     if len(even_args) != data.m:
@@ -296,11 +273,11 @@ def exp_pair(data: TruncatedPolyMap, even_args, n: int | None = None):
         if not a.is_even():
             raise ParityError("even slot received a non-even element")
 
-    coeffs = dict(data.coeffs)
-    coeffs[(0,) * data.m] = data.base_value
-    out = [GrassmannElement.zero(n) for _ in range(data.mt)]
-    for I, _, mono in taylor_monomials(coeffs, (0,), even_args, [], GrassmannElement.one(n)):
-        for j, v in enumerate(coeffs[I]):
+    indices = dict.fromkeys(I for f in data.polys for I in f.terms)
+    out = [GrassmannElement.zero(n) for _ in data.polys]
+    for I, _, mono in taylor_monomials(indices, (0,), even_args, [], GrassmannElement.one(n)):
+        for j, f in enumerate(data.polys):
+            v = f.terms.get(I)
             if v:
                 out[j] = out[j] + mono.scale(v)
     return out

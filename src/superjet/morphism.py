@@ -349,7 +349,11 @@ def order_bound_check(coef: EtaCoefficient, k: int, trials: int = 8,
     # cycle through a shuffled copy instead of drawing independently: distinct
     # probes across trials, so a sharp operator cannot hide behind repeats
     rng.shuffle(probes)
-    etas = [_eta_part(sf, coef.n_eta) for sf in phi.even_pb]
+    # a term whose eta-part leaves I can never reach eta^I: keep only the rest
+    outside = ((1 << coef.n_eta) - 1) & ~coef.mask
+    etas = [SuperFunction(sf.p, sf.q, {mm: f for mm, f in sf.components.items()
+                                       if not mm & outside})
+            for sf in (_eta_part(sf, coef.n_eta) for sf in phi.even_pb)]
 
     for t in range(trials):
         x0 = lattice[t % len(lattice)]

@@ -366,13 +366,7 @@ def _check_sampled_chart_transition(backend, rng):
 
     v0 = backend.geo_log(b1, cf)
     jet = backend.transition_jet(b1, b2, v0, 2)
-    polys = []
-    for j in range(3):
-        terms = {(0, 0, 0): _rationalize(jet.base_value[j])}
-        for I, vals in jet.coeffs.items():
-            if vals[j]:
-                terms[I] = _rationalize(vals[j])
-        polys.append(Polynomial(3, terms))
+    polys = [Polynomial(3, {I: _rationalize(c) for I, c in f.terms.items()}) for f in jet.polys]
     model = SuperMorphism((3, 0), (3, 0),
                           [SuperFunction(3, 0, {0: pj}) for pj in polys], [])
 

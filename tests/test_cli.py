@@ -170,6 +170,29 @@ def test_chart_point_values_must_be_finite_numbers(tmp_path, capsys, value):
     assert_one_line_input_error(run(capsys, "chart", bad, "--base", "[0,0,1]", "--inverse"))
 
 
+@pytest.mark.parametrize("body, inverse", [((0.6, 0.0, 0.8), []),
+                                           ((0.2, -0.1, 0.0), ["--inverse"])])
+def test_chart_default_order_is_half_the_generators(tmp_path, capsys, monkeypatch, body, inverse):
+    # n = 5, q = 3: the default order is floor(5/2) = 2, not floor((5+3)/2)
+    from superjet.geometry import Sphere2Backend
+
+    orders = []
+    for name in ("_chart_jet", "_inv_chart_jet"):
+        def spy(self, f_x, y0, fib0, k, jet=getattr(Sphere2Backend, name)):
+            orders.append(k)
+            return jet(self, f_x, y0, fib0, k)
+        monkeypatch.setattr(Sphere2Backend, name, spy)
+    even = [GrassmannElement(5, {0: b, 3: 0.05, 12: -0.03, 15: 0.02, 30: 0.01})
+            for b in body]
+    odd = [GrassmannElement(5, {1: 1.0, 7: 0.2}), GrassmannElement(5, {2: 1.0}),
+           GrassmannElement(5, {4: 0.5, 16: 0.25})]
+    src = write(tmp_path / "q3.json", SuperPoint(5, even, odd).to_json())
+    default = run(capsys, "chart", src, "--base", "[0,0,1]", *inverse)
+    assert default[0] == 0
+    assert default == run(capsys, "chart", src, "--base", "[0,0,1]", *inverse, "--order", "2")
+    assert orders == [2, 2]
+
+
 def test_chart_refuses_a_result_that_overflows(tmp_path, capsys):
     # finite souls whose Taylor products overflow a float: the chart must not
     # write an Infinity or NaN token

@@ -18,6 +18,7 @@ from superjet import (
     trunc_compose,
     trunc_mul,
 )
+from superjet.jetcalc import trunc_poly
 from superjet.polyalg import iter_multiindices_upto
 from superjet.suites import random_polynomial
 
@@ -43,13 +44,31 @@ def test_taylor_of_matches_taylor_coefficients(f, x0):
         assert jet.coefficient(I)[0] == taylor_coefficient(f, I, x0)
 
 
+def degree_at_most(jet, k):
+    return all(sum(I) <= k for f in jet.polys for I in f.terms)
+
+
+@given(st.lists(polynomials(p=2, degree=4), min_size=1, max_size=3), x0_strategy,
+       st.integers(min_value=0, max_value=5))
+def test_taylor_polynomials_are_the_shifted_polynomials(phis, x0, k):
+    # oracle: substitute x -> x + x0 and truncate; no derivative is taken
+    shift = [Polynomial.variable(2, i) + x0[i] for i in range(2)]
+    jet = taylor_of(phis, x0, k)
+    assert jet.base_point == tuple(x0) and jet.m == 2 and jet.mt == len(phis)
+    for j, f in enumerate(phis):
+        assert jet.polys[j] == trunc_poly(poly_compose(f, shift, degree_bound=None), k)
+        assert jet.base_value[j] == f.eval_scalar(x0)
+
+
 @given(polynomials(p=1, degree=2), polynomials(p=2, degree=2), x0_strategy)
 def test_truncated_composition_is_functorial(outer, inner, x0):
     for k in (1, 2, 3):
         inner_jet = taylor_of([inner], x0, k)
         outer_jet = taylor_of([outer], inner_jet.base_value, k)
         composite = poly_compose(outer, [inner], degree_bound=None)
-        assert trunc_compose(outer_jet, inner_jet, k) == taylor_of([composite], x0, k)
+        composed = trunc_compose(outer_jet, inner_jet, k)
+        assert degree_at_most(composed, k)
+        assert composed == taylor_of([composite], x0, k)
 
 
 @given(polynomials(p=2, degree=3), x0_strategy)
@@ -66,6 +85,7 @@ def test_identity_jets_are_neutral(f, x0):
 def test_truncated_product_matches_polynomial_product(f, g, x0):
     for k in (1, 2, 3):
         lhs = trunc_mul(taylor_of([f], x0, k), taylor_of([g], x0, k), k)
+        assert degree_at_most(lhs, k)
         assert lhs == taylor_of([f * g], x0, k)
 
 

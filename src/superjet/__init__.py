@@ -72,6 +72,7 @@ from .polyalg import (
     poly_derive,
     poly_eval,
     taylor_coefficient,
+    taylor_shift,
 )
 from .rng import ALGORITHM, SplitMix64
 from .suites import SUITES, run_suite
@@ -145,6 +146,7 @@ __all__ = [
     "supersmooth_check",
     "taylor_coefficient",
     "taylor_of",
+    "taylor_shift",
     "top_order_cancellation",
     "trunc_compose",
     "trunc_mul",

@@ -44,6 +44,22 @@ def _coerce(c):
     return c
 
 
+def _accumulate(acc: dict, terms, c=None) -> dict:
+    """Add the (key, coefficient) pairs `terms`, each times c if given, into acc
+    in place; a sum that comes out zero removes its key.  Returns acc."""
+    for key, v in terms:
+        if c is not None:
+            v = c * v
+        got = acc.get(key)
+        if got is not None:
+            v = got + v
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 def rational_to_json(c) -> dict:
     """Wire form {"num": "...", "den": "..."} of an exact rational."""
     c = Fraction(c)
@@ -85,6 +101,14 @@ class GrassmannElement:
                 clean[mask] = c
         self.terms = clean
 
+    @classmethod
+    def _of(cls, n: int, terms: dict) -> "GrassmannElement":
+        """Wrap a result of the algebra: masks in range, coefficients nonzero."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -120,18 +144,10 @@ class GrassmannElement:
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for mask, c in other.terms.items():
-            acc = terms.get(mask)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[mask] = acc
-            else:
-                terms.pop(mask, None)
-        return GrassmannElement(self.n, terms)
+        return GrassmannElement._of(self.n, _accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        return GrassmannElement(self.n, {m: -c for m, c in self.terms.items()})
+        return GrassmannElement._of(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -143,21 +159,12 @@ class GrassmannElement:
             return self.scale(other)
         self._check(other)
         terms: dict = {}
+        right = other.terms.items()
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                if ma & mb:
-                    continue  # repeated generator
-                c = ca * cb
-                if merge_sign(ma, mb) < 0:
-                    c = -c
-                mask = ma | mb
-                acc = terms.get(mask)
-                acc = c if acc is None else acc + c
-                if acc:
-                    terms[mask] = acc
-                else:
-                    terms.pop(mask, None)
-        return GrassmannElement(self.n, terms)
+            # a repeated generator kills the product
+            _accumulate(terms, ((ma | mb, -cb if merge_sign(ma, mb) < 0 else cb)
+                                for mb, cb in right if not ma & mb), ca)
+        return GrassmannElement._of(self.n, terms)
 
     def __rmul__(self, other):
         # coefficients are central, so scalar action commutes
@@ -167,7 +174,8 @@ class GrassmannElement:
         c = _coerce(c)
         if not c:
             return GrassmannElement.zero(self.n)
-        return GrassmannElement(self.n, {m: c * v for m, v in self.terms.items()})
+        # a float product can underflow to 0.0, so zeros are still dropped
+        return GrassmannElement._of(self.n, {m: w for m, v in self.terms.items() if (w := c * v)})
 
     def __pow__(self, k: int) -> "GrassmannElement":
         if k < 0:
@@ -207,7 +215,7 @@ class GrassmannElement:
                 odd[mask] = c
             else:
                 even[mask] = c
-        return self.body(), GrassmannElement(self.n, even), GrassmannElement(self.n, odd)
+        return self.body(), GrassmannElement._of(self.n, even), GrassmannElement._of(self.n, odd)
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed or zero-ambiguous elements."""
@@ -328,10 +336,10 @@ class GrassmannHom:
     def apply(self, a: GrassmannElement) -> GrassmannElement:
         if a.n != self.source:
             raise DimensionError(f"element in Lambda_{a.n}, hom expects Lambda_{self.source}")
-        out = GrassmannElement.zero(self.target)
+        out: dict = {}
         for mask, c in a.terms.items():
-            out = out + self._image_of_mask(mask).scale(c)
-        return out
+            _accumulate(out, self._image_of_mask(mask).terms.items(), c)
+        return GrassmannElement._of(self.target, out)
 
     def then(self, other: "GrassmannHom") -> "GrassmannHom":
         """other o self."""

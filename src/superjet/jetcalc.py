@@ -4,8 +4,10 @@ A `TruncatedPolyMap` records the order-<=k Taylor data of a map at a point x0
 as its Taylor polynomials: one polynomial per target component in the
 increment h, with Taylor-normalized coefficients c_I = (1/I!) D_I f and no
 term above degree k, so the map reads  f(x0 + h) ~ sum_{|I|<=k} c_I h^I.  The
-constant terms are the base value f(x0).  Products and compositions drop
-everything above order k.
+constant terms are the base value f(x0).  `taylor_of` builds each polynomial
+with one `polyalg.taylor_shift` (a binomial pass, no derivatives), and
+`faa_di_bruno` reads its outer derivative tables off the same shift.
+Products and compositions drop everything above order k.
 
 `taylor_monomials` is the one truncated-Taylor contraction kernel: given even
 (nilpotent) and odd arguments in a Grassmann algebra over any coefficient
@@ -14,7 +16,8 @@ monomials built once.  Its callers supply the coefficients:
 
 * `exp_pair` evaluates jet data on even Grassmann arguments;
 * `superfun.sf_eval` evaluates a superfunction at a Lambda-point, with
-  coefficients (1/I!) D_I sigma_J at the body scalars;
+  coefficients (1/I!) D_I sigma_J at the body: the h^I coefficients of
+  sigma_J(body + h), one `taylor_shift` per sigma_J;
 * `superfun.sf_substitute` pulls a superfunction back along a morphism over
   the ring Q[x], with coefficients composed at the body polynomials.
 """
@@ -27,15 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement
-from .polyalg import (
-    Polynomial,
-    iter_multiindices,
-    iter_multiindices_upto,
-    mi_abs,
-    mi_factorial,
-    poly_derive,
-)
+from .grassmann import GrassmannElement, _accumulate
+from .polyalg import Polynomial, iter_multiindices, mi_abs, mi_add, mi_factorial, taylor_shift
 
 
 @dataclass(frozen=True)
@@ -74,17 +70,12 @@ def taylor_of(phis, x0, k: int) -> TruncatedPolyMap:
     for f in phis:
         if f.p != m:
             raise DimensionError("component polynomials disagree on variable count")
-    polys = tuple(
-        Polynomial(m, {I: poly_derive(f, I).eval_scalar(x0) / mi_factorial(I)
-                       for I in iter_multiindices_upto(m, k)})
-        for f in phis
-    )
-    return TruncatedPolyMap(k, x0, polys)
+    return TruncatedPolyMap(k, x0, tuple(taylor_shift(f, x0, k) for f in phis))
 
 
 def trunc_poly(f: Polynomial, k: int) -> Polynomial:
     """Drop every term of total degree above k."""
-    return Polynomial(f.p, {e: c for e, c in f.terms.items() if mi_abs(e) <= k})
+    return Polynomial._of(f.p, {e: c for e, c in f.terms.items() if mi_abs(e) <= k})
 
 
 def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap, k: int) -> TruncatedPolyMap:
@@ -105,7 +96,7 @@ def trunc_compose(outer: TruncatedPolyMap, inner: TruncatedPolyMap, k: int) -> T
     if tuple(outer.base_point) != inner.base_value:
         raise ValueError("base-point mismatch: outer jet not based at inner's value")
     m = inner.m
-    increments = [Polynomial(m, {e: c for e, c in f.terms.items() if any(e)})
+    increments = [Polynomial._of(m, {e: c for e, c in f.terms.items() if any(e)})
                   for f in inner.polys]
     powcache: list[dict[int, Polynomial]] = [dict() for _ in increments]
 
@@ -120,14 +111,14 @@ def trunc_compose(outer: TruncatedPolyMap, inner: TruncatedPolyMap, k: int) -> T
 
     out_polys = []
     for g in outer.polys:
-        acc = Polynomial.zero(m)
+        acc: dict = {}
         for I, c in g.terms.items():
             term = Polynomial.constant(m, c)
             for i, e in enumerate(I):
                 if e:
                     term = trunc_poly(term * power(i, e), k)
-            acc = acc + term
-        out_polys.append(acc)
+            _accumulate(acc, term.terms.items())
+        out_polys.append(Polynomial._of(m, acc))
     return TruncatedPolyMap(k, inner.base_point, tuple(out_polys))
 
 
@@ -154,7 +145,9 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
     Returns {K: tuple of D_K(b o phi)(x0) values} over |K| = m.  The sum runs
     over alpha with sum j*alpha_j = m, weighting the |alpha|-th derivative of b
     (at phi(x0)) contracted with the symmetric product of the homogeneous
-    Taylor parts of phi, by m!/alpha!.
+    Taylor parts of phi, by m!/alpha!.  The product is symmetric, so for each
+    order j it runs over multisets of alpha_j components, each counted
+    alpha_j!/prod(count!) times, not over ordered tuples.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
@@ -168,42 +161,42 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
     inner = taylor_of(phi, x0, m)
     y0 = inner.base_value
     # homogeneous Taylor parts of phi: hom[j][l] is a degree-j polynomial in v
-    hom = {j: [Polynomial(dim_x, {I: c for I, c in f.terms.items() if mi_abs(I) == j})
+    hom = {j: [Polynomial._of(dim_x, {I: c for I, c in f.terms.items() if mi_abs(I) == j})
                for f in inner.polys]
            for j in range(1, m + 1)}
-    # derivative tables of each outer component at y0
-    tables = []
-    for f in b:
-        tab = {}
-        for L in iter_multiindices_upto(dim_y, m):
-            tab[L] = poly_derive(f, L).eval_scalar(y0)
-        tables.append(tab)
-    results = [Polynomial.zero(dim_x) for _ in b]
+    # derivative tables of each outer component at y0: D_L f = L! c_L
+    tables = [{L: c * mi_factorial(L) for L, c in taylor_shift(f, y0, m).terms.items()}
+              for f in b]
+    results = [{} for _ in b]
     for alpha in _alphas(m):
-        s = sum(alpha)
         weight = Fraction(math.factorial(m))
         for a in alpha:
             weight /= math.factorial(a)
-        arg_orders = [j for j, a in enumerate(alpha, start=1) for _ in range(a)]
-        for tup in itertools.product(range(dim_y), repeat=s):
-            L = tuple(tup.count(l) for l in range(dim_y))
-            prod = Polynomial.one(dim_x)
-            for t, l in zip(arg_orders, tup):
-                prod = prod * hom[t][l]
-                if prod.is_zero():
-                    break
-            if prod.is_zero():
+        # (product so far, its component counts L, its weight)
+        partial = [(Polynomial.one(dim_x), (0,) * dim_y, weight)]
+        for j, a in enumerate(alpha, start=1):
+            if not a:
                 continue
-            for idx, tab in enumerate(tables):
-                dval = tab[L]
+            grown = []
+            for ms in itertools.combinations_with_replacement(range(dim_y), a):
+                counts = tuple(ms.count(l) for l in range(dim_y))
+                ways = math.factorial(a) // mi_factorial(counts)
+                for prod, L, w in partial:
+                    for l in ms:
+                        prod = prod * hom[j][l]
+                        if prod.is_zero():
+                            break
+                    if not prod.is_zero():
+                        grown.append((prod, mi_add(L, counts), w * ways))
+            partial = grown
+        for prod, L, w in partial:
+            for acc, tab in zip(results, tables):
+                dval = tab.get(L)
                 if dval:
-                    results[idx] = results[idx] + prod * (weight * dval)
+                    _accumulate(acc, prod.terms.items(), w * dval)
     out = {}
     for K in iter_multiindices(dim_x, m):
-        vals = tuple(
-            r.terms.get(K, Fraction(0)) * mi_factorial(K) / math.factorial(m) for r in results
-        )
-        out[K] = vals
+        out[K] = tuple(r.get(K, Fraction(0)) * mi_factorial(K) / math.factorial(m) for r in results)
     return out
 
 
@@ -274,10 +267,10 @@ def exp_pair(data: TruncatedPolyMap, even_args, n: int | None = None):
             raise ParityError("even slot received a non-even element")
 
     indices = dict.fromkeys(I for f in data.polys for I in f.terms)
-    out = [GrassmannElement.zero(n) for _ in data.polys]
+    out = [{} for _ in data.polys]
     for I, _, mono in taylor_monomials(indices, (0,), even_args, [], GrassmannElement.one(n)):
-        for j, f in enumerate(data.polys):
+        for acc, f in zip(out, data.polys):
             v = f.terms.get(I)
             if v:
-                out[j] = out[j] + mono.scale(v)
-    return out
+                _accumulate(acc, mono.terms.items(), v)
+    return [GrassmannElement._of(n, acc) for acc in out]

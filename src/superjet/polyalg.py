@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DegreeBoundError, DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import rational_from_json, rational_to_json
+from .grassmann import _accumulate, rational_from_json, rational_to_json
 
 #: refuse compositions whose expanded total degree would exceed this
 DEFAULT_DEGREE_BOUND = 16
@@ -33,7 +34,7 @@ def mi_factorial(I) -> int:
     return out
 
 def mi_add(I, J):
-    return tuple(a + b for a, b in zip(I, J))
+    return tuple(map(operator.add, I, J))
 
 def mi_sub(I, J):
     out = tuple(a - b for a, b in zip(I, J))
@@ -89,6 +90,14 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def _of(cls, p: int, terms: dict) -> "Polynomial":
+        """Wrap a result of the algebra: exponents of length p, coefficients nonzero."""
+        out = cls.__new__(cls)
+        out.p = p
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, p: int) -> "Polynomial":
         return cls(p, {})
 
@@ -131,20 +140,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.p, other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return Polynomial(self.p, terms)
+        return Polynomial._of(self.p, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.p, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.p, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -159,20 +160,14 @@ class Polynomial:
             c = _coerce(other)
             if not c:
                 return Polynomial.zero(self.p)
-            return Polynomial(self.p, {e: v * c for e, v in self.terms.items()})
+            # a float product can underflow to 0.0, so zeros are still dropped
+            return Polynomial._of(self.p, {e: w for e, v in self.terms.items() if (w := v * c)})
         self._check(other)
         terms: dict = {}
+        right = other.terms.items()
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = mi_add(ea, eb)
-                c = ca * cb
-                acc = terms.get(e)
-                acc = c if acc is None else acc + c
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
-        return Polynomial(self.p, terms)
+            _accumulate(terms, ((mi_add(ea, eb), cb) for eb, cb in right), ca)
+        return Polynomial._of(self.p, terms)
 
     __rmul__ = __mul__
 
@@ -210,7 +205,7 @@ class Polynomial:
                 for t in range(ii):
                     c = c * (ei - t)
             terms[mi_sub(e, I)] = c
-        return Polynomial(self.p, terms)
+        return Polynomial._of(self.p, terms)
 
     def eval_scalar(self, args):
         """Substitute scalars (or other ring elements, e.g. Polynomials)."""
@@ -333,7 +328,7 @@ def poly_compose(f: Polynomial, gs, degree_bound: int | None = DEFAULT_DEGREE_BO
             raise DegreeBoundError(
                 f"expanded composition degree may reach {worst} > bound {degree_bound}"
             )
-    out = Polynomial.zero(q)
+    out: dict = {}
     powcache: list[dict[int, Polynomial]] = [dict() for _ in gs]
 
     def power(i: int, k: int) -> Polynomial:
@@ -349,12 +344,46 @@ def poly_compose(f: Polynomial, gs, degree_bound: int | None = DEFAULT_DEGREE_BO
         for i, k in enumerate(e):
             if k:
                 term = term * power(i, k)
-        out = out + term
-    return out
+        _accumulate(out, term.terms.items())
+    return Polynomial._of(q, out)
+
+
+def taylor_shift(f: Polynomial, x0, k: int) -> Polynomial:
+    """f(x0 + h) as a polynomial in h, with every term above degree k dropped.
+
+    One binomial pass, (x0_i + h_i)^e = sum_j C(e, j) x0_i^(e-j) h_i^j, over
+    powers of each x0_i built once; the x0_i may be scalars or other ring
+    elements.  The h^I coefficient is (1/I!) D_I f(x0), the value
+    `taylor_coefficient` computes by derivative and evaluation.
+    """
+    if len(x0) != f.p:
+        raise DimensionError(f"{len(x0)} base coordinates for {f.p} variables")
+    powers = [[1] for _ in x0]
+    rows: dict = {}
+
+    def row(i: int, e: int) -> list:
+        """The nonzero (j, C(e, j) x0_i^(e-j)) for j <= min(e, k)."""
+        got = rows.get((i, e))
+        if got is None:
+            pw = powers[i]
+            while len(pw) <= e:
+                pw.append(pw[-1] * x0[i])
+            got = rows[i, e] = [(j, w) for j in range(min(e, k) + 1)
+                                if (w := math.comb(e, j) * pw[e - j])]
+        return got
+
+    out: dict = {}
+    for e, c in f.terms.items():
+        partial = [((), 0, c)]      # (exponent prefix, its degree, coefficient)
+        for i, ei in enumerate(e):
+            partial = [(I + (j,), d + j, v * w)
+                       for I, d, v in partial for j, w in row(i, ei) if d + j <= k]
+        _accumulate(out, ((I, v) for I, _, v in partial))
+    return Polynomial._of(f.p, out)
 
 
 def taylor_coefficient(f: Polynomial, I, x0) -> Fraction:
-    """(1/I!) D_I f at x0."""
+    """(1/I!) D_I f at x0, by derivative and evaluation; `taylor_shift`'s oracle."""
     return f.derive(I).eval_scalar(x0) / mi_factorial(I)
 
 

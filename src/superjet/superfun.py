@@ -14,9 +14,10 @@ Lambda_n-point is itself a morphism R^{0|n} -> R^{p|q}):
 
     nu(sigma) = sum_{I,J} (1/I!) (D_I sigma_J)(body) * nu2^I * nu1^J
 
-`sf_eval` supplies the coefficients evaluated at the body scalars,
-`sf_substitute` composed at the body polynomials; `jetcalc.taylor_monomials`
-supplies the surviving monomials nu2^I nu1^J.  The sums stop by themselves
+`sf_eval` supplies the coefficients at the body scalars, read off one
+`taylor_shift` of each sigma_J; `sf_substitute` composes them at the body
+polynomials; `jetcalc.taylor_monomials` supplies the surviving monomials
+nu2^I nu1^J.  The sums stop by themselves
 once the nilpotent monomials vanish, so there is no truncation knob.
 `sf_eval_naive` is the independent brute-force check: substitute the full
 coordinates into sigma_J and expand.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, _accumulate
 from .jetcalc import taylor_monomials
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
@@ -38,6 +39,7 @@ from .polyalg import (
     poly_compose,
     poly_derive,
     poly_eval,
+    taylor_shift,
 )
 
 
@@ -271,14 +273,19 @@ def sf_eval(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
     n = nu.n
     body = nu.body()
     comps = sigma.components
-    out = GrassmannElement.zero(n)
     # every even nilpotent factor has soul degree >= 2, which caps |I| at n/2
-    for I, J, mono in taylor_monomials(iter_multiindices_upto(sigma.p, n // 2), comps,
+    top = n // 2
+    shifted = {}                # J -> terms of sigma_J(body + h), built on first use
+    out: dict = {}
+    for I, J, mono in taylor_monomials(iter_multiindices_upto(sigma.p, top), comps,
                                        nu.nilpotent_even(), nu.odd, GrassmannElement.one(n)):
-        val = poly_derive(comps[J], I).eval_scalar(body) / mi_factorial(I)
-        if val:
-            out = out + mono.scale(val)
-    return out
+        coeffs = shifted.get(J)
+        if coeffs is None:
+            coeffs = shifted[J] = taylor_shift(comps[J], body, top).terms
+        val = coeffs.get(I)
+        if val is not None:
+            _accumulate(out, mono.terms.items(), val)
+    return GrassmannElement._of(n, out)
 
 
 def sf_eval_naive(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
@@ -318,7 +325,7 @@ def sf_substitute(sigma: SuperFunction, phi,
     p, q = phi.source
     bodies = [sf.body_poly() for sf in phi.even_pb]
     comps = sigma.components
-    out = GrassmannElement.zero(q)
+    out: dict = {}
     # odd source coordinates cap the theta-degree, so |I| <= q/2
     for I, J, mono in taylor_monomials(iter_multiindices_upto(p2, q // 2), comps,
                                        [sf.nilpotent_part().element for sf in phi.even_pb],
@@ -329,5 +336,5 @@ def sf_substitute(sigma: SuperFunction, phi,
         coeff = poly_compose(coeff, bodies, degree_bound) if bodies else coeff.eval_scalar(())
         coeff = coeff / mi_factorial(I)
         if coeff:
-            out = out + mono.scale(coeff)
-    return SuperFunction._of(p, out)
+            _accumulate(out, mono.terms.items(), coeff)
+    return SuperFunction._of(p, GrassmannElement._of(q, out))

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,8 @@ from superjet import (
     trunc_compose,
     trunc_mul,
 )
-from superjet.jetcalc import trunc_poly
-from superjet.polyalg import iter_multiindices_upto
+from superjet.jetcalc import _alphas, trunc_poly
+from superjet.polyalg import iter_multiindices, iter_multiindices_upto, mi_factorial
 from superjet.suites import random_polynomial
 
 from conftest import polynomials
@@ -119,6 +121,43 @@ def test_faa_di_bruno_multivariate_against_oracle():
         for m in (1, 2, 3, 4):
             for K, vals in faa_di_bruno(b, phi, x0, m).items():
                 assert vals[0] == poly_derive(composite, K).eval_scalar(x0)
+
+
+def faa_di_bruno_ordered(b, phi, x0, m):
+    """The Faa di Bruno sum over every ordered tuple of components, with the
+    derivative tables and Taylor parts taken by derive-and-evaluate."""
+    dim_x, dim_y = phi[0].p, len(phi)
+    y0 = [f.eval_scalar(x0) for f in phi]
+    hom = {j: [Polynomial(dim_x, {I: taylor_coefficient(f, I, x0)
+                                  for I in iter_multiindices(dim_x, j)}) for f in phi]
+           for j in range(1, m + 1)}
+    results = [Polynomial.zero(dim_x) for _ in b]
+    for alpha in _alphas(m):
+        weight = Fraction(math.factorial(m))
+        for a in alpha:
+            weight /= math.factorial(a)
+        arg_orders = [j for j, a in enumerate(alpha, start=1) for _ in range(a)]
+        for tup in itertools.product(range(dim_y), repeat=len(arg_orders)):
+            L = tuple(tup.count(l) for l in range(dim_y))
+            prod = Polynomial.one(dim_x)
+            for t, l in zip(arg_orders, tup):
+                prod = prod * hom[t][l]
+            for idx, f in enumerate(b):
+                results[idx] = results[idx] + prod * (weight * poly_derive(f, L).eval_scalar(y0))
+    return {K: tuple(r.terms.get(K, Fraction(0)) * mi_factorial(K) / math.factorial(m)
+                     for r in results)
+            for K in iter_multiindices(dim_x, m)}
+
+
+def test_faa_di_bruno_multisets_equal_the_ordered_tuple_sum():
+    rng = SplitMix64(23)
+    for dim_y in (1, 2, 3):
+        for _ in range(3):
+            phi = [random_polynomial(rng, 2, degree=3) for _ in range(dim_y)]
+            b = [random_polynomial(rng, dim_y, degree=4, terms=4) for _ in range(2)]
+            x0 = [Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(-2, 2))]
+            for m in (1, 2, 3, 4):
+                assert faa_di_bruno(b, phi, x0, m) == faa_di_bruno_ordered(b, phi, x0, m)
 
 
 def test_faa_di_bruno_rejects_order_zero():

@@ -26,9 +26,12 @@ from superjet import (
     pushforward,
     pushforward_general,
     sf_eval,
+    sf_eval_naive,
     sf_substitute,
+    taylor_coefficient,
+    taylor_shift,
 )
-from superjet.polyalg import poly_derive
+from superjet.polyalg import iter_multiindices_upto, poly_derive
 from superjet.suites import random_morphism, random_polynomial, random_superpoint, run_suite
 
 from conftest import morphisms, superfunctions
@@ -526,6 +529,35 @@ def test_oracles_do_not_read_the_memo(monkeypatch):
     # the symbols are built from the pullbacks' eta-parts alone
     monkeypatch.setattr(superjet.morphism, "sf_substitute", refuse)
     assert len(eta_decompose(phi, 2)) == 4
+
+
+def test_oracles_do_not_call_the_taylor_shift(monkeypatch):
+    import superjet.jetcalc
+    import superjet.polyalg
+    import superjet.superfun
+
+    rng = SplitMix64(13)
+    phi = random_morphism(rng, (2, 1), (1, 2), degree=3)
+    mu = random_superpoint(rng, 4, 2, 1)
+    sigma = phi.odd_pb[0]
+    f = random_polynomial(rng, 2, degree=4, terms=5)
+    x0 = [Fraction(1, 2), Fraction(-2)]
+    shifted = taylor_shift(f, x0, 4)
+    fast_point = pushforward(phi, mu)
+    fast_value = sf_eval(sigma, mu)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called taylor_shift")
+
+    for module in (superjet.polyalg, superjet.jetcalc, superjet.superfun):
+        monkeypatch.setattr(module, "taylor_shift", refuse)
+    for I in iter_multiindices_upto(2, 4):
+        assert taylor_coefficient(f, I, x0) == shifted.terms.get(I, 0)
+    assert pushforward_general(phi, mu) == fast_point
+    assert sf_eval_naive(sigma, mu) == fast_value
+    # the patch bites: the fast path does go through the shift
+    with pytest.raises(AssertionError):
+        sf_eval(sigma, mu)
 
 
 def test_a_warm_memo_never_lifts_the_degree_guardrail():

@@ -6,14 +6,19 @@ from hypothesis import given, strategies as st
 from superjet import (
     DEFAULT_DEGREE_BOUND,
     DegreeBoundError,
+    DimensionError,
+    GrassmannElement,
     Polynomial,
+    SchemaError,
     lattice_points,
     poly_compose,
     poly_derive,
     taylor_coefficient,
+    taylor_shift,
 )
+from superjet.polyalg import iter_multiindices_upto
 
-from conftest import polynomials, small_fractions
+from conftest import grassmann_elements, polynomials, small_fractions
 
 points2 = st.lists(small_fractions, min_size=2, max_size=2)
 
@@ -74,8 +79,6 @@ def test_taylor_coefficients_rebuild_the_polynomial(f):
     x0 = [Fraction(1, 2), Fraction(-1)]
     rebuilt = Polynomial.zero(2)
     top = max((sum(e) for e in f.terms), default=0)
-    from superjet.polyalg import iter_multiindices_upto
-
     for I in iter_multiindices_upto(2, top):
         c = taylor_coefficient(f, I, x0)
         if c:
@@ -97,3 +100,62 @@ def test_lattice_points_are_deterministic_and_rational():
 @given(polynomials())
 def test_json_roundtrip(f):
     assert Polynomial.from_json(f.to_json()) == f
+
+
+@given(polynomials(p=2, degree=5, max_terms=5), points2, st.integers(min_value=0, max_value=6))
+def test_taylor_shift_coefficients_are_taylor_coefficients(f, x0, k):
+    shifted = taylor_shift(f, x0, k)
+    assert shifted.p == f.p
+    assert all(sum(I) <= k for I in shifted.terms)
+    for I in iter_multiindices_upto(2, k):
+        assert shifted.terms.get(I, 0) == taylor_coefficient(f, I, x0)
+
+
+def test_taylor_shift_worked_example():
+    # (2 + h)^3 = 8 + 12 h + 6 h^2 + h^3, cut above h^2
+    f = Polynomial.monomial(1, (3,))
+    assert taylor_shift(f, [Fraction(2)], 2) == Polynomial(1, {(0,): 8, (1,): 12, (2,): 6})
+    with pytest.raises(DimensionError):
+        taylor_shift(f, [Fraction(2), Fraction(0)], 2)
+
+
+def exact_nonzero(terms):
+    return all(type(c) is Fraction and c != 0 for c in terms.values())
+
+
+@given(polynomials(p=2), polynomials(p=2), small_fractions)
+def test_polynomial_results_hold_only_nonzero_fractions(f, g, c):
+    for out in (f + g, f - g, -f, f * g, f * c, c * f, f * 2, f / 3,
+                poly_derive(f, (1, 0)), poly_derive(f, (1, 2))):
+        assert exact_nonzero(out.terms)
+
+
+@given(grassmann_elements(n=3), grassmann_elements(n=3), small_fractions)
+def test_grassmann_results_hold_only_nonzero_fractions(x, y, c):
+    for out in (x + y, x - y, -x, x * y, x.scale(c), x * 2, 3 * x):
+        assert exact_nonzero(out.terms)
+
+
+def test_float_products_that_underflow_are_dropped():
+    tiny = Polynomial(1, {(1,): 1e-200})
+    assert (tiny * 1e-200).terms == {}
+    assert (tiny * Polynomial.constant(1, 1e-200)).terms == {}
+    g = GrassmannElement(2, {3: 1e-200})
+    assert g.scale(1e-200).terms == {}
+    assert (g * GrassmannElement.scalar(2, 1e-200)).terms == {}
+
+
+def test_public_and_wire_constructors_refuse_bad_exponents_and_masks():
+    with pytest.raises(DimensionError):
+        Polynomial(2, {(1,): Fraction(1)})
+    with pytest.raises(DimensionError):
+        Polynomial(1, {(-1,): Fraction(1)})
+    for exp in ([1, 0], [-2]):
+        with pytest.raises(DimensionError):
+            Polynomial.from_json({"p": 1, "terms": [{"exp": exp, "num": "1", "den": "1"}]})
+    with pytest.raises(DimensionError):
+        GrassmannElement(2, {4: Fraction(1)})
+    with pytest.raises(DimensionError):
+        GrassmannElement(2, {-1: Fraction(1)})
+    with pytest.raises(SchemaError):
+        GrassmannElement.from_json({"n": 2, "terms": [{"subset": [3], "num": "1", "den": "1"}]})

@@ -9,7 +9,12 @@ product sign is the parity of the inversion count of the merge:
     >>> print(e2 * e1)
     -eta1 eta2
 
-Coefficients are exact rationals by default.  The arithmetic only assumes a
+Coefficients are exact rationals by default, each in one canonical form: a
+plain int when its denominator is 1, a `fractions.Fraction` with denominator
+above 1 otherwise.  `_coerce` canonicalizes what enters and `_accumulate` what
+a sum or product stores, so most products stay on int arithmetic and skip
+Fraction's gcds.  An int coefficient divides to a float under `/`; divide by
+multiplying with `Fraction(1, b)` instead.  The arithmetic only assumes a
 commutative coefficient ring with +, *, - and truthiness-as-nonzero, which is
 what lets superfunctions and the symbolic Lambda-point machinery reuse these
 classes with polynomial coefficients (and the float geometry backend with
@@ -39,14 +44,19 @@ def merge_sign(a: int, b: int) -> int:
 
 
 def _coerce(c):
+    """The canonical form of a coefficient: an integral rational (or a bool) as
+    an int, any other rational as a Fraction; other rings pass through."""
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     return c
 
 
 def _accumulate(acc: dict, terms, c=None) -> dict:
     """Add the (key, coefficient) pairs `terms`, each times c if given, into acc
-    in place; a sum that comes out zero removes its key.  Returns acc."""
+    in place; a sum that comes out zero removes its key, and an integral
+    Fraction is stored as its int.  Returns acc."""
     for key, v in terms:
         if c is not None:
             v = c * v
@@ -54,7 +64,7 @@ def _accumulate(acc: dict, terms, c=None) -> dict:
         if got is not None:
             v = got + v
         if v:
-            acc[key] = v
+            acc[key] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
         else:
             acc.pop(key, None)
     return acc
@@ -66,12 +76,13 @@ def rational_to_json(c) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
-def rational_from_json(item) -> Fraction:
-    """Parse the wire form of a rational; a zero denominator is a SchemaError."""
+def rational_from_json(item) -> int | Fraction:
+    """Parse the wire form of a rational, in canonical form; a zero denominator
+    is a SchemaError."""
     den = int(item["den"])
     if not den:
         raise SchemaError("rational with zero denominator")
-    return Fraction(int(item["num"]), den)
+    return _coerce(Fraction(int(item["num"]), den))
 
 
 def float_from_json(value) -> float:
@@ -121,17 +132,17 @@ class GrassmannElement:
 
     @classmethod
     def one(cls, n: int) -> "GrassmannElement":
-        return cls.scalar(n, Fraction(1))
+        return cls.scalar(n, 1)
 
     @classmethod
     def gen(cls, n: int, i: int) -> "GrassmannElement":
         """The generator eta_i, 1-based."""
         if not 1 <= i <= n:
             raise DimensionError(f"generator index {i} outside 1..{n}")
-        return cls(n, {1 << (i - 1): Fraction(1)})
+        return cls(n, {1 << (i - 1): 1})
 
     @classmethod
-    def monomial(cls, n: int, mask: int, c=Fraction(1)) -> "GrassmannElement":
+    def monomial(cls, n: int, mask: int, c=1) -> "GrassmannElement":
         return cls(n, {mask: c})
 
     # -- ring structure ----------------------------------------------------
@@ -175,7 +186,8 @@ class GrassmannElement:
         if not c:
             return GrassmannElement.zero(self.n)
         # a float product can underflow to 0.0, so zeros are still dropped
-        return GrassmannElement._of(self.n, {m: w for m, v in self.terms.items() if (w := c * v)})
+        return GrassmannElement._of(self.n, {m: _coerce(w) for m, v in self.terms.items()
+                                             if (w := c * v)})
 
     def __pow__(self, k: int) -> "GrassmannElement":
         if k < 0:
@@ -202,7 +214,7 @@ class GrassmannElement:
 
     def body(self):
         """Coefficient of the empty monomial."""
-        return self.terms.get(0, Fraction(0))
+        return self.terms.get(0, 0)
 
     def split(self):
         """(body, even-nilpotent part, odd part); summands recombine exactly."""

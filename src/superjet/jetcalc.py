@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement, _accumulate
+from .grassmann import GrassmannElement, _accumulate, _coerce
 from .polyalg import Polynomial, iter_multiindices, mi_abs, mi_add, mi_factorial, taylor_shift
 
 
@@ -57,7 +57,7 @@ class TruncatedPolyMap:
     def coefficient(self, I) -> tuple:
         """c_I per target component; I = 0 gives the base value."""
         I = tuple(I)
-        return tuple(f.terms.get(I, Fraction(0)) for f in self.polys)
+        return tuple(f.terms.get(I, 0) for f in self.polys)
 
 
 def taylor_of(phis, x0, k: int) -> TruncatedPolyMap:
@@ -165,13 +165,13 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
                for f in inner.polys]
            for j in range(1, m + 1)}
     # derivative tables of each outer component at y0: D_L f = L! c_L
-    tables = [{L: c * mi_factorial(L) for L, c in taylor_shift(f, y0, m).terms.items()}
+    tables = [{L: _coerce(c * mi_factorial(L)) for L, c in taylor_shift(f, y0, m).terms.items()}
               for f in b]
     results = [{} for _ in b]
     for alpha in _alphas(m):
-        weight = Fraction(math.factorial(m))
+        weight = math.factorial(m)      # m!/alpha! is an integer: sum(alpha) <= m
         for a in alpha:
-            weight /= math.factorial(a)
+            weight //= math.factorial(a)
         # (product so far, its component counts L, its weight)
         partial = [(Polynomial.one(dim_x), (0,) * dim_y, weight)]
         for j, a in enumerate(alpha, start=1):
@@ -196,7 +196,8 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
                     _accumulate(acc, prod.terms.items(), w * dval)
     out = {}
     for K in iter_multiindices(dim_x, m):
-        out[K] = tuple(r.get(K, Fraction(0)) * mi_factorial(K) / math.factorial(m) for r in results)
+        scale = Fraction(mi_factorial(K), math.factorial(m))
+        out[K] = tuple(_coerce(r.get(K, 0) * scale) for r in results)
     return out
 
 

@@ -19,7 +19,6 @@ point is sampled and no Grassmann product is taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionError, ParityError, payload_errors
 from .grassmann import GrassmannElement, GrassmannHom, merge_sign
@@ -160,7 +159,7 @@ class LambdaPointMap:
         vec = []
         for kind, slot, mask in self.var_order:
             coords = point.even if kind == "even" else point.odd
-            vec.append(coords[slot].terms.get(mask, Fraction(0)))
+            vec.append(coords[slot].terms.get(mask, 0))
         return vec
 
     def apply(self, point: SuperPoint) -> SuperPoint:

@@ -183,7 +183,7 @@ def pushforward_general(phi: SuperMorphism, mu: SuperPoint) -> SuperPoint:
                         mono = mono * nil[i]
                 if mono.is_zero():
                     continue
-                val = poly_derive(poly, I).eval_scalar(body) / mi_factorial(I)
+                val = poly_derive(poly, I).eval_scalar(body) * Fraction(1, mi_factorial(I))
                 if val:
                     acc = acc + (mono * wedge).scale(val)
         return acc

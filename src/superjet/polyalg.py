@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Exponent vectors are tuples of non-negative ints; coefficients are Fractions
-(any commutative coefficient that supports +, *, - and truthiness works, which
-the float jets of the geometry backend rely on).  Multi-indices are plain
-tuples throughout, with the small helpers below for |I|, I! and enumeration.
+Exponent vectors are tuples of non-negative ints; coefficients are exact
+rationals in `grassmann`'s canonical form, a plain int when integral and a
+`fractions.Fraction` with denominator above 1 otherwise (any commutative
+coefficient that supports +, *, - and truthiness works, which the float jets
+of the geometry backend rely on).  An int coefficient divides to a float under
+`/`, so exact code divides by multiplying with `Fraction(1, b)`.  Multi-indices
+are plain tuples throughout, with the small helpers below for |I|, I! and
+enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import operator
 from fractions import Fraction
 
 from .errors import DegreeBoundError, DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import _accumulate, rational_from_json, rational_to_json
+from .grassmann import _accumulate, _coerce, rational_from_json, rational_to_json
 
 #: refuse compositions whose expanded total degree would exceed this
 DEFAULT_DEGREE_BOUND = 16
@@ -64,10 +68,6 @@ def iter_multiindices_upto(p: int, bound: int):
 # ---------------------------------------------------------------------------
 
 
-def _coerce(c):
-    return Fraction(c) if isinstance(c, int) else c
-
-
 class Polynomial:
     """{exponent tuple: coefficient} with zero coefficients dropped.
 
@@ -107,17 +107,17 @@ class Polynomial:
 
     @classmethod
     def one(cls, p: int) -> "Polynomial":
-        return cls.constant(p, Fraction(1))
+        return cls.constant(p, 1)
 
     @classmethod
     def variable(cls, p: int, k: int) -> "Polynomial":
         """x_k (0-based) among p variables."""
         if not 0 <= k < p:
             raise DimensionError(f"variable {k} outside 0..{p - 1}")
-        return cls(p, {mi_unit(p, k): Fraction(1)})
+        return cls(p, {mi_unit(p, k): 1})
 
     @classmethod
-    def monomial(cls, p: int, exp, c=Fraction(1)) -> "Polynomial":
+    def monomial(cls, p: int, exp, c=1) -> "Polynomial":
         return cls(p, {tuple(exp): c})
 
     def degree(self) -> int:
@@ -161,7 +161,8 @@ class Polynomial:
             if not c:
                 return Polynomial.zero(self.p)
             # a float product can underflow to 0.0, so zeros are still dropped
-            return Polynomial._of(self.p, {e: w for e, v in self.terms.items() if (w := v * c)})
+            return Polynomial._of(self.p, {e: _coerce(w) for e, v in self.terms.items()
+                                          if (w := v * c)})
         self._check(other)
         terms: dict = {}
         right = other.terms.items()
@@ -204,7 +205,7 @@ class Polynomial:
             for ei, ii in zip(e, I):
                 for t in range(ii):
                     c = c * (ei - t)
-            terms[mi_sub(e, I)] = c
+            terms[mi_sub(e, I)] = _coerce(c)
         return Polynomial._of(self.p, terms)
 
     def eval_scalar(self, args):
@@ -219,9 +220,7 @@ class Polynomial:
                 for _ in range(k):
                     term = term * a
             out = term if out is None else out + term
-        if out is None:
-            return Fraction(0)
-        return out
+        return 0 if out is None else _coerce(out)
 
     def __str__(self):
         if not self.terms:
@@ -358,6 +357,7 @@ def taylor_shift(f: Polynomial, x0, k: int) -> Polynomial:
     """
     if len(x0) != f.p:
         raise DimensionError(f"{len(x0)} base coordinates for {f.p} variables")
+    x0 = [_coerce(a) for a in x0]
     powers = [[1] for _ in x0]
     rows: dict = {}
 
@@ -382,12 +382,12 @@ def taylor_shift(f: Polynomial, x0, k: int) -> Polynomial:
     return Polynomial._of(f.p, out)
 
 
-def taylor_coefficient(f: Polynomial, I, x0) -> Fraction:
+def taylor_coefficient(f: Polynomial, I, x0) -> int | Fraction:
     """(1/I!) D_I f at x0, by derivative and evaluation; `taylor_shift`'s oracle."""
-    return f.derive(I).eval_scalar(x0) / mi_factorial(I)
+    return _coerce(f.derive(I).eval_scalar(x0) * Fraction(1, mi_factorial(I)))
 
 
 def lattice_points(p: int, radius: int = 2, den: int = 2):
     """Fixed rational lattice used for body-point sampling, ordered canonically."""
-    axis = [Fraction(num, den) for num in range(-radius * den, radius * den + 1)]
+    axis = [_coerce(Fraction(num, den)) for num in range(-radius * den, radius * den + 1)]
     return [tuple(pt) for pt in itertools.product(axis, repeat=p)]

@@ -86,7 +86,7 @@ class SuperFunction:
 
     @classmethod
     def one(cls, p: int, q: int) -> "SuperFunction":
-        return cls.constant(p, q, Fraction(1))
+        return cls.constant(p, q, 1)
 
     @classmethod
     def from_poly(cls, poly: Polynomial, q: int) -> "SuperFunction":
@@ -334,7 +334,9 @@ def sf_substitute(sigma: SuperFunction, phi,
         coeff = poly_derive(comps[J], I)
         # into R^{0|s} each sigma_J is a constant, a scalar over the source's variables
         coeff = poly_compose(coeff, bodies, degree_bound) if bodies else coeff.eval_scalar(())
-        coeff = coeff / mi_factorial(I)
+        fact = mi_factorial(I)
+        if fact > 1:
+            coeff = coeff * Fraction(1, fact)
         if coeff:
             _accumulate(out, mono.terms.items(), coeff)
     return SuperFunction._of(p, GrassmannElement._of(q, out))

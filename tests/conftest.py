@@ -1,5 +1,7 @@
 """Shared hypothesis strategies for the exact-algebra test modules."""
 
+from fractions import Fraction
+
 from hypothesis import settings, strategies as st
 
 from superjet import GrassmannElement, Polynomial, SuperFunction, SuperMorphism, SuperPoint
@@ -8,24 +10,29 @@ from superjet import GrassmannElement, Polynomial, SuperFunction, SuperMorphism,
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# the 25 values of st.fractions(-3, 3, max_denominator=3), drawn far faster;
+# sorted by (|f|, sign) so that shrinking still heads to 0
+small_fractions = st.sampled_from(sorted(
+    {Fraction(num, den) for den in (1, 2, 3) for num in range(-3 * den, 3 * den + 1)},
+    key=lambda f: (abs(f), f < 0)))
 nonzero_fractions = small_fractions.filter(bool)
+small_ints = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def grassmann_elements(draw, n=None, parity=None, max_terms=4):
+def grassmann_elements(draw, n=None, parity=None, max_terms=4, coefficients=small_fractions):
     if n is None:
         n = draw(st.integers(min_value=1, max_value=4))
     masks = [m for m in range(1 << n) if parity is None or m.bit_count() & 1 == parity]
     picked = draw(st.lists(st.sampled_from(masks), max_size=max_terms))
     terms = {}
     for m in picked:
-        terms[m] = terms.get(m, 0) + draw(small_fractions)
+        terms[m] = terms.get(m, 0) + draw(coefficients)
     return GrassmannElement(n, {m: c for m, c in terms.items() if c})
 
 
 @st.composite
-def polynomials(draw, p=None, degree=3, max_terms=3):
+def polynomials(draw, p=None, degree=3, max_terms=3, coefficients=small_fractions):
     if p is None:
         p = draw(st.integers(min_value=1, max_value=3))
     exponents = st.lists(
@@ -36,12 +43,12 @@ def polynomials(draw, p=None, degree=3, max_terms=3):
         e = tuple(draw(exponents))
         if sum(e) > degree:
             continue
-        terms[e] = terms.get(e, 0) + draw(small_fractions)
+        terms[e] = terms.get(e, 0) + draw(coefficients)
     return Polynomial(p, {e: c for e, c in terms.items() if c})
 
 
 @st.composite
-def superfunctions(draw, p=None, q=None, degree=3):
+def superfunctions(draw, p=None, q=None, degree=3, coefficients=small_fractions):
     if p is None:
         p = draw(st.integers(min_value=1, max_value=2))
     if q is None:
@@ -49,27 +56,27 @@ def superfunctions(draw, p=None, q=None, degree=3):
     components = {}
     for mask in range(1 << q):
         if draw(st.booleans()):
-            poly = draw(polynomials(p=p, degree=degree))
+            poly = draw(polynomials(p=p, degree=degree, coefficients=coefficients))
             if poly.terms:
                 components[mask] = poly
     return SuperFunction(p, q, components)
 
 
 @st.composite
-def superpoints(draw, n=None, p=1, q=1):
+def superpoints(draw, n=None, p=1, q=1, coefficients=small_fractions):
     if n is None:
         n = draw(st.integers(min_value=1, max_value=3))
-    even = [draw(grassmann_elements(n=n, parity=0)) for _ in range(p)]
-    odd = [draw(grassmann_elements(n=n, parity=1)) for _ in range(q)]
+    even = [draw(grassmann_elements(n=n, parity=0, coefficients=coefficients)) for _ in range(p)]
+    odd = [draw(grassmann_elements(n=n, parity=1, coefficients=coefficients)) for _ in range(q)]
     return SuperPoint(n, even, odd)
 
 
 @st.composite
-def morphisms(draw, source, target):
+def morphisms(draw, source, target, coefficients=small_fractions):
     p, q = source
 
     def pullback(parity):
-        sf = draw(superfunctions(p=p, q=q, degree=2))
+        sf = draw(superfunctions(p=p, q=q, degree=2, coefficients=coefficients))
         return SuperFunction(p, q, {m: f for m, f in sf.components.items()
                                     if m.bit_count() & 1 == parity})
 

@@ -144,7 +144,7 @@ def faa_di_bruno_ordered(b, phi, x0, m):
                 prod = prod * hom[t][l]
             for idx, f in enumerate(b):
                 results[idx] = results[idx] + prod * (weight * poly_derive(f, L).eval_scalar(y0))
-    return {K: tuple(r.terms.get(K, Fraction(0)) * mi_factorial(K) / math.factorial(m)
+    return {K: tuple(r.terms.get(K, 0) * Fraction(mi_factorial(K), math.factorial(m))
                      for r in results)
             for K in iter_multiindices(dim_x, m)}
 

@@ -19,6 +19,7 @@ from superjet import (
     SuperPoint,
     default_probes,
     eta_decompose,
+    faa_di_bruno,
     hom_apply,
     lattice_points,
     morphism_compose,
@@ -34,7 +35,7 @@ from superjet import (
 from superjet.polyalg import iter_multiindices_upto, poly_derive
 from superjet.suites import random_morphism, random_polynomial, random_superpoint, run_suite
 
-from conftest import morphisms, superfunctions
+from conftest import morphisms, polynomials, small_ints, superfunctions, superpoints
 
 
 def scaling_example():
@@ -558,6 +559,45 @@ def test_oracles_do_not_call_the_taylor_shift(monkeypatch):
     # the patch bites: the fast path does go through the shift
     with pytest.raises(AssertionError):
         sf_eval(sigma, mu)
+
+
+def scalar_leaves(value):
+    """Every scalar coefficient inside a value, down through its nested rings."""
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            yield from scalar_leaves(v)
+    elif isinstance(value, dict):
+        yield from scalar_leaves(list(value.values()))
+    elif isinstance(value, SuperPoint):
+        yield from scalar_leaves(value.even + value.odd)
+    elif isinstance(value, SuperFunction):
+        yield from scalar_leaves(value.components)
+    elif isinstance(value, (GrassmannElement, Polynomial)):
+        yield from scalar_leaves(value.terms)
+    else:
+        yield value
+
+
+@given(st.data())
+def test_integer_inputs_give_no_float_in_an_exact_result(data):
+    # an int divided by an int with / is a float; every exact division must avoid it
+    f = data.draw(polynomials(p=2, coefficients=small_ints))
+    x0 = data.draw(st.lists(small_ints, min_size=2, max_size=2))
+    inner = [data.draw(polynomials(p=2, degree=2, coefficients=small_ints)) for _ in range(2)]
+    outer = [data.draw(polynomials(p=2, coefficients=small_ints))]
+    phi = data.draw(morphisms((1, 1), (1, 1), coefficients=small_ints))
+    mu = data.draw(superpoints(n=3, coefficients=small_ints))
+    sigma = data.draw(superfunctions(p=1, q=1, coefficients=small_ints))
+    into_odd = data.draw(morphisms((1, 2), (0, 2), coefficients=small_ints))
+    g = data.draw(superfunctions(p=0, q=2, coefficients=small_ints))
+    results = [
+        [taylor_coefficient(f, I, x0) for I in iter_multiindices_upto(2, 3)],
+        faa_di_bruno(outer, inner, x0, data.draw(st.integers(1, 3))),
+        pushforward_general(phi, mu),
+        sf_eval(sigma, mu),
+        sf_substitute(g, into_odd),
+    ]
+    assert not any(isinstance(c, float) for c in scalar_leaves(results))
 
 
 def test_a_warm_memo_never_lifts_the_degree_guardrail():

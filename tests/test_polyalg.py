@@ -8,6 +8,7 @@ from superjet import (
     DegreeBoundError,
     DimensionError,
     GrassmannElement,
+    GrassmannHom,
     Polynomial,
     SchemaError,
     lattice_points,
@@ -119,21 +120,31 @@ def test_taylor_shift_worked_example():
         taylor_shift(f, [Fraction(2), Fraction(0)], 2)
 
 
-def exact_nonzero(terms):
-    return all(type(c) is Fraction and c != 0 for c in terms.values())
+def canonical_nonzero(terms):
+    """Every coefficient is nonzero and in canonical form: an int when integral,
+    otherwise a Fraction with denominator above 1."""
+    return all(c and (type(c) is int or type(c) is Fraction and c.denominator > 1)
+               for c in terms.values())
 
 
-@given(polynomials(p=2), polynomials(p=2), small_fractions)
-def test_polynomial_results_hold_only_nonzero_fractions(f, g, c):
+@given(polynomials(p=2), polynomials(p=2), small_fractions, points2)
+def test_polynomial_results_hold_only_canonical_nonzero_rationals(f, g, c, x0):
     for out in (f + g, f - g, -f, f * g, f * c, c * f, f * 2, f / 3,
-                poly_derive(f, (1, 0)), poly_derive(f, (1, 2))):
-        assert exact_nonzero(out.terms)
+                poly_derive(f, (1, 0)), poly_derive(f, (1, 2)),
+                Polynomial.from_json(f.to_json()), taylor_shift(f, x0, 3),
+                poly_compose(f, [g, g * c]),
+                Polynomial(2, {(0, 0): Fraction(6, 3), (1, 0): True, (0, 1): c})):
+        assert canonical_nonzero(out.terms)
 
 
-@given(grassmann_elements(n=3), grassmann_elements(n=3), small_fractions)
-def test_grassmann_results_hold_only_nonzero_fractions(x, y, c):
-    for out in (x + y, x - y, -x, x * y, x.scale(c), x * 2, 3 * x):
-        assert exact_nonzero(out.terms)
+@given(grassmann_elements(n=3), grassmann_elements(n=3), small_fractions,
+       st.lists(grassmann_elements(n=3, parity=1), min_size=3, max_size=3))
+def test_grassmann_results_hold_only_canonical_nonzero_rationals(x, y, c, images):
+    hom = GrassmannHom(3, 3, images)
+    for out in (x + y, x - y, -x, x * y, x.scale(c), x * 2, 3 * x, x.scale(Fraction(4, 2)),
+                GrassmannElement.from_json(x.to_json()), hom.apply(x),
+                GrassmannElement(3, {0: Fraction(6, 3), 1: True, 2: c})):
+        assert canonical_nonzero(out.terms)
 
 
 def test_float_products_that_underflow_are_dropped():

@@ -76,10 +76,18 @@ def _degree_bound(value: int | None):
     return {"degree_bound": None if value <= 0 else value}
 
 
+def _finite(point: SuperPoint, what: str) -> SuperPoint:
+    """point itself; a non-finite float coefficient, which JSON cannot carry, is a
+    DomainError.  Finite but huge coefficients can overflow in the Taylor products."""
+    if not all(math.isfinite(c) for g in (*point.even, *point.odd) for c in g.terms.values()):
+        raise DomainError(f"{what} is not finite: the point's coefficients overflow a float")
+    return point
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     phi = SuperMorphism.from_json(_load(args.morphism))
     mu = SuperPoint.from_json(_load(args.point))
-    _emit(pushforward(phi, mu).to_json(), args.out)
+    _emit(_finite(pushforward(phi, mu), "eval result").to_json(), args.out)
     return 0
 
 
@@ -143,11 +151,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
     if backend.kind == "sphere2":
         backend.check_point(base)
     fn = backend.superchart_pointwise_inv if args.inverse else backend.superchart_pointwise
-    result = fn(base, point, k=args.order)
-    # finite but huge coefficients can overflow in the Taylor products
-    if not all(math.isfinite(c) for g in (*result.even, *result.odd) for c in g.terms.values()):
-        raise DomainError("chart result is not finite: the point's coefficients overflow a float")
-    _emit(result.to_json(), args.out)
+    _emit(_finite(fn(base, point, k=args.order), "chart result").to_json(), args.out)
     return 0
 
 

@@ -9,17 +9,24 @@ with one `polyalg.taylor_shift` (a binomial pass, no derivatives), and
 `faa_di_bruno` reads its outer derivative tables off the same shift.
 Products and compositions drop everything above order k.
 
-`taylor_monomials` is the one truncated-Taylor contraction kernel: given even
+`MonomialTable` is the one truncated-Taylor contraction kernel: given even
 (nilpotent) and odd arguments in a Grassmann algebra over any coefficient
-ring, it yields the surviving monomials eps^I omega^J, with powers and odd
-monomials built once.  Its callers supply the coefficients:
+ring, it yields the surviving monomials eps^I omega^J.  Each power, each
+eps^I and each odd monomial is built once per table, and a table is shared
+by every coordinate contracted against the same arguments.  Its callers
+supply the coefficients:
 
 * `exp_pair` evaluates jet data on even Grassmann arguments;
 * `superfun.sf_eval` evaluates a superfunction at a Lambda-point, with
   coefficients (1/I!) D_I sigma_J at the body: the h^I coefficients of
-  sigma_J(body + h), one `taylor_shift` per sigma_J;
+  sigma_J(body + h), one `taylor_shift` per sigma_J; `morphism.pushforward`
+  shares one table over all coordinate pullbacks;
 * `superfun.sf_substitute` pulls a superfunction back along a morphism over
-  the ring Q[x], with coefficients composed at the body polynomials.
+  the ring Q[x], with coefficients composed at the body polynomials;
+  `morphism.morphism_compose` shares one table over all pullbacks of the
+  outer morphism;
+* `morphism.eta_decompose` reads the symbol of each eta-coefficient off the
+  monomials of the eta-parts.
 """
 
 from __future__ import annotations
@@ -205,46 +212,72 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
 # Grassmann contraction
 
 
-def taylor_monomials(indices, masks, even_args, odd_args, one):
-    """Yield (I, J, eps^I * omega^J) for every I in indices, J in masks whose
-    monomial does not vanish.
+class MonomialTable:
+    """The surviving monomials eps^I omega^J of fixed Grassmann arguments.
 
-    eps are the even arguments and omega the odd ones, all in one Grassmann
-    algebra over any coefficient ring; `one` is its unit.  Powers of each eps_i
-    and the ascending odd monomials omega^J are built once and reused.  I runs
-    outermost, so a vanishing eps^I skips all of its masks, and each I's masks
-    come in the order given.
+    eps are the even (nilpotent) arguments and omega the odd ones, all in one
+    Grassmann algebra over any coefficient ring; `one` is its unit.  A table
+    memoizes, for its lifetime, the powers eps_i^e, each eps^I and each
+    ascending odd monomial omega^J, so every coordinate contracted against the
+    same arguments shares them.  No product takes the unit as an operand, and
+    a vanishing factor ends every extension of it without a product.
     """
-    powers = [[one] for _ in even_args]
-    odd_monomials = {0: one}
 
-    def power(i: int, e: int):
-        cache = powers[i]
+    __slots__ = ("even_args", "odd_args", "one", "_powers", "_evens", "_odds")
+
+    def __init__(self, even_args, odd_args, one):
+        self.even_args = list(even_args)
+        self.odd_args = list(odd_args)
+        self.one = one
+        self._powers = [[one, a] for a in self.even_args]
+        self._evens = {(0,) * len(self.even_args): one}
+        self._odds = {0: one}
+
+    def _times(self, a, b):
+        """a * b, without a product when a factor is the unit or vanishes."""
+        if a is self.one or not b:
+            return b
+        if b is self.one or not a:
+            return a
+        return a * b
+
+    def _power(self, i: int, e: int):
+        cache = self._powers[i]
         while len(cache) <= e:
-            cache.append(cache[-1] * even_args[i])
+            cache.append(self._times(cache[-1], self.even_args[i]))
         return cache[e]
 
-    def odd_monomial(mask: int):
-        got = odd_monomials.get(mask)
+    def _even(self, I: tuple):
+        """eps^I as eps^(I without its last nonzero exponent) * eps_last^e: the
+        left-to-right association of a plain loop, so float results match it."""
+        got = self._evens.get(I)
         if got is None:
-            low = mask & -mask
-            got = odd_args[low.bit_length() - 1] * odd_monomial(mask ^ low)
-            odd_monomials[mask] = got
+            last = max(i for i, e in enumerate(I) if e)
+            head = I[:last] + (0,) * (len(I) - last)
+            got = self._evens[I] = self._times(self._even(head), self._power(last, I[last]))
         return got
 
-    for I in indices:
-        even = one
-        for i, e in enumerate(I):
-            if e:
-                even = even * power(i, e)
-                if not even:
-                    break
-        if not even:
-            continue
-        for J in masks:
-            mono = odd_monomial(J) * even if J else even
-            if mono:
-                yield I, J, mono
+    def _odd(self, mask: int):
+        """omega^J in ascending order: omega_b * omega^(J without b), b lowest in J."""
+        got = self._odds.get(mask)
+        if got is None:
+            low = mask & -mask
+            got = self._odds[mask] = self._times(self.odd_args[low.bit_length() - 1],
+                                                 self._odd(mask ^ low))
+        return got
+
+    def monomials(self, indices, masks):
+        """Yield (I, J, eps^I * omega^J) for every I in indices, J in masks whose
+        monomial does not vanish.  I runs outermost, so a vanishing eps^I skips
+        all of its masks, and each I's masks come in the order given."""
+        for I in indices:
+            even = self._even(I)
+            if not even:
+                continue
+            for J in masks:
+                mono = self._times(self._odd(J), even)
+                if mono:
+                    yield I, J, mono
 
 
 def exp_pair(data: TruncatedPolyMap, even_args, n: int | None = None):
@@ -269,7 +302,8 @@ def exp_pair(data: TruncatedPolyMap, even_args, n: int | None = None):
 
     indices = dict.fromkeys(I for f in data.polys for I in f.terms)
     out = [{} for _ in data.polys]
-    for I, _, mono in taylor_monomials(indices, (0,), even_args, [], GrassmannElement.one(n)):
+    table = MonomialTable(even_args, [], GrassmannElement.one(n))
+    for I, _, mono in table.monomials(indices, (0,)):
         for acc, f in zip(out, data.polys):
             v = f.terms.get(I)
             if v:

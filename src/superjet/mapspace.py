@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, ParityError, payload_errors
-from .grassmann import GrassmannElement, GrassmannHom, merge_sign
+from .grassmann import GrassmannElement, GrassmannHom, _coerce, merge_sign
 from .morphism import SuperMorphism, morphism_compose, pushforward
 from .polyalg import Polynomial
 from .superfun import SuperFunction, SuperPoint
@@ -270,8 +270,9 @@ def _jacobian(F: LambdaPointMap) -> dict:
                 for e, c in poly.terms.items():
                     for v, k in enumerate(e):
                         if k:
-                            parts.setdefault(v, {})[e[:v] + (k - 1,) + e[v + 1:]] = c * k
-                jac[(kind, slot, mask)] = {v: Polynomial(F.nvars, t) for v, t in parts.items()}
+                            parts.setdefault(v, {})[e[:v] + (k - 1,) + e[v + 1:]] = _coerce(c * k)
+                # c != 0 and k >= 1, and each exponent is e lowered by one in place
+                jac[(kind, slot, mask)] = {v: Polynomial._of(F.nvars, t) for v, t in parts.items()}
     return jac
 
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 from .errors import DimensionError, ParityError, payload_errors
 from .grassmann import GrassmannElement
-from .jetcalc import taylor_monomials
+from .jetcalc import MonomialTable
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -48,7 +48,14 @@ from .polyalg import (
     poly_derive,
 )
 from .rng import SplitMix64
-from .superfun import SuperFunction, SuperPoint, sf_eval, sf_substitute
+from .superfun import (
+    SuperFunction,
+    SuperPoint,
+    point_table,
+    pullback_table,
+    sf_eval,
+    sf_substitute,
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,9 @@ class SuperMorphism:
             raise DimensionError("source and target must be (p, q) pairs")
         p, q = self.source
         p2, q2 = self.target
+        for name, (a, b) in (("source", self.source), ("target", self.target)):
+            if a < 0 or b < 0:
+                raise DimensionError(f"{name} R^({a}|{b}) has a negative dimension")
         if len(self.even_pb) != p2 or len(self.odd_pb) != q2:
             raise DimensionError(
                 f"expected {p2} even and {q2} odd pullbacks, got "
@@ -134,11 +144,12 @@ def morphism_compose(psi: SuperMorphism, phi: SuperMorphism,
         raise DimensionError(
             f"cannot compose: inner lands in R^{phi.target}, outer starts at R^{psi.source}"
         )
+    table = pullback_table(phi)
     return SuperMorphism(
         phi.source,
         psi.target,
-        [sf_substitute(sf, phi, degree_bound) for sf in psi.even_pb],
-        [sf_substitute(sf, phi, degree_bound) for sf in psi.odd_pb],
+        [sf_substitute(sf, phi, degree_bound, _table=table) for sf in psi.even_pb],
+        [sf_substitute(sf, phi, degree_bound, _table=table) for sf in psi.odd_pb],
     )
 
 
@@ -146,8 +157,9 @@ def pushforward(phi: SuperMorphism, mu: SuperPoint) -> SuperPoint:
     """The target Lambda-point: evaluate each coordinate pullback at mu."""
     if (mu.p, mu.q) != phi.source:
         raise DimensionError(f"point of R^({mu.p}|{mu.q}) fed to morphism from R^{phi.source}")
-    even = [sf_eval(sf, mu) for sf in phi.even_pb]
-    odd = [sf_eval(sf, mu) for sf in phi.odd_pb]
+    table = point_table(mu)
+    even = [sf_eval(sf, mu, _table=table) for sf in phi.even_pb]
+    odd = [sf_eval(sf, mu, _table=table) for sf in phi.odd_pb]
     return SuperPoint(mu.n, even, odd)
 
 
@@ -278,10 +290,10 @@ def eta_decompose(phi: SuperMorphism, n_eta: int) -> list:
     p2, q2 = phi.target
     eta_all = (1 << n_eta) - 1
     symbols = [{} for _ in range(1 << n_eta)]
-    for beta, K, mono in taylor_monomials(iter_multiindices_upto(p2, n_eta), range(1 << q2),
-                                          [_eta_part(sf, n_eta).element for sf in phi.even_pb],
-                                          [_eta_part(sf, n_eta).element for sf in phi.odd_pb],
-                                          SuperFunction.one(p, qs).element):
+    table = MonomialTable([_eta_part(sf, n_eta).element for sf in phi.even_pb],
+                          [_eta_part(sf, n_eta).element for sf in phi.odd_pb],
+                          SuperFunction.one(p, qs).element)
+    for beta, K, mono in table.monomials(iter_multiindices_upto(p2, n_eta), range(1 << q2)):
         by_index = {}
         for mask, poly in mono.scale(Fraction(1, mi_factorial(beta))).terms.items():
             by_index.setdefault(mask & eta_all, {})[mask >> n_eta] = poly

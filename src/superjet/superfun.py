@@ -16,9 +16,13 @@ Lambda_n-point is itself a morphism R^{0|n} -> R^{p|q}):
 
 `sf_eval` supplies the coefficients at the body scalars, read off one
 `taylor_shift` of each sigma_J; `sf_substitute` composes them at the body
-polynomials; `jetcalc.taylor_monomials` supplies the surviving monomials
-nu2^I nu1^J.  The sums stop by themselves
-once the nilpotent monomials vanish, so there is no truncation knob.
+polynomials; a `jetcalc.MonomialTable` of nu's nilpotent coordinates
+(`point_table`) or of phi's nilpotent pullbacks (`pullback_table`) supplies
+the surviving monomials nu2^I nu1^J, each built once per table.  A caller
+that contracts several superfunctions against the same nu or phi passes one
+table to every call, as `pushforward` and `morphism_compose` do.  The sums
+stop by themselves once the nilpotent monomials vanish, so there is no
+truncation knob.
 `sf_eval_naive` is the independent brute-force check: substitute the full
 coordinates into sigma_J and expand.
 """
@@ -30,7 +34,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
 from .grassmann import GrassmannElement, _accumulate
-from .jetcalc import taylor_monomials
+from .jetcalc import MonomialTable
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -264,8 +268,17 @@ class SuperPoint:
         return cls(n, even, odd)
 
 
-def sf_eval(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
-    """Evaluate sigma at nu through the truncated Taylor pairing."""
+def point_table(nu: SuperPoint) -> MonomialTable:
+    """The monomials of nu's nilpotent even and odd coordinates, for `sf_eval`."""
+    return MonomialTable(nu.nilpotent_even(), nu.odd, GrassmannElement.one(nu.n))
+
+
+def sf_eval(sigma: SuperFunction, nu: SuperPoint, *, _table=None) -> GrassmannElement:
+    """Evaluate sigma at nu through the truncated Taylor pairing.
+
+    `_table` is `point_table(nu)`, passed in by a caller that evaluates several
+    superfunctions at the same nu so that they share its monomials.
+    """
     if (sigma.p, sigma.q) != (nu.p, nu.q):
         raise DimensionError(
             f"superfunction on R^({sigma.p}|{sigma.q}), point of R^({nu.p}|{nu.q})"
@@ -277,8 +290,8 @@ def sf_eval(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
     top = n // 2
     shifted = {}                # J -> terms of sigma_J(body + h), built on first use
     out: dict = {}
-    for I, J, mono in taylor_monomials(iter_multiindices_upto(sigma.p, top), comps,
-                                       nu.nilpotent_even(), nu.odd, GrassmannElement.one(n)):
+    table = point_table(nu) if _table is None else _table
+    for I, J, mono in table.monomials(iter_multiindices_upto(sigma.p, top), comps):
         coeffs = shifted.get(J)
         if coeffs is None:
             coeffs = shifted[J] = taylor_shift(comps[J], body, top).terms
@@ -305,8 +318,15 @@ def sf_eval_naive(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
     return out
 
 
+def pullback_table(phi) -> MonomialTable:
+    """The monomials of phi's nilpotent even and odd pullbacks, for `sf_substitute`."""
+    p, q = phi.source
+    return MonomialTable([sf.nilpotent_part().element for sf in phi.even_pb],
+                         [sf.element for sf in phi.odd_pb], SuperFunction.one(p, q).element)
+
+
 def sf_substitute(sigma: SuperFunction, phi,
-                  degree_bound=DEFAULT_DEGREE_BOUND) -> SuperFunction:
+                  degree_bound=DEFAULT_DEGREE_BOUND, *, _table=None) -> SuperFunction:
     """Pullback of sigma along the morphism phi (sigma on phi's target).
 
     Even coordinate pullbacks split into a theta-free body polynomial and a
@@ -314,7 +334,9 @@ def sf_substitute(sigma: SuperFunction, phi,
     terminates because the theta-degree is bounded.  Odd coordinate monomials are
     substituted by the odd pullbacks in ascending order.  `degree_bound` is the
     poly_compose guardrail; None disables it.  The pullbacks' parity is not
-    checked again: phi's constructor checked it and phi is frozen.
+    checked again: phi's constructor checked it and phi is frozen.  `_table`
+    is `pullback_table(phi)`, passed in by a caller that pulls several
+    superfunctions back along the same phi so that they share its monomials.
     """
     p2, q2 = phi.target
     if (sigma.p, sigma.q) != (p2, q2):
@@ -327,10 +349,8 @@ def sf_substitute(sigma: SuperFunction, phi,
     comps = sigma.components
     out: dict = {}
     # odd source coordinates cap the theta-degree, so |I| <= q/2
-    for I, J, mono in taylor_monomials(iter_multiindices_upto(p2, q // 2), comps,
-                                       [sf.nilpotent_part().element for sf in phi.even_pb],
-                                       [sf.element for sf in phi.odd_pb],
-                                       SuperFunction.one(p, q).element):
+    table = pullback_table(phi) if _table is None else _table
+    for I, J, mono in table.monomials(iter_multiindices_upto(p2, q // 2), comps):
         coeff = poly_derive(comps[J], I)
         # into R^{0|s} each sigma_J is a constant, a scalar over the source's variables
         coeff = poly_compose(coeff, bodies, degree_bound) if bodies else coeff.eval_scalar(())

@@ -202,6 +202,30 @@ def test_chart_refuses_a_result_that_overflows(tmp_path, capsys):
     assert_one_line_input_error(run(capsys, "chart", src, "--base", "[0,0,1]"))
 
 
+def test_eval_refuses_a_result_that_overflows(tmp_path, capsys):
+    # y -> y^2 at 2 + 1e308 eta1 eta2 has soul 4e308: eval must not write Infinity
+    square = SuperMorphism((1, 0), (1, 0),
+                           [SuperFunction.from_poly(Polynomial.monomial(1, (2,)), 0)], [])
+    mu = SuperPoint(2, [GrassmannElement(2, {0: 2.0, 0b11: 1e308})], [])
+    phi = write(tmp_path / "square.json", square.to_json())
+    src = write(tmp_path / "huge.json", mu.to_json())
+    assert_one_line_input_error(run(capsys, "eval", phi, src))
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"source": [-1, 0], "target": [1, 0], "odd": [],
+      "even": [{"p": -1, "q": 0, "components": []}]}, "source R^(-1|0)"),
+    ({"source": [1, -2], "target": [0, 0], "even": [], "odd": []}, "source R^(1|-2)"),
+    ({"source": [1, 0], "target": [0, -1], "even": [], "odd": []}, "target R^(0|-1)"),
+])
+def test_negative_dimensions_are_refused(tmp_path, capsys, point, bad, named):
+    path = write(tmp_path / "bad.json", bad)
+    for argv in (["eval", path, point], ["decompose", path, "0"], ["compose", path, path]):
+        result = run(capsys, *argv)
+        assert_one_line_input_error(result)
+        assert f"{named} has a negative dimension" in result[2]
+
+
 def test_decompose_certifies_sharp_orders(tmp_path, capsys):
     shift = SuperMorphism(
         (1, 2),

@@ -10,21 +10,26 @@ from superjet import (
     ParityError,
     Polynomial,
     SplitMix64,
+    SuperFunction,
+    SuperMorphism,
+    SuperPoint,
     exp_pair,
     faa_di_bruno,
+    morphism_compose,
     poly_compose,
     poly_derive,
     poly_eval,
+    pushforward,
     taylor_coefficient,
     taylor_of,
     trunc_compose,
     trunc_mul,
 )
-from superjet.jetcalc import _alphas, trunc_poly
+from superjet.jetcalc import MonomialTable, _alphas, trunc_poly
 from superjet.polyalg import iter_multiindices, iter_multiindices_upto, mi_factorial
 from superjet.suites import random_polynomial
 
-from conftest import polynomials
+from conftest import grassmann_elements, polynomials, small_fractions, small_ints
 
 x0_strategy = st.lists(
     st.fractions(min_value=-2, max_value=2, max_denominator=2), min_size=2, max_size=2
@@ -183,3 +188,123 @@ def test_exp_pair_checks_parities():
     odd = GrassmannElement.gen(2, 1)
     with pytest.raises(ParityError):
         exp_pair(jet, [odd], n=2)
+
+
+# ---------------------------------------------------------------------------
+# the monomial table
+
+
+def monomials_from_scratch(indices, masks, even_args, odd_args, one):
+    """[(I, J, eps^I omega^J)] over I then J, zeros dropped: one product per factor."""
+    out = []
+    for I in indices:
+        for J in masks:
+            mono = one
+            for i, e in enumerate(I):
+                for _ in range(e):
+                    mono = mono * even_args[i]
+            for b, arg in enumerate(odd_args):
+                if J >> b & 1:
+                    mono = mono * arg
+            if mono:
+                out.append((I, J, mono))
+    return out
+
+
+@st.composite
+def table_arguments(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    ring = draw(st.sampled_from(["int", "fraction", "polynomial"]))
+    coefficients = {"int": small_ints, "fraction": small_fractions,
+                    "polynomial": polynomials(p=1, degree=1, max_terms=2)}[ring]
+    one = GrassmannElement(n, {0: Polynomial.one(1) if ring == "polynomial" else 1})
+    even = [GrassmannElement(n, {m: c for m, c in g.terms.items() if m})
+            for g in draw(st.lists(grassmann_elements(n=n, parity=0, coefficients=coefficients),
+                                   max_size=3))]
+    # a single even monomial squares to zero, so some powers vanish at e = 2
+    if n >= 2 and even and draw(st.booleans()):
+        even[0] = GrassmannElement(n, {0b11: one.terms[0]})
+    odd = draw(st.lists(grassmann_elements(n=n, parity=1, coefficients=coefficients),
+                        max_size=3))
+    indices = draw(st.permutations(list(iter_multiindices_upto(len(even), 3))))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << len(odd)) - 1), max_size=6))
+    return indices, masks, even, odd, one
+
+
+@given(table_arguments())
+def test_monomial_table_yields_the_monomials_a_plain_loop_builds(args):
+    indices, masks, even, odd, one = args
+    table = MonomialTable(even, odd, one)
+    assert list(table.monomials(indices, masks)) == monomials_from_scratch(*args)
+    # a second pass reads the memo and must yield the same list
+    assert list(table.monomials(indices, masks)) == monomials_from_scratch(*args)
+
+
+def _count_products(monkeypatch):
+    products = []
+    mul = GrassmannElement.__mul__
+
+    def counted(a, b):
+        out = mul(a, b)
+        if isinstance(b, GrassmannElement):
+            products.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(GrassmannElement, "__mul__", counted)
+    return products
+
+
+def _nonzero_powers(even_args, top):
+    """eps_i^e for 2 <= e <= top that do not vanish; taken before products are counted."""
+    powers = [arg ** e for arg in even_args for e in range(2, top + 1)]
+    return [power for power in powers if power]
+
+
+def _assert_shared_and_unit_free(products, powers, one):
+    assert powers and products
+    for a, b, _ in products:
+        assert a != one and b != one
+    for power in powers:
+        assert sum(out == power for _, _, out in products) == 1
+
+
+def test_one_pushforward_builds_each_power_once_and_never_multiplies_by_the_unit(monkeypatch):
+    n = 6
+    eps = [GrassmannElement(n, {0b000011: 1, 0b001100: 1}),
+           GrassmannElement(n, {0b000101: 2, 0b110000: -1})]
+    mu = SuperPoint(n, [GrassmannElement.scalar(n, 1) + eps[0],
+                        GrassmannElement.scalar(n, 2) + eps[1]],
+                    [GrassmannElement(n, {0b000001: 1, 0b010000: 3}),
+                     GrassmannElement(n, {0b000010: 1, 0b000111: 1})])
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    phi = SuperMorphism((2, 2), (2, 1),
+                        [SuperFunction(2, 2, {0: x * x * y, 0b11: y}),
+                         SuperFunction(2, 2, {0: y * y * y + x})],
+                        [SuperFunction(2, 2, {0b01: x * y, 0b10: x * x})])
+    expected = pushforward(phi, mu)
+    powers = _nonzero_powers(eps, n // 2)
+    products = _count_products(monkeypatch)
+    assert pushforward(phi, mu) == expected
+    _assert_shared_and_unit_free(products, powers, GrassmannElement.one(n))
+
+
+def test_one_compose_builds_each_power_once_and_never_multiplies_by_the_unit(monkeypatch):
+    x = Polynomial.variable(1, 0)
+    one = Polynomial.one(1)
+    eps = [SuperFunction(1, 4, {0b0011: one, 0b1100: x}),
+           SuperFunction(1, 4, {0b0101: x, 0b1010: one})]
+    phi = SuperMorphism((1, 4), (2, 2),
+                        [SuperFunction(1, 4, {0: x, **eps[0].components}),
+                         SuperFunction(1, 4, {0: x * x, **eps[1].components})],
+                        [SuperFunction.theta(1, 4, 0) + SuperFunction.theta(1, 4, 3),
+                         SuperFunction(1, 4, {0b0010: x})])
+    y1, y2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    psi = SuperMorphism((2, 2), (1, 2),
+                        [SuperFunction(2, 2, {0: y1 * y1 * y2, 0b11: y2})],
+                        [SuperFunction(2, 2, {0b01: y1 * y2 * y2}),
+                         SuperFunction(2, 2, {0b10: y1 + y2 * y2})])
+    expected = morphism_compose(psi, phi)
+    powers = _nonzero_powers([e.element for e in eps], 2)
+    products = _count_products(monkeypatch)
+    assert morphism_compose(psi, phi) == expected
+    _assert_shared_and_unit_free(products, powers, SuperFunction.one(1, 4).element)

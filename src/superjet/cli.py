@@ -78,8 +78,11 @@ def _degree_bound(value: int | None):
 
 def _finite(point: SuperPoint, what: str) -> SuperPoint:
     """point itself; a non-finite float coefficient, which JSON cannot carry, is a
-    DomainError.  Finite but huge coefficients can overflow in the Taylor products."""
-    if not all(math.isfinite(c) for g in (*point.even, *point.odd) for c in g.terms.values()):
+    DomainError.  Finite but huge coefficients can overflow in the Taylor products.
+    Exact coefficients are always finite and may exceed any float, so only floats
+    are tested."""
+    if any(isinstance(c, float) and not math.isfinite(c)
+           for g in (*point.even, *point.odd) for c in g.terms.values()):
         raise DomainError(f"{what} is not finite: the point's coefficients overflow a float")
     return point
 

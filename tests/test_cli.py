@@ -212,6 +212,20 @@ def test_eval_refuses_a_result_that_overflows(tmp_path, capsys):
     assert_one_line_input_error(run(capsys, "eval", phi, src))
 
 
+def test_eval_keeps_an_exact_result_beyond_any_float(tmp_path, capsys):
+    # y -> y^2 at 10^200/3: the exact 10^400/9 overflows a float but is a valid answer
+    square = SuperMorphism((1, 0), (1, 0),
+                           [SuperFunction.from_poly(Polynomial.monomial(1, (2,)), 0)], [])
+    mu = {"n": 0, "even": [{"n": 0, "terms": [
+        {"subset": [], "num": "1" + "0" * 200, "den": "3"}]}], "odd": []}
+    phi = write(tmp_path / "square.json", square.to_json())
+    src = write(tmp_path / "big.json", mu)
+    code, out, err = run(capsys, "eval", phi, src)
+    assert (code, err) == (0, "")
+    assert SuperPoint.from_json(json.loads(out)) == SuperPoint(
+        0, [GrassmannElement(0, {0: Fraction(10**400, 9)})], [])
+
+
 @pytest.mark.parametrize("bad, named", [
     ({"source": [-1, 0], "target": [1, 0], "odd": [],
       "even": [{"p": -1, "q": 0, "components": []}]}, "source R^(-1|0)"),

@@ -171,7 +171,7 @@ class FlatBackend:
         shift = list(f_x) + [0.0] * (d - self.m)
         even = [c + GrassmannElement.scalar(mu.n, sign * s) if s else c
                 for c, s in zip(mu.even, shift)]
-        return SuperPoint(mu.n, even, list(mu.odd))
+        return SuperPoint(mu.n, even, mu.odd)
 
 
 class Sphere2Backend:
@@ -361,7 +361,7 @@ class Sphere2Backend:
         body = [c.body() for c in mu.even]
         jet = joint_jet(f_x, body[:3], [tuple(body[3 + 3 * a:6 + 3 * a]) for a in range(r)], k)
         nil = [c - GrassmannElement.scalar(mu.n, b) for c, b in zip(mu.even, body)]
-        return SuperPoint(mu.n, exp_pair(jet, nil, n=mu.n), list(mu.odd))
+        return SuperPoint(mu.n, exp_pair(jet, nil, n=mu.n), mu.odd)
 
 
 # ---------------------------------------------------------------------------

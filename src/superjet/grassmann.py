@@ -76,13 +76,21 @@ def rational_to_json(c) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
+def int_from_json(value) -> int:
+    """Parse a wire integer, an int or the decimal string of one, inside
+    `payload_errors`; a bool or a float is a SchemaError, never truncated."""
+    if type(value) is not int and not isinstance(value, str):
+        raise SchemaError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def rational_from_json(item) -> int | Fraction:
     """Parse the wire form of a rational, in canonical form; a zero denominator
     is a SchemaError."""
-    den = int(item["den"])
+    den = int_from_json(item["den"])
     if not den:
         raise SchemaError("rational with zero denominator")
-    return _coerce(Fraction(int(item["num"]), den))
+    return _coerce(Fraction(int_from_json(item["num"]), den))
 
 
 def float_from_json(value) -> float:
@@ -280,12 +288,12 @@ class GrassmannElement:
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannElement":
         with payload_errors("GrassmannElement"):
-            n = int(data["n"])
+            n = int_from_json(data["n"])
             terms = {}
             for item in data["terms"]:
                 mask = 0
                 for i in item["subset"]:
-                    i = int(i)
+                    i = int_from_json(i)
                     # bounded before the shift, so a huge index never builds a huge mask
                     if not 1 <= i <= min(n, MAX_GENERATORS):
                         raise SchemaError(f"generator {i} outside 1..{n}")
@@ -369,8 +377,8 @@ class GrassmannHom:
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannHom":
         with payload_errors("GrassmannHom"):
-            source = int(data["source"])
-            target = int(data["target"])
+            source = int_from_json(data["source"])
+            target = int_from_json(data["target"])
             images = [GrassmannElement.from_json(d) for d in data["images"]]
         return cls(source, target, images)
 

@@ -17,14 +17,11 @@ by every coordinate contracted against the same arguments.  Its callers
 supply the coefficients:
 
 * `exp_pair` evaluates jet data on even Grassmann arguments;
-* `superfun.sf_eval` evaluates a superfunction at a Lambda-point, with
-  coefficients (1/I!) D_I sigma_J at the body: the h^I coefficients of
-  sigma_J(body + h), one `taylor_shift` per sigma_J; `morphism.pushforward`
-  shares one table over all coordinate pullbacks;
-* `superfun.sf_substitute` pulls a superfunction back along a morphism over
-  the ring Q[x], with coefficients composed at the body polynomials;
-  `morphism.morphism_compose` shares one table over all pullbacks of the
-  outer morphism;
+* `superfun._contract`, behind both `sf_eval` (at a Lambda-point) and
+  `sf_substitute` (along a morphism, over the ring Q[x]), reads the h^I
+  coefficients of one `taylor_shift` of each sigma_J at the body; the point
+  or morphism owns and caches the table, so every superfunction contracted
+  against it shares one;
 * `morphism.eta_decompose` reads the symbol of each eta-coefficient off the
   monomials of the eta-parts.
 """

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, ParityError, payload_errors
-from .grassmann import GrassmannElement, GrassmannHom, _coerce, merge_sign
+from .grassmann import GrassmannElement, GrassmannHom, _coerce, int_from_json, merge_sign
 from .morphism import SuperMorphism, morphism_compose, pushforward
 from .polyalg import Polynomial
 from .superfun import SuperFunction, SuperPoint
@@ -62,7 +62,7 @@ class MappingPoint:
     @classmethod
     def from_json(cls, data: dict) -> "MappingPoint":
         with payload_errors("MappingPoint"):
-            n = int(data["n"])
+            n = int_from_json(data["n"])
         return cls(n, SuperMorphism.from_json(data))
 
 

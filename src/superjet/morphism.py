@@ -22,22 +22,25 @@ a trial multiplies k+1 fixed b's and at most one pullback instead of expanding
 2^(k+1) subset terms; `tests/test_morphism.py` keeps the expansion as the
 oracle.
 
-A morphism's pullback phi^* is fixed once phi is, so `SuperMorphism.pullback`
-memoizes the guardrail-free phi^*(g) per morphism, and `EtaCoefficient.apply`
-and `order_bound_check` read that memo: every coefficient of one
-decomposition shares it.  The oracles do not: `pushforward_general` and the
-verifier's reference sides call `sf_substitute` or their own expansions
-directly, and `eta_decompose` pulls nothing back.
+A morphism's pullback phi^* is fixed once phi is, so a `SuperMorphism`
+caches its monomial `table`, shared by every `sf_substitute` along it, and
+`pullback` memoizes the guardrail-free phi^*(g).  `EtaCoefficient.apply` and
+`order_bound_check` read that memo: every coefficient of one decomposition
+shares it.  A `SuperPoint` owns its table the same way, for `pushforward`.
+No oracle reads the memo: the verifier's reference sides call `sf_substitute`
+or their own expansions directly.  `pushforward_general` reads no cached
+table, nor does `eta_decompose`, which builds a table of the eta-parts and
+pulls nothing back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DimensionError, ParityError, payload_errors
-from .grassmann import GrassmannElement
+from .grassmann import GrassmannElement, int_from_json
 from .jetcalc import MonomialTable
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
@@ -48,14 +51,7 @@ from .polyalg import (
     poly_derive,
 )
 from .rng import SplitMix64
-from .superfun import (
-    SuperFunction,
-    SuperPoint,
-    point_table,
-    pullback_table,
-    sf_eval,
-    sf_substitute,
-)
+from .superfun import SuperFunction, SuperPoint, sf_eval, sf_substitute
 
 
 @dataclass(frozen=True)
@@ -102,6 +98,14 @@ class SuperMorphism:
             [SuperFunction.theta(p, q, b) for b in range(q)],
         )
 
+    @cached_property
+    def table(self) -> MonomialTable:
+        """The monomials of the nilpotent even and the odd pullbacks, shared by
+        every `sf_substitute` along this morphism."""
+        p, q = self.source
+        return MonomialTable([sf.nilpotent_part().element for sf in self.even_pb],
+                             [sf.element for sf in self.odd_pb], SuperFunction.one(p, q).element)
+
     def pullback(self, g: SuperFunction) -> SuperFunction:
         """phi^*(g) without the degree guardrail, memoized on g's content.
 
@@ -130,8 +134,8 @@ class SuperMorphism:
     @classmethod
     def from_json(cls, data: dict) -> "SuperMorphism":
         with payload_errors("SuperMorphism"):
-            source = [int(v) for v in data["source"]]
-            target = [int(v) for v in data["target"]]
+            source = [int_from_json(v) for v in data["source"]]
+            target = [int_from_json(v) for v in data["target"]]
             even = [SuperFunction.from_json(d) for d in data["even"]]
             odd = [SuperFunction.from_json(d) for d in data["odd"]]
         return cls(source, target, even, odd)
@@ -144,12 +148,11 @@ def morphism_compose(psi: SuperMorphism, phi: SuperMorphism,
         raise DimensionError(
             f"cannot compose: inner lands in R^{phi.target}, outer starts at R^{psi.source}"
         )
-    table = pullback_table(phi)
     return SuperMorphism(
         phi.source,
         psi.target,
-        [sf_substitute(sf, phi, degree_bound, _table=table) for sf in psi.even_pb],
-        [sf_substitute(sf, phi, degree_bound, _table=table) for sf in psi.odd_pb],
+        [sf_substitute(sf, phi, degree_bound) for sf in psi.even_pb],
+        [sf_substitute(sf, phi, degree_bound) for sf in psi.odd_pb],
     )
 
 
@@ -157,10 +160,8 @@ def pushforward(phi: SuperMorphism, mu: SuperPoint) -> SuperPoint:
     """The target Lambda-point: evaluate each coordinate pullback at mu."""
     if (mu.p, mu.q) != phi.source:
         raise DimensionError(f"point of R^({mu.p}|{mu.q}) fed to morphism from R^{phi.source}")
-    table = point_table(mu)
-    even = [sf_eval(sf, mu, _table=table) for sf in phi.even_pb]
-    odd = [sf_eval(sf, mu, _table=table) for sf in phi.odd_pb]
-    return SuperPoint(mu.n, even, odd)
+    return SuperPoint(mu.n, [sf_eval(sf, mu) for sf in phi.even_pb],
+                      [sf_eval(sf, mu) for sf in phi.odd_pb])
 
 
 def pushforward_general(phi: SuperMorphism, mu: SuperPoint) -> SuperPoint:

@@ -18,7 +18,7 @@ import operator
 from fractions import Fraction
 
 from .errors import DegreeBoundError, DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import _accumulate, _coerce, rational_from_json, rational_to_json
+from .grassmann import _accumulate, _coerce, int_from_json, rational_from_json, rational_to_json
 
 #: refuse compositions whose expanded total degree would exceed this
 DEFAULT_DEGREE_BOUND = 16
@@ -252,10 +252,10 @@ class Polynomial:
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
         with payload_errors("Polynomial"):
-            p = int(data["p"])
+            p = int_from_json(data["p"])
             terms = {}
             for item in data["terms"]:
-                e = tuple(int(v) for v in item["exp"])
+                e = tuple(int_from_json(v) for v in item["exp"])
                 if e in terms:
                     raise SchemaError("repeated exponent")
                 terms[e] = rational_from_json(item)
@@ -306,6 +306,18 @@ def poly_eval(f: Polynomial, args) -> "GrassmannElement":
     return out
 
 
+def check_degree_bound(f: Polynomial, gs, degree_bound: int | None) -> None:
+    """Refuse f(g_1, ..., g_p) if its expanded total degree could exceed
+    `degree_bound`; None, or no g at all, means no bound."""
+    if degree_bound is None or not gs:
+        return
+    worst = f.degree() * max(g.degree() for g in gs)
+    if worst > degree_bound:
+        raise DegreeBoundError(
+            f"expanded composition degree may reach {worst} > bound {degree_bound}"
+        )
+
+
 def poly_compose(f: Polynomial, gs, degree_bound: int | None = DEFAULT_DEGREE_BOUND) -> Polynomial:
     """Exact substitution f(g_1, ..., g_p).
 
@@ -321,12 +333,7 @@ def poly_compose(f: Polynomial, gs, degree_bound: int | None = DEFAULT_DEGREE_BO
     for g in gs:
         if g.p != q:
             raise DimensionError("inner polynomials disagree on variable count")
-    if degree_bound is not None:
-        worst = f.degree() * max((g.degree() for g in gs), default=0)
-        if worst > degree_bound:
-            raise DegreeBoundError(
-                f"expanded composition degree may reach {worst} > bound {degree_bound}"
-            )
+    check_degree_bound(f, gs, degree_bound)
     out: dict = {}
     powcache: list[dict[int, Polynomial]] = [dict() for _ in gs]
 

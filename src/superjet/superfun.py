@@ -9,19 +9,19 @@ coefficients; the same convention fixes every other odd-monomial ordering in
 the package.
 
 Evaluation at a point nu = (nu_even, nu_odd) over Lambda_n and pullback along a
-morphism are one truncated-Taylor contraction over two coefficient rings (a
-Lambda_n-point is itself a morphism R^{0|n} -> R^{p|q}):
+morphism are one truncated-Taylor contraction, `_contract` (a Lambda_n-point
+is itself a morphism R^{0|n} -> R^{p|q}):
 
     nu(sigma) = sum_{I,J} (1/I!) (D_I sigma_J)(body) * nu2^I * nu1^J
 
-`sf_eval` supplies the coefficients at the body scalars, read off one
-`taylor_shift` of each sigma_J; `sf_substitute` composes them at the body
-polynomials; a `jetcalc.MonomialTable` of nu's nilpotent coordinates
-(`point_table`) or of phi's nilpotent pullbacks (`pullback_table`) supplies
-the surviving monomials nu2^I nu1^J, each built once per table.  A caller
-that contracts several superfunctions against the same nu or phi passes one
-table to every call, as `pushforward` and `morphism_compose` do.  The sums
-stop by themselves once the nilpotent monomials vanish, so there is no
+The coefficients are the h^I coefficients of one `taylor_shift` of each
+sigma_J at the body: body scalars for `sf_eval`, body polynomials over
+Q[x] for `sf_substitute`.  The monomials nu2^I nu1^J come from a
+`jetcalc.MonomialTable` that the value owns: `SuperPoint.table` of nu's
+nilpotent coordinates, `SuperMorphism.table` of phi's nilpotent pullbacks.
+Both values are frozen and cache their table, so every superfunction
+contracted against the same nu or phi shares its monomials.  The sums stop
+by themselves once the nilpotent monomials vanish, so there is no
 truncation knob.
 `sf_eval_naive` is the independent brute-force check: substitute the full
 coordinates into sigma_J and expand.
@@ -29,19 +29,17 @@ coordinates into sigma_J and expand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import GrassmannElement, _accumulate
+from .grassmann import GrassmannElement, _accumulate, int_from_json
 from .jetcalc import MonomialTable
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
+    check_degree_bound,
     iter_multiindices_upto,
-    mi_factorial,
-    poly_compose,
-    poly_derive,
     poly_eval,
     taylor_shift,
 )
@@ -204,11 +202,11 @@ class SuperFunction:
     @classmethod
     def from_json(cls, data: dict) -> "SuperFunction":
         with payload_errors("SuperFunction"):
-            p = int(data["p"])
-            q = int(data["q"])
+            p = int_from_json(data["p"])
+            q = int_from_json(data["q"])
             comps = {}
             for item in data["components"]:
-                J = [int(v) for v in item["J"]]
+                J = [int_from_json(v) for v in item["J"]]
                 if len(J) != q or any(v not in (0, 1) for v in J):
                     raise SchemaError(f"bad odd multi-index {J}")
                 mask = sum(1 << b for b, v in enumerate(J) if v)
@@ -218,15 +216,18 @@ class SuperFunction:
         return cls(p, q, comps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuperPoint:
-    """A Lambda_n-point of R^{p|q}: p even and q odd Grassmann coordinates."""
+    """A Lambda_n-point of R^{p|q}: p even and q odd Grassmann coordinates;
+    frozen and stored as tuples, so __post_init__ checks them once."""
 
     n: int
-    even: list = field(default_factory=list)
-    odd: list = field(default_factory=list)
+    even: tuple = ()
+    odd: tuple = ()
 
     def __post_init__(self):
+        for name in ("even", "odd"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for c in self.even:
             if c.n != self.n:
                 raise DimensionError("even coordinate over wrong generator count")
@@ -252,6 +253,12 @@ class SuperPoint:
     def nilpotent_even(self) -> list:
         return [c.split()[1] for c in self.even]
 
+    @cached_property
+    def table(self) -> MonomialTable:
+        """The monomials of the nilpotent even and the odd coordinates, shared
+        by every `sf_eval` at this point."""
+        return MonomialTable(self.nilpotent_even(), self.odd, GrassmannElement.one(self.n))
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -262,43 +269,42 @@ class SuperPoint:
     @classmethod
     def from_json(cls, data: dict) -> "SuperPoint":
         with payload_errors("SuperPoint"):
-            n = int(data["n"])
+            n = int_from_json(data["n"])
             even = [GrassmannElement.from_json(d) for d in data["even"]]
             odd = [GrassmannElement.from_json(d) for d in data["odd"]]
         return cls(n, even, odd)
 
 
-def point_table(nu: SuperPoint) -> MonomialTable:
-    """The monomials of nu's nilpotent even and odd coordinates, for `sf_eval`."""
-    return MonomialTable(nu.nilpotent_even(), nu.odd, GrassmannElement.one(nu.n))
+def _contract(comps: dict, bodies, table: MonomialTable, degree_bound) -> dict:
+    """Terms of sum_{I,J} c_{I,J} eps^I omega^J over the table's arguments, with
+    c_{I,J} the h^I coefficient of sigma_J(bodies + h) and comps = {J: sigma_J}.
 
-
-def sf_eval(sigma: SuperFunction, nu: SuperPoint, *, _table=None) -> GrassmannElement:
-    """Evaluate sigma at nu through the truncated Taylor pairing.
-
-    `_table` is `point_table(nu)`, passed in by a caller that evaluates several
-    superfunctions at the same nu so that they share its monomials.
+    Each sigma_J is shifted once, on first use.  That is at I = 0 (eps^0 is the
+    unit), so `degree_bound` is checked there as `poly_compose` checks it, and
+    never for a sigma_J whose omega^J vanishes.
     """
+    # every eps_i has degree >= 2 in the table's n generators, so |I| <= n/2
+    top = table.one.n // 2
+    shifted = {}                # J -> terms of sigma_J(bodies + h)
+    out: dict = {}
+    for I, J, mono in table.monomials(iter_multiindices_upto(len(bodies), top), comps):
+        coeffs = shifted.get(J)
+        if coeffs is None:
+            check_degree_bound(comps[J], bodies, degree_bound)
+            coeffs = shifted[J] = taylor_shift(comps[J], bodies, top).terms
+        val = coeffs.get(I)
+        if val is not None:
+            _accumulate(out, mono.terms.items(), val)
+    return out
+
+
+def sf_eval(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
+    """Evaluate sigma at nu through the truncated Taylor pairing."""
     if (sigma.p, sigma.q) != (nu.p, nu.q):
         raise DimensionError(
             f"superfunction on R^({sigma.p}|{sigma.q}), point of R^({nu.p}|{nu.q})"
         )
-    n = nu.n
-    body = nu.body()
-    comps = sigma.components
-    # every even nilpotent factor has soul degree >= 2, which caps |I| at n/2
-    top = n // 2
-    shifted = {}                # J -> terms of sigma_J(body + h), built on first use
-    out: dict = {}
-    table = point_table(nu) if _table is None else _table
-    for I, J, mono in table.monomials(iter_multiindices_upto(sigma.p, top), comps):
-        coeffs = shifted.get(J)
-        if coeffs is None:
-            coeffs = shifted[J] = taylor_shift(comps[J], body, top).terms
-        val = coeffs.get(I)
-        if val is not None:
-            _accumulate(out, mono.terms.items(), val)
-    return GrassmannElement._of(n, out)
+    return GrassmannElement._of(nu.n, _contract(sigma.components, nu.body(), nu.table, None))
 
 
 def sf_eval_naive(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
@@ -318,25 +324,17 @@ def sf_eval_naive(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
     return out
 
 
-def pullback_table(phi) -> MonomialTable:
-    """The monomials of phi's nilpotent even and odd pullbacks, for `sf_substitute`."""
-    p, q = phi.source
-    return MonomialTable([sf.nilpotent_part().element for sf in phi.even_pb],
-                         [sf.element for sf in phi.odd_pb], SuperFunction.one(p, q).element)
-
-
-def sf_substitute(sigma: SuperFunction, phi,
-                  degree_bound=DEFAULT_DEGREE_BOUND, *, _table=None) -> SuperFunction:
+def sf_substitute(sigma: SuperFunction, phi, degree_bound=DEFAULT_DEGREE_BOUND) -> SuperFunction:
     """Pullback of sigma along the morphism phi (sigma on phi's target).
 
     Even coordinate pullbacks split into a theta-free body polynomial and a
-    nilpotent remainder; sigma_J is Taylor-expanded in the remainder, which
-    terminates because the theta-degree is bounded.  Odd coordinate monomials are
-    substituted by the odd pullbacks in ascending order.  `degree_bound` is the
-    poly_compose guardrail; None disables it.  The pullbacks' parity is not
-    checked again: phi's constructor checked it and phi is frozen.  `_table`
-    is `pullback_table(phi)`, passed in by a caller that pulls several
-    superfunctions back along the same phi so that they share its monomials.
+    nilpotent remainder; sigma_J is Taylor-expanded in the remainder, one
+    shift at the body polynomials, which terminates because the theta-degree
+    is bounded.  Odd coordinate monomials are substituted by the odd pullbacks
+    in ascending order; phi's cached `table` holds both kinds of monomial.
+    `degree_bound` is the poly_compose guardrail; None disables it.  The
+    pullbacks' parity is not checked again: phi's constructor checked it and
+    phi is frozen.
     """
     p2, q2 = phi.target
     if (sigma.p, sigma.q) != (p2, q2):
@@ -345,18 +343,5 @@ def sf_substitute(sigma: SuperFunction, phi,
             f"morphism into R^({p2}|{q2})"
         )
     p, q = phi.source
-    bodies = [sf.body_poly() for sf in phi.even_pb]
-    comps = sigma.components
-    out: dict = {}
-    # odd source coordinates cap the theta-degree, so |I| <= q/2
-    table = pullback_table(phi) if _table is None else _table
-    for I, J, mono in table.monomials(iter_multiindices_upto(p2, q // 2), comps):
-        coeff = poly_derive(comps[J], I)
-        # into R^{0|s} each sigma_J is a constant, a scalar over the source's variables
-        coeff = poly_compose(coeff, bodies, degree_bound) if bodies else coeff.eval_scalar(())
-        fact = mi_factorial(I)
-        if fact > 1:
-            coeff = coeff * Fraction(1, fact)
-        if coeff:
-            _accumulate(out, mono.terms.items(), coeff)
-    return SuperFunction._of(p, GrassmannElement._of(q, out))
+    terms = _contract(sigma.components, phi.body_map(), phi.table, degree_bound)
+    return SuperFunction._of(p, GrassmannElement._of(q, terms))

@@ -93,6 +93,33 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, scaling, point):
         assert err.startswith("error:") and "zero denominator" in err
 
 
+def _set(node, path, value):
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize("which, path, value", [
+    ("morphism", ["source", 0], 1.7),                                       # SuperMorphism
+    ("morphism", ["even", 0, "p"], 1.2),                                    # SuperFunction
+    ("morphism", ["even", 0, "components", 0, "J", 0], False),              # SuperFunction
+    ("morphism", ["even", 0, "components", 0, "poly", "terms", 0, "exp", 0], 1.9),  # Polynomial
+    ("point", ["n"], 2.9),                                                  # SuperPoint
+    ("point", ["even", 0, "n"], 2.5),                                       # GrassmannElement
+    ("point", ["odd", 0, "terms", 0, "subset", 0], True),                   # GrassmannElement
+    ("point", ["even", 0, "terms", 0, "num"], 2.5),                         # rational
+])
+def test_a_wire_integer_is_never_truncated(tmp_path, capsys, scaling, point, which, path, value):
+    # each of these loaded at int(value) before and gave an answer with exit 0
+    files = {"morphism": scaling, "point": point}
+    payload = json.loads(open(files[which]).read())
+    _set(payload, path, value)
+    files[which] = write(tmp_path / "bad.json", payload)
+    result = run(capsys, "eval", files["morphism"], files["point"])
+    assert_one_line_input_error(result)
+    assert f"not an integer: {value!r}" in result[2]
+
+
 def test_missing_file_is_a_usage_error(capsys, point):
     code, _, err = run(capsys, "eval", "/nonexistent/m.json", point)
     assert code == 2

@@ -268,6 +268,10 @@ def _assert_shared_and_unit_free(products, powers, one):
         assert sum(out == power for _, _, out in products) == 1
 
 
+def _assert_no_power_built(products, powers):
+    assert not any(out == power for _, _, out in products for power in powers)
+
+
 def test_one_pushforward_builds_each_power_once_and_never_multiplies_by_the_unit(monkeypatch):
     n = 6
     eps = [GrassmannElement(n, {0b000011: 1, 0b001100: 1}),
@@ -283,9 +287,14 @@ def test_one_pushforward_builds_each_power_once_and_never_multiplies_by_the_unit
                         [SuperFunction(2, 2, {0b01: x * y, 0b10: x * x})])
     expected = pushforward(phi, mu)
     powers = _nonzero_powers(eps, n // 2)
+    cold = SuperPoint.from_json(mu.to_json())     # equal, with a table not built yet
     products = _count_products(monkeypatch)
-    assert pushforward(phi, mu) == expected
+    assert pushforward(phi, cold) == expected
     _assert_shared_and_unit_free(products, powers, GrassmannElement.one(n))
+    products.clear()
+    # the point owns its table, so a repeat at it builds no power again
+    assert pushforward(phi, cold) == expected
+    _assert_no_power_built(products, powers)
 
 
 def test_one_compose_builds_each_power_once_and_never_multiplies_by_the_unit(monkeypatch):
@@ -305,6 +314,11 @@ def test_one_compose_builds_each_power_once_and_never_multiplies_by_the_unit(mon
                          SuperFunction(2, 2, {0b10: y1 + y2 * y2})])
     expected = morphism_compose(psi, phi)
     powers = _nonzero_powers([e.element for e in eps], 2)
+    cold = SuperMorphism.from_json(phi.to_json())     # equal, with a table not built yet
     products = _count_products(monkeypatch)
-    assert morphism_compose(psi, phi) == expected
+    assert morphism_compose(psi, cold) == expected
     _assert_shared_and_unit_free(products, powers, SuperFunction.one(1, 4).element)
+    products.clear()
+    # the inner morphism owns its table, so a repeat along it builds no power again
+    assert morphism_compose(psi, cold) == expected
+    _assert_no_power_built(products, powers)

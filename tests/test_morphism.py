@@ -36,6 +36,7 @@ from superjet.polyalg import iter_multiindices_upto, poly_derive
 from superjet.suites import random_morphism, random_polynomial, random_superpoint, run_suite
 
 from conftest import morphisms, polynomials, small_ints, superfunctions, superpoints
+from test_superfun import substitute_oracle
 
 
 def scaling_example():
@@ -66,8 +67,8 @@ def test_pushforward_worked_example():
         [GrassmannElement(2, {1: b})],
     )
     nu = pushforward(scaling_example(), mu)
-    assert nu.even == [GrassmannElement(2, {0: a, 3: c})]
-    assert nu.odd == [GrassmannElement(2, {1: a * b})]
+    assert nu.even == (GrassmannElement(2, {0: a, 3: c}),)
+    assert nu.odd == (GrassmannElement(2, {1: a * b}),)
 
 
 def test_pushforward_of_body_point_is_classical():
@@ -526,10 +527,28 @@ def test_oracles_do_not_read_the_memo(monkeypatch):
         # the morphism/decomp-* right-hand side
         assert sf_substitute(g, phi) == full
     mu = random_superpoint(rng, 3, 1, 3)
-    assert pushforward_general(phi, mu) == pushforward(phi, mu)
+    fast_point = pushforward(phi, mu)
+    fast_values = [sf_eval(sigma, mu) for sigma in phi.even_pb + phi.odd_pb]
+    symbols = [coef.symbol for coef in eta_decompose(phi, 2)]
+
+    def no_table(self):
+        raise AssertionError("oracle read a cached monomial table")
+
+    # a property wins over the value a cached_property left in the instance
+    monkeypatch.setattr(SuperMorphism, "table", property(no_table))
+    monkeypatch.setattr(SuperPoint, "table", property(no_table))
+    with pytest.raises(AssertionError):
+        pushforward(phi, mu)
+    with pytest.raises(AssertionError):
+        sf_substitute(probes[0], phi)
+    for g, full in zip(probes, expected):
+        assert substitute_oracle(g, phi) == full
+    assert pushforward_general(phi, mu) == fast_point
+    for sigma, value in zip(phi.even_pb + phi.odd_pb, fast_values):
+        assert sf_eval_naive(sigma, mu) == value
     # the symbols are built from the pullbacks' eta-parts alone
     monkeypatch.setattr(superjet.morphism, "sf_substitute", refuse)
-    assert len(eta_decompose(phi, 2)) == 4
+    assert [coef.symbol for coef in eta_decompose(phi, 2)] == symbols
 
 
 def test_oracles_do_not_call_the_taylor_shift(monkeypatch):
@@ -543,9 +562,11 @@ def test_oracles_do_not_call_the_taylor_shift(monkeypatch):
     sigma = phi.odd_pb[0]
     f = random_polynomial(rng, 2, degree=4, terms=5)
     x0 = [Fraction(1, 2), Fraction(-2)]
+    g = SuperFunction(1, 2, {0: random_polynomial(rng, 1), 0b11: random_polynomial(rng, 1)})
     shifted = taylor_shift(f, x0, 4)
     fast_point = pushforward(phi, mu)
     fast_value = sf_eval(sigma, mu)
+    fast_pullback = sf_substitute(g, phi)
 
     def refuse(*args, **kwargs):
         raise AssertionError("oracle called taylor_shift")
@@ -556,9 +577,12 @@ def test_oracles_do_not_call_the_taylor_shift(monkeypatch):
         assert taylor_coefficient(f, I, x0) == shifted.terms.get(I, 0)
     assert pushforward_general(phi, mu) == fast_point
     assert sf_eval_naive(sigma, mu) == fast_value
-    # the patch bites: the fast path does go through the shift
+    assert substitute_oracle(g, phi) == fast_pullback
+    # the patch bites: both fast paths do go through the shift
     with pytest.raises(AssertionError):
         sf_eval(sigma, mu)
+    with pytest.raises(AssertionError):
+        sf_substitute(g, phi)
 
 
 def scalar_leaves(value):

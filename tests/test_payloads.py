@@ -112,6 +112,46 @@ def test_an_infinite_count_is_a_schema_error():
             cls.from_json(dict(payload, **{count: inf}))
 
 
+def _integer_paths(node, path=()):
+    """The path of every wire integer in node: each int, and each num/den string."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("num", "den"):
+                yield path + (key,)
+            else:
+                yield from _integer_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _integer_paths(value, path + (i,))
+    elif type(node) is int:
+        yield path
+
+
+def _replaced(node, path, value):
+    """A copy of node with the value at path replaced."""
+    if not path:
+        return value
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+def test_every_wire_integer_refuses_a_float_or_a_bool():
+    # int() used to truncate each of these silently: 1.7 read as 1, true as 1
+    for cls, payload in VALID:
+        paths = list(_integer_paths(payload))
+        assert paths
+        for path in paths:
+            value = payload
+            for key in path:
+                value = value[key]
+            value = int(value)
+            wrongs = [float(value), value + 0.5] + ([bool(value)] if value in (0, 1) else [])
+            for wrong in wrongs:
+                with pytest.raises(SchemaError, match="not an integer"):
+                    cls.from_json(_replaced(payload, path, wrong))
+
+
 def test_a_huge_generator_index_is_refused_before_its_mask_is_built():
     huge = 2**40
     payload = {"n": huge, "terms": [{"subset": [huge], "num": "1", "den": "1"}]}

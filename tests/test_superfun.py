@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superjet import (
+    DegreeBoundError,
     DimensionError,
     GrassmannElement,
     ParityError,
@@ -14,6 +15,7 @@ from superjet import (
     sf_eval_naive,
     sf_substitute,
 )
+from superjet.polyalg import poly_compose
 
 from conftest import morphisms, small_fractions, superfunctions, superpoints
 
@@ -128,6 +130,35 @@ def substitute_oracle(sigma, phi):
 @given(superfunctions(p=2, q=2), morphisms((1, 3), (2, 2)))
 def test_substitution_matches_direct_substitution(sigma, phi):
     assert sf_substitute(sigma, phi) == substitute_oracle(sigma, phi)
+
+
+def first_guardrail_refusal(sigma, phi, bound):
+    """poly_compose's message for the first sigma_J, in component order, whose
+    omega^J survives along phi and whose composition the bound refuses."""
+    p, q = phi.source
+    for mask, poly in sigma.components.items():
+        omega = SuperFunction.one(p, q)
+        for b, pb in enumerate(phi.odd_pb):
+            if mask >> b & 1:
+                omega = omega * pb
+        if not omega:
+            continue
+        try:
+            poly_compose(poly, phi.body_map(), bound)
+        except DegreeBoundError as exc:
+            return str(exc)
+    return None
+
+
+@given(superfunctions(p=2, q=2), morphisms((1, 3), (2, 2)), st.integers(0, 6))
+def test_the_guardrail_refuses_what_poly_compose_refuses(sigma, phi, bound):
+    expected = first_guardrail_refusal(sigma, phi, bound)
+    try:
+        sf_substitute(sigma, phi, bound)
+    except DegreeBoundError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 # order_bound_check telescopes its commutator on these two facts

@@ -130,8 +130,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
-    if args.order is not None:
-        _at_least("--order", args.order, 0)
     point = SuperPoint.from_json(_load(args.point))
     try:
         base = json.loads(args.base)
@@ -151,10 +149,8 @@ def cmd_chart(args: argparse.Namespace) -> int:
     backend = make_backend(args.geometry, bundle_rank=point.p // probe.m - 1)
     if len(base) != backend.m:
         raise SchemaError(f"base must have {backend.m} coordinates")
-    if backend.kind == "sphere2":
-        backend.check_point(base)
     fn = backend.superchart_pointwise_inv if args.inverse else backend.superchart_pointwise
-    _emit(_finite(fn(base, point, k=args.order), "chart result").to_json(), args.out)
+    _emit(_finite(fn(base, point), "chart result").to_json(), args.out)
     return 0
 
 
@@ -214,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chart.add_argument(
         "--inverse", action="store_true", help="apply the inverse chart (model to geometry)"
-    )
-    p_chart.add_argument(
-        "--order", type=int, default=None, metavar="K",
-        help="jet truncation order (default: floor(n/2), which is exact)",
     )
     p_chart.add_argument("--out", help="write result here instead of stdout")
     p_chart.set_defaults(fn=cmd_chart)

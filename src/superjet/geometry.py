@@ -17,8 +17,13 @@ differentiation.  The three scalar profiles
 (with u = 1 - cos(theta)) have rational series at 0, frozen below, and exact
 recurrences at general base values:  C' = -S/2 and s S' = (C - S)/2 follow by
 differentiating the closed forms, and  (2u - u^2) A' + (1 - u) A = 1  is the
-closed-form identity the u-series satisfies.  Multivariate tables are built
-by composing these series with the (polynomial) arguments u(y) and s(v).
+closed-form identity the u-series satisfies.  The Taylor tables of log and
+exp compose these series with the polynomial arguments u(y) and s(v).  The
+superchart evaluates the closed forms on a Lambda-point's own Grassmann
+coordinates: each profile (and 1/(2 - u) for transport) acts on an even
+element through its Taylor coefficients at the body, contracted against the
+nilpotent part by `jetcalc.exp_pair`.  Powers of the nilpotent part vanish
+past n // 2, so that order is exact.
 """
 
 from __future__ import annotations
@@ -123,6 +128,34 @@ def _series_of_poly(coeffs, increment: Polynomial, k: int) -> Polynomial:
     return acc
 
 
+def _inner(a, b) -> GrassmannElement:
+    """<a, b> for Grassmann a and Grassmann or float b."""
+    terms = [x * y for x, y in zip(a, b)]
+    return sum(terms[1:], terms[0])
+
+
+def _profiles(x: GrassmannElement, *series) -> list:
+    """g(x) for an even x, one per scalar profile g given by `coeffs(body, k)`,
+    its Taylor coefficients at the body: exp_pair contracts them against the
+    nilpotent part, whose powers vanish past k = n // 2."""
+    body, nil, _ = x.split()
+    k = x.n // 2
+    jet = TruncatedPolyMap(k, (body,), tuple(
+        Polynomial(1, {(j,): c for j, c in enumerate(coeffs(body, k))}) for coeffs in series))
+    return exp_pair(jet, [nil], n=x.n)
+
+
+def _transport(fibres, b, y, f_x, inv) -> list:
+    """Each slot w moved to w - <w, b>/(2-u) (f_x + Y), given inv = 1/(2-u):
+    from Y to f_x for b = f_x, from f_x to Y for b = Y."""
+    ends = [yi + GrassmannElement.scalar(yi.n, fi) for yi, fi in zip(y, f_x)]
+    out = []
+    for w in fibres:
+        factor = _inner(w, b) * inv
+        out.extend(wi - factor * e for wi, e in zip(w, ends))
+    return out
+
+
 class FlatBackend:
     """Affine R^m with a trivial bundle: exp adds, log subtracts, transport is id."""
 
@@ -157,11 +190,11 @@ class FlatBackend:
                       for i, (a, b) in enumerate(zip(x, y0)))
         return TruncatedPolyMap(k, tuple(y0), polys)
 
-    def superchart_pointwise(self, f_x, mu: SuperPoint, k: int | None = None) -> SuperPoint:
+    def superchart_pointwise(self, f_x, mu: SuperPoint) -> SuperPoint:
         """Affine chart: subtract the base map; nilpotent and odd parts pass through."""
         return self._shift(f_x, mu, -1)
 
-    def superchart_pointwise_inv(self, f_x, xi: SuperPoint, k: int | None = None) -> SuperPoint:
+    def superchart_pointwise_inv(self, f_x, xi: SuperPoint) -> SuperPoint:
         return self._shift(f_x, xi, 1)
 
     def _shift(self, f_x, mu: SuperPoint, sign: int) -> SuperPoint:
@@ -243,42 +276,33 @@ class Sphere2Backend:
 
     def log_jet(self, x, y0, k: int) -> TruncatedPolyMap:
         """Order-k Taylor data of Y -> exp_x^{-1}(Y) at Y = y0 (ambient coords)."""
-        return TruncatedPolyMap(k, tuple(y0), self._log_polys(x, y0, k, 3))
-
-    def _log_polys(self, x, y0, k: int, m: int) -> tuple:
-        # the increment of Y is the first 3 of m variables
         self.check_point(x)
         u0 = self._u(x, y0)
-        du = Polynomial(m, {mi_unit(m, i): -x[i] for i in range(3) if x[i]})
+        du = Polynomial(3, {mi_unit(3, i): -x[i] for i in range(3) if x[i]})
         a_poly = _series_of_poly(theta_over_sin_coeffs(u0, k), du, k)
         polys = []
         for i in range(3):
-            w = Polynomial(m, {(0,) * m: y0[i] - (1.0 - u0) * x[i], mi_unit(m, i): 1.0})
-            w = w + trunc_poly(du * Polynomial.constant(m, x[i]), k)
+            w = Polynomial(3, {(0, 0, 0): y0[i] - (1.0 - u0) * x[i], mi_unit(3, i): 1.0})
+            w = w + trunc_poly(du * Polynomial.constant(3, x[i]), k)
             polys.append(trunc_poly(a_poly * w, k))
-        return tuple(polys)
+        return TruncatedPolyMap(k, tuple(y0), tuple(polys))
 
     def exp_jet(self, x, v0, k: int) -> TruncatedPolyMap:
         """Order-k Taylor data of V -> exp_x(V) at V = v0 (tangent coords)."""
-        return TruncatedPolyMap(k, tuple(v0), self._exp_polys(x, v0, k, 3))
-
-    def _exp_polys(self, x, v0, k: int, m: int) -> tuple:
-        # the increment of V is the first 3 of m variables
         self.check_point(x)
         self.check_tangent(x, v0)
         s0 = _dot(v0, v0)
-        ds = Polynomial(m, {mi_unit(m, i): 2.0 * v0[i] for i in range(3) if v0[i]})
+        ds = Polynomial(3, {mi_unit(3, i): 2.0 * v0[i] for i in range(3) if v0[i]})
         for i in range(3):
-            ds = ds + Polynomial.monomial(m, tuple(2 * u for u in mi_unit(m, i)), 1.0)
+            ds = ds + Polynomial.monomial(3, tuple(2 * u for u in mi_unit(3, i)), 1.0)
         ds = trunc_poly(ds, k)
         c_poly = _series_of_poly(cos_sqrt_coeffs(s0, k), ds, k)
         s_poly = _series_of_poly(sinc_sqrt_coeffs(s0, k), ds, k)
         polys = []
         for i in range(3):
-            vi = Polynomial(m, {(0,) * m: v0[i], mi_unit(m, i): 1.0})
-            polys.append(trunc_poly(c_poly * Polynomial.constant(m, x[i])
-                                    + s_poly * vi, k))
-        return tuple(polys)
+            vi = Polynomial(3, {(0, 0, 0): v0[i], mi_unit(3, i): 1.0})
+            polys.append(trunc_poly(c_poly * Polynomial.constant(3, x[i]) + s_poly * vi, k))
+        return TruncatedPolyMap(k, tuple(v0), tuple(polys))
 
     def transition_jet(self, x1, x2, v0, k: int) -> TruncatedPolyMap:
         """Taylor data of V -> exp_{x2}^{-1}(exp_{x1}(V)) at v0."""
@@ -288,80 +312,46 @@ class Sphere2Backend:
 
     # -- superchart --------------------------------------------------------
 
-    def _chart_jet(self, f_x, y0, fib0, k: int) -> TruncatedPolyMap:
-        """Joint jet: base sector by exp^{-1}, each fibre slot transported to f_x."""
-        self.check_point(y0)
-        r = len(fib0)
-        m = 3 + 3 * r
-        polys = list(self._log_polys(f_x, y0, k, m))
-        u0 = self._u(f_x, y0)
-        du = Polynomial(m, {mi_unit(m, i): -f_x[i] for i in range(3) if f_x[i]})
-        b_poly = _series_of_poly(inv_two_minus_coeffs(u0, k), du, k)
-        for a, w0 in enumerate(fib0):
-            off = 3 + 3 * a
-            wx = Polynomial.constant(m, _dot(w0, f_x))
-            for i in range(3):
-                if f_x[i]:
-                    wx = wx + Polynomial(m, {mi_unit(m, off + i): f_x[i]})
-            factor = trunc_poly(wx * b_poly, k)
-            for i in range(3):
-                wi = Polynomial(m, {(0,) * m: w0[i], mi_unit(m, off + i): 1.0})
-                yx = Polynomial(m, {(0,) * m: y0[i] + f_x[i], mi_unit(m, i): 1.0})
-                polys.append(trunc_poly(wi - trunc_poly(factor * yx, k), k))
-        base_pt = tuple(y0) + tuple(c for w in fib0 for c in w)
-        return TruncatedPolyMap(k, base_pt, tuple(polys))
+    def superchart_pointwise(self, f_x, mu: SuperPoint) -> SuperPoint:
+        """Chart value of a Lambda-point near f_x: exp_{f_x}^{-1} of its base
+        coordinates Y and each fibre slot transported from Y back to f_x, both
+        evaluated on the Grassmann coordinates; odd coordinates pass through."""
+        y, fibres = self._chart_args(f_x, mu)
+        self.check_point([c.body() for c in y])
+        cos_t = self._cos_angle(f_x, y)
+        a, inv = _profiles(GrassmannElement.one(mu.n) - cos_t,
+                           theta_over_sin_coeffs, inv_two_minus_coeffs)
+        base = [a * (yi - cos_t * fi) for yi, fi in zip(y, f_x)]
+        return SuperPoint(mu.n, base + _transport(fibres, f_x, y, f_x, inv), mu.odd)
 
-    def _inv_chart_jet(self, f_x, v0, fib0, k: int) -> TruncatedPolyMap:
-        """Joint jet of the inverse chart: exp on the base, transport out to it."""
-        r = len(fib0)
-        m = 3 + 3 * r
-        y_polys = self._exp_polys(f_x, v0, k, m)
-        polys = list(y_polys)
-        if r:
-            # u(V) = 1 - <f_x, Y(V)>;  P_{f_x, Y}(w) = w - <w, Y>/(2-u) (f_x + Y)
-            u_poly = Polynomial.constant(m, 1.0)
-            for j in range(3):
-                if f_x[j]:
-                    u_poly = u_poly - trunc_poly(
-                        Polynomial.constant(m, f_x[j]) * y_polys[j], k)
-            u0 = u_poly.terms.get((0,) * m, 0.0)
-            if u0 >= 2.0 - 1e-12:
-                raise DomainError("antipodal pair: geodesic chart undefined at the cut locus")
-            du = u_poly - Polynomial.constant(m, u0)
-            b_poly = _series_of_poly(inv_two_minus_coeffs(u0, k), du, k)
-            for a, w0 in enumerate(fib0):
-                off = 3 + 3 * a
-                wy = Polynomial.zero(m)
-                for j in range(3):
-                    wj = Polynomial(m, {(0,) * m: w0[j], mi_unit(m, off + j): 1.0})
-                    wy = wy + trunc_poly(wj * y_polys[j], k)
-                factor = trunc_poly(wy * b_poly, k)
-                for i in range(3):
-                    wi = Polynomial(m, {(0,) * m: w0[i], mi_unit(m, off + i): 1.0})
-                    fy = Polynomial.constant(m, f_x[i]) + y_polys[i]
-                    polys.append(trunc_poly(wi - trunc_poly(factor * fy, k), k))
-        base_pt = tuple(v0) + tuple(c for w in fib0 for c in w)
-        return TruncatedPolyMap(k, base_pt, tuple(polys))
+    def superchart_pointwise_inv(self, f_x, xi: SuperPoint) -> SuperPoint:
+        """Inverse chart: exp_{f_x} of the base coordinates V, each fibre slot
+        transported from f_x out to Y = exp_{f_x}(V)."""
+        v, fibres = self._chart_args(f_x, xi)
+        self.check_tangent(f_x, [c.body() for c in v])
+        c, sc = _profiles(_inner(v, v), cos_sqrt_coeffs, sinc_sqrt_coeffs)
+        y = [c * fi + sc * vi for fi, vi in zip(f_x, v)]
+        if not fibres:
+            # exp is global: only the transport out to Y has a cut locus
+            return SuperPoint(xi.n, y, xi.odd)
+        inv, = _profiles(GrassmannElement.one(xi.n) - self._cos_angle(f_x, y),
+                         inv_two_minus_coeffs)
+        return SuperPoint(xi.n, y + _transport(fibres, y, y, f_x, inv), xi.odd)
 
-    def superchart_pointwise(self, f_x, mu: SuperPoint, k: int | None = None) -> SuperPoint:
-        """Chart value of a Lambda-point near f_x: log-jet and transport-jet
-        contracted against the nilpotent part; odd coordinates pass through."""
-        return self._superchart(self._chart_jet, f_x, mu, k)
-
-    def superchart_pointwise_inv(self, f_x, xi: SuperPoint, k: int | None = None) -> SuperPoint:
-        return self._superchart(self._inv_chart_jet, f_x, xi, k)
-
-    def _superchart(self, joint_jet, f_x, mu: SuperPoint, k: int | None) -> SuperPoint:
+    def _chart_args(self, f_x, mu: SuperPoint):
+        """mu's even coordinates in binary64, split into the base sector and
+        the fibre slots, after the checks both chart directions share."""
         r = self.bundle_rank
         if mu.p != 3 * (1 + r):
             raise DimensionError(f"expected {3 * (1 + r)} even coordinates, got {mu.p}")
-        if k is None:
-            # odd coordinates pass through, and nil^I = 0 once 2|I| > n
-            k = mu.n // 2
-        body = [c.body() for c in mu.even]
-        jet = joint_jet(f_x, body[:3], [tuple(body[3 + 3 * a:6 + 3 * a]) for a in range(r)], k)
-        nil = [c - GrassmannElement.scalar(mu.n, b) for c, b in zip(mu.even, body)]
-        return SuperPoint(mu.n, exp_pair(jet, nil, n=mu.n), mu.odd)
+        self.check_point(f_x)
+        even = [c * 1.0 for c in mu.even]
+        return even[:3], [even[3 + 3 * a:6 + 3 * a] for a in range(r)]
+
+    def _cos_angle(self, f_x, y) -> GrassmannElement:
+        """<f_x, Y> = 1 - u on Grassmann coordinates, refused at the cut locus."""
+        self._u(f_x, [c.body() for c in y])
+        return _inner(y, f_x)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ eps^I and each odd monomial is built once per table, and a table is shared
 by every coordinate contracted against the same arguments.  Its callers
 supply the coefficients:
 
-* `exp_pair` evaluates jet data on even Grassmann arguments;
+* `exp_pair` evaluates jet data on even Grassmann arguments, which is also
+  how the sphere chart applies its scalar profiles to even elements;
 * `superfun._contract`, behind both `sf_eval` (at a Lambda-point) and
   `sf_substitute` (along a morphism, over the ring Q[x]), reads the h^I
   coefficients of one `taylor_shift` of each sigma_J at the body; the point

@@ -1,15 +1,18 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from superjet import (
+    DomainError,
     GrassmannElement,
     Polynomial,
     SplitMix64,
     SuperFunction,
     SuperMorphism,
     SuperPoint,
+    make_backend,
     morphism_compose,
 )
 from superjet.cli import main
@@ -178,12 +181,6 @@ def chart_point(tmp_path):
     return write(tmp_path / "xi.json", tangent_at_north_pole().to_json())
 
 
-def test_chart_refuses_a_negative_order(capsys, chart_point):
-    assert run(capsys, "chart", chart_point, "--base", "[0,0,1]", "--inverse")[0] == 0
-    result = run(capsys, "chart", chart_point, "--base", "[0,0,1]", "--inverse", "--order", "-3")
-    assert_one_line_input_error(result)
-
-
 @pytest.mark.parametrize("base", ['["a",0,1]', "[NaN,0,1]", "[0,Infinity,1]", "[0,0,[1]]"])
 def test_chart_base_must_be_finite_numbers(capsys, chart_point, base):
     assert_one_line_input_error(run(capsys, "chart", chart_point, "--base", base, "--inverse"))
@@ -197,27 +194,24 @@ def test_chart_point_values_must_be_finite_numbers(tmp_path, capsys, value):
     assert_one_line_input_error(run(capsys, "chart", bad, "--base", "[0,0,1]", "--inverse"))
 
 
-@pytest.mark.parametrize("body, inverse", [((0.6, 0.0, 0.8), []),
-                                           ((0.2, -0.1, 0.0), ["--inverse"])])
-def test_chart_default_order_is_half_the_generators(tmp_path, capsys, monkeypatch, body, inverse):
-    # n = 5, q = 3: the default order is floor(5/2) = 2, not floor((5+3)/2)
-    from superjet.geometry import Sphere2Backend
+def test_chart_cut_locus(tmp_path, capsys):
+    # log fails at the antipode; exp is global, so the inverse chart fails at
+    # |v0| = pi only when it has fibre slots to transport out to -f_x
+    f_x = [0.0, 0.0, 1.0]
+    antipode = SuperPoint(2, [GrassmannElement(2, {0: c}) for c in (0.0, 0.0, -1.0)], [])
+    with pytest.raises(DomainError):
+        make_backend("sphere2").superchart_pointwise(f_x, antipode)
+    src = write(tmp_path / "antipode.json", antipode.to_json())
+    assert_one_line_input_error(run(capsys, "chart", src, "--base", "[0,0,1]"))
 
-    orders = []
-    for name in ("_chart_jet", "_inv_chart_jet"):
-        def spy(self, f_x, y0, fib0, k, jet=getattr(Sphere2Backend, name)):
-            orders.append(k)
-            return jet(self, f_x, y0, fib0, k)
-        monkeypatch.setattr(Sphere2Backend, name, spy)
-    even = [GrassmannElement(5, {0: b, 3: 0.05, 12: -0.03, 15: 0.02, 30: 0.01})
-            for b in body]
-    odd = [GrassmannElement(5, {1: 1.0, 7: 0.2}), GrassmannElement(5, {2: 1.0}),
-           GrassmannElement(5, {4: 0.5, 16: 0.25})]
-    src = write(tmp_path / "q3.json", SuperPoint(5, even, odd).to_json())
-    default = run(capsys, "chart", src, "--base", "[0,0,1]", *inverse)
-    assert default[0] == 0
-    assert default == run(capsys, "chart", src, "--base", "[0,0,1]", *inverse, "--order", "2")
-    assert orders == [2, 2]
+    half_turn = [GrassmannElement(2, {0: c}) for c in (math.pi, 0.0, 0.0)]
+    y = make_backend("sphere2").superchart_pointwise_inv(f_x, SuperPoint(2, half_turn, []))
+    assert [c.body() for c in y.even] == pytest.approx([0.0, 0.0, -1.0], abs=1e-9)
+    assert all(set(c.terms) <= {0} for c in y.even)
+    fibre = [GrassmannElement(2, {0: c}) for c in (0.0, 0.5, 0.0)]
+    with pytest.raises(DomainError):
+        make_backend("sphere2", bundle_rank=1).superchart_pointwise_inv(
+            f_x, SuperPoint(2, half_turn + fibre, []))
 
 
 def test_chart_refuses_a_result_that_overflows(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Curved-geometry backend: closed forms, Taylor tables, supercharts, bundles."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from superjet import (
     SplitMix64,
     SuperPoint,
     bundle_exp,
+    exp_pair,
     local_detrivialize,
     local_trivialize,
     make_backend,
@@ -114,12 +116,14 @@ def test_transition_jet_matches_closed_transition():
             assert jet.coefficient(I)[j] == pytest.approx(fds[axis][j], abs=1e-7)
 
 
-def chart_side_point(sphere, f_x):
+def chart_side_point(sphere, f_x, bundle_rank=0):
     """A model-space Lambda_2-point whose slots all lie in T_{f_x}."""
     u, v = tangent_frame(f_x)
-    body = [0.2 * ui + 0.1 * vi for ui, vi in zip(u, v)]
-    soul = [-0.15 * ui + 0.05 * vi for ui, vi in zip(u, v)]
-    even = [GrassmannElement(2, {0: body[i], 3: soul[i]}) for i in range(3)]
+    even = []
+    for slot in range(1 + bundle_rank):
+        body = [(0.2 - slot) * ui + 0.1 * vi for ui, vi in zip(u, v)]
+        soul = [-0.15 * ui + (0.05 + 0.3 * slot) * vi for ui, vi in zip(u, v)]
+        even += [GrassmannElement(2, {0: body[i], 3: soul[i]}) for i in range(3)]
     odd = [GrassmannElement(2, {1: 1.0})]
     return SuperPoint(2, even, odd)
 
@@ -149,15 +153,59 @@ def test_superchart_image_satisfies_unit_constraint():
         assert value == pytest.approx(target, abs=1e-9)
 
 
-def test_superchart_insensitive_to_extra_truncation_order():
+def q3_point(body):
+    """A Lambda_5-point with q = 3 whose souls reach fourth order: the squares
+    of its nilpotent parts survive, so a chart is exact only at order n // 2."""
+    even = [GrassmannElement(5, {0: b, 3: 0.05, 12: -0.03, 15: 0.02, 30: 0.01})
+            for b in body]
+    odd = [GrassmannElement(5, {1: 1.0, 7: 0.2}), GrassmannElement(5, {2: 1.0}),
+           GrassmannElement(5, {4: 0.5, 16: 0.25})]
+    return SuperPoint(5, even, odd)
+
+
+@pytest.mark.parametrize("inverse, body", [(False, (0.6, 0.0, 0.8)),
+                                           (True, (0.2, -0.1, 0.0))])
+def test_superchart_matches_the_jet_oracle(inverse, body):
+    # the base sector is the order-2 jet of exp_{f_x}^{-1} (or exp_{f_x})
+    # at the body, contracted against the nilpotent parts
     sphere = make_backend("sphere2")
-    f_x = [3.0 / 5.0, 0.0, 4.0 / 5.0]
-    xi = chart_side_point(sphere, f_x)
-    lo = sphere.superchart_pointwise_inv(f_x, xi)  # default k = (n+q)//2
-    hi = sphere.superchart_pointwise_inv(f_x, xi, k=4)
-    for a, b in zip(lo.even, hi.even):
+    f_x = [0.0, 0.0, 1.0]
+    mu = q3_point(body)
+    if inverse:
+        got = sphere.superchart_pointwise_inv(f_x, mu)
+        jet = sphere.exp_jet(f_x, body, 2)
+    else:
+        got = sphere.superchart_pointwise(f_x, mu)
+        jet = sphere.log_jet(f_x, body, 2)
+    want = exp_pair(jet, [c.split()[1] for c in mu.even])
+    for a, b in zip(got.even, want):
         for m in set(a.terms) | set(b.terms):
             assert a.terms.get(m, 0.0) == pytest.approx(b.terms.get(m, 0.0), abs=1e-12)
+    assert got.odd == mu.odd
+
+
+def test_superchart_transports_fibres_into_the_tangent_space():
+    # forward: sum f_x[i] w'_i = 0 in Lambda; inverse: sum Y_i w'_i = 0
+    sphere = make_backend("sphere2", bundle_rank=1)
+    f_x = [3.0 / 5.0, 0.0, 4.0 / 5.0]
+    xi = chart_side_point(sphere, f_x, bundle_rank=1)
+    mu = sphere.superchart_pointwise_inv(f_x, xi)
+    back = sphere.superchart_pointwise(f_x, mu)
+    for point, normal in ((mu, mu.even[:3]), (back, f_x)):
+        total = GrassmannElement.zero(2)
+        for w, a in zip(point.even[3:], normal):
+            total = total + w * a
+        assert max((abs(c) for c in total.terms.values()), default=0.0) < 1e-9
+
+
+def test_superchart_output_is_binary64_for_exact_input():
+    # exact fibre souls that transport leaves alone must still come out as floats
+    sphere = make_backend("sphere2", bundle_rank=1)
+    coords = [(0, Fraction(1, 10)), (Fraction(1, 5), 0), (0, 0),
+              (Fraction(1, 2), Fraction(1, 3)), (0, Fraction(1, 7)), (0, 0)]
+    xi = SuperPoint(2, [GrassmannElement(2, {0: b, 3: s}) for b, s in coords], [])
+    mu = sphere.superchart_pointwise_inv([0.0, 0.0, 1.0], xi)
+    assert all(type(c) is float for g in mu.even for c in g.terms.values())
 
 
 def test_bundle_exp_preserves_fibre_norm():

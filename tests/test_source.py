@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses, and
+no private function, method or class goes unreferenced in the package.
 
-`__init__` is exempt: it imports names to re-export them.
+`__init__` is exempt from the import check: it imports names to re-export them.
 """
 
 import ast
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import superjet
 
-MODULES = sorted(path for path in Path(superjet.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+PACKAGE = sorted(Path(superjet.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def quoted_names(tree) -> set:
@@ -54,3 +55,36 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: names for path in MODULES
               if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def unreferenced_privates(sources) -> list:
+    """Private (`_name`, not dunder) functions, methods and classes defined in
+    sources that no name, attribute or quoted annotation in any of them reads."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        read |= quoted_names(tree)
+    return sorted(defined - read)
+
+
+def test_the_check_sees_an_unreferenced_private():
+    first = ("class _Box:\n    def __init__(self):\n        self._fill()\n"
+             "    def _fill(self):\n        pass\n    def _spare(self):\n        pass\n\n"
+             "def _helper(x: \"_Box\"):\n    return x\n\nclass _Lonely:\n    pass\n")
+    second = "from .first import _helper\n\ndef run():\n    return _helper(None)\n"
+    assert unreferenced_privates([first, second]) == ["_Lonely", "_spare"]
+    assert unreferenced_privates([first]) == ["_Lonely", "_helper", "_spare"]
+
+
+def test_every_private_definition_is_referenced():
+    assert PACKAGE
+    assert unreferenced_privates(path.read_text(encoding="utf-8") for path in PACKAGE) == []

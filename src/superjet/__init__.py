@@ -28,7 +28,6 @@ from .grassmann import (
     GrassmannHom,
     hom_apply,
     hom_compose,
-    hom_validate,
     merge_sign,
 )
 from .jetcalc import (
@@ -121,7 +120,6 @@ __all__ = [
     "faa_di_bruno",
     "hom_apply",
     "hom_compose",
-    "hom_validate",
     "lambda_point_map_of",
     "lattice_points",
     "local_detrivialize",

@@ -20,12 +20,19 @@ what lets superfunctions and the symbolic Lambda-point machinery reuse these
 classes with polynomial coefficients (and the float geometry backend with
 binary64 ones).  The wire form of a rational, shared by every JSON payload,
 is defined here too.
+
+`MonomialTable` builds the monomials eps^I omega^J of fixed even (nilpotent)
+and odd arguments once each; it is the contraction kernel that `jetcalc`,
+`superfun` and `morphism` share.  `GrassmannHom` substitutes its generator
+images through one, as the table's odd arguments.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
 
@@ -310,31 +317,97 @@ class GrassmannElement:
         return cls(n, terms)
 
 
+class MonomialTable:
+    """The surviving monomials eps^I omega^J of fixed Grassmann arguments.
+
+    eps are the even (nilpotent) arguments and omega the odd ones, all in one
+    Grassmann algebra over any coefficient ring; `one` is its unit.  A table
+    memoizes, for its lifetime, the powers eps_i^e, each eps^I and each
+    ascending odd monomial omega^J, so every coordinate contracted against the
+    same arguments shares them.  No product takes the unit as an operand, and
+    a vanishing factor ends every extension of it without a product.
+    """
+
+    __slots__ = ("even_args", "odd_args", "one", "_powers", "_evens", "_odds")
+
+    def __init__(self, even_args, odd_args, one):
+        self.even_args = list(even_args)
+        self.odd_args = list(odd_args)
+        self.one = one
+        self._powers = [[one, a] for a in self.even_args]
+        self._evens = {(0,) * len(self.even_args): one}
+        self._odds = {0: one}
+
+    def _times(self, a, b):
+        """a * b, without a product when a factor is the unit or vanishes."""
+        if a is self.one or not b:
+            return b
+        if b is self.one or not a:
+            return a
+        return a * b
+
+    def _power(self, i: int, e: int):
+        cache = self._powers[i]
+        while len(cache) <= e:
+            cache.append(self._times(cache[-1], self.even_args[i]))
+        return cache[e]
+
+    def _even(self, I: tuple):
+        """eps^I as eps^(I without its last nonzero exponent) * eps_last^e: the
+        left-to-right association of a plain loop, so float results match it."""
+        got = self._evens.get(I)
+        if got is None:
+            last = max(i for i, e in enumerate(I) if e)
+            head = I[:last] + (0,) * (len(I) - last)
+            got = self._evens[I] = self._times(self._even(head), self._power(last, I[last]))
+        return got
+
+    def _odd(self, mask: int):
+        """omega^J in ascending order: omega_b * omega^(J without b), b lowest in J."""
+        got = self._odds.get(mask)
+        if got is None:
+            low = mask & -mask
+            got = self._odds[mask] = self._times(self.odd_args[low.bit_length() - 1],
+                                                 self._odd(mask ^ low))
+        return got
+
+    def monomials(self, indices, masks):
+        """Yield (I, J, eps^I * omega^J) for every I in indices, J in masks whose
+        monomial does not vanish.  I runs outermost, so a vanishing eps^I skips
+        all of its masks, and each I's masks come in the order given."""
+        for I in indices:
+            even = self._even(I)
+            if not even:
+                continue
+            for J in masks:
+                mono = self._times(self._odd(J), even)
+                if mono:
+                    yield I, J, mono
+
+
+@dataclass(frozen=True)
 class GrassmannHom:
     """Algebra map determined by purely odd generator images.
 
     Odd images force parity preservation and nilpotency, which is exactly the
-    admissibility condition for these homomorphisms.  The constructor checks
-    it once and stores the images as a tuple, so `apply` does not re-check.
+    admissibility condition for these homomorphisms.  Frozen and stored as a
+    tuple, so __post_init__ checks the images once and `apply` does not.
     """
 
-    __slots__ = ("source", "target", "images", "_cache")
+    source: int
+    target: int
+    images: tuple
 
-    def __init__(self, source: int, target: int, images):
-        if len(images) != source:
-            raise DimensionError(f"expected {source} generator images, got {len(images)}")
-        for im in images:
-            if im.n != target:
+    def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
+        count = len(self.images)
+        if count != self.source:
+            raise DimensionError(f"expected {self.source} generator images, got {count}")
+        for im in self.images:
+            if im.n != self.target:
                 raise DimensionError("generator image lives in the wrong algebra")
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-        if not self.is_valid():
+        if not all(im.is_odd() for im in self.images):
             raise ParityError("generator images must be purely odd")
-        self._cache = {0: GrassmannElement.one(target)}
-
-    def is_valid(self) -> bool:
-        return all(im.is_odd() for im in self.images)
 
     @classmethod
     def identity(cls, n: int) -> "GrassmannHom":
@@ -345,27 +418,18 @@ class GrassmannHom:
         """All generators to zero: projection onto the real part."""
         return cls(n, 0, [GrassmannElement.zero(0)] * n)
 
-    def _image_of_mask(self, mask: int) -> GrassmannElement:
-        out = self._cache.get(mask)
-        if out is None:
-            low = mask & -mask
-            out = self.images[low.bit_length() - 1] * self._image_of_mask(mask ^ low)
-            self._cache[mask] = out
-        return out
+    @cached_property
+    def table(self) -> MonomialTable:
+        """The ascending monomials of the images, shared by every `apply`."""
+        return MonomialTable([], self.images, GrassmannElement.one(self.target))
 
     def apply(self, a: GrassmannElement) -> GrassmannElement:
         if a.n != self.source:
             raise DimensionError(f"element in Lambda_{a.n}, hom expects Lambda_{self.source}")
         out: dict = {}
-        for mask, c in a.terms.items():
-            _accumulate(out, self._image_of_mask(mask).terms.items(), c)
+        for _, mask, image in self.table.monomials(((),), a.terms):
+            _accumulate(out, image.terms.items(), a.terms[mask])
         return GrassmannElement._of(self.target, out)
-
-    def then(self, other: "GrassmannHom") -> "GrassmannHom":
-        """other o self."""
-        if other.source != self.target:
-            raise DimensionError("homs not composable")
-        return GrassmannHom(self.source, other.target, [other.apply(im) for im in self.images])
 
     def to_json(self) -> dict:
         return {
@@ -383,14 +447,12 @@ class GrassmannHom:
         return cls(source, target, images)
 
 
-def hom_validate(rho: GrassmannHom) -> bool:
-    return rho.is_valid()
-
-
 def hom_apply(rho: GrassmannHom, a: GrassmannElement) -> GrassmannElement:
     return rho.apply(a)
 
 
 def hom_compose(sigma: GrassmannHom, rho: GrassmannHom) -> GrassmannHom:
     """sigma o rho, built by pushing rho's generator images through sigma."""
-    return rho.then(sigma)
+    if sigma.source != rho.target:
+        raise DimensionError("homs not composable")
+    return GrassmannHom(rho.source, sigma.target, [sigma.apply(im) for im in rho.images])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import DimensionError, ParityError, payload_errors
 from .grassmann import GrassmannElement, GrassmannHom, _coerce, int_from_json, merge_sign
 from .morphism import SuperMorphism, morphism_compose, pushforward
-from .polyalg import Polynomial
+from .polyalg import Polynomial, iter_multiindices
 from .superfun import SuperFunction, SuperPoint
 
 
@@ -233,10 +233,9 @@ class SuperChart:
     from_model: SuperMorphism
 
 
-def chart_transition_map(chart1: SuperChart, chart2: SuperChart, n: int,
-                         degree_bound=None) -> LambdaPointMap:
-    """Lambda_n-point form of chart2 o chart1^{-1}."""
-    transition = morphism_compose(chart2.to_model, chart1.from_model, degree_bound)
+def chart_transition_map(chart1: SuperChart, chart2: SuperChart, n: int) -> LambdaPointMap:
+    """Lambda_n-point form of chart2 o chart1^{-1}, composed with no degree guardrail."""
+    transition = morphism_compose(chart2.to_model, chart1.from_model, degree_bound=None)
     return lambda_point_map_of(transition, n)
 
 
@@ -334,8 +333,6 @@ def top_order_cancellation(n: int, p: int, r: int) -> bool:
     Built with symbolic coefficients, so a True return is a polynomial
     identity, not a sample.
     """
-    from .polyalg import iter_multiindices
-
     nil_masks = [m for m in even_masks(n) if m]
     nvars = (1 + p) * max(1, len(nil_masks))
     lam = GrassmannElement(

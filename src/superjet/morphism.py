@@ -40,8 +40,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DimensionError, ParityError, payload_errors
-from .grassmann import GrassmannElement, int_from_json
-from .jetcalc import MonomialTable
+from .grassmann import GrassmannElement, MonomialTable, int_from_json
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,

@@ -18,7 +18,14 @@ import operator
 from fractions import Fraction
 
 from .errors import DegreeBoundError, DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import _accumulate, _coerce, int_from_json, rational_from_json, rational_to_json
+from .grassmann import (
+    GrassmannElement,
+    _accumulate,
+    _coerce,
+    int_from_json,
+    rational_from_json,
+    rational_to_json,
+)
 
 #: refuse compositions whose expanded total degree would exceed this
 DEFAULT_DEGREE_BOUND = 16
@@ -267,15 +274,13 @@ def poly_derive(f: Polynomial, I) -> Polynomial:
     return f.derive(I)
 
 
-def poly_eval(f: Polynomial, args) -> "GrassmannElement":
+def poly_eval(f: Polynomial, args) -> GrassmannElement:
     """Substitute even Grassmann elements and expand exactly.
 
     This is the brute-force evaluation the truncated-Taylor route is checked
     against: nilpotency makes every power series finite, so plain substitution
     terminates.
     """
-    from .grassmann import GrassmannElement
-
     if len(args) != f.p:
         raise DimensionError(f"{len(args)} arguments for {f.p} variables")
     n = args[0].n if args else 0

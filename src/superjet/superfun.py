@@ -17,7 +17,7 @@ is itself a morphism R^{0|n} -> R^{p|q}):
 The coefficients are the h^I coefficients of one `taylor_shift` of each
 sigma_J at the body: body scalars for `sf_eval`, body polynomials over
 Q[x] for `sf_substitute`.  The monomials nu2^I nu1^J come from a
-`jetcalc.MonomialTable` that the value owns: `SuperPoint.table` of nu's
+`grassmann.MonomialTable` that the value owns: `SuperPoint.table` of nu's
 nilpotent coordinates, `SuperMorphism.table` of phi's nilpotent pullbacks.
 Both values are frozen and cache their table, so every superfunction
 contracted against the same nu or phi shares its monomials.  The sums stop
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import GrassmannElement, _accumulate, int_from_json
-from .jetcalc import MonomialTable
+from .grassmann import GrassmannElement, MonomialTable, _accumulate, int_from_json
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,

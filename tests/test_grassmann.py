@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from superjet import (
     SchemaError,
     hom_apply,
     hom_compose,
-    hom_validate,
     merge_sign,
 )
 
@@ -132,9 +132,51 @@ def test_hom_compose_agrees_with_sequential_application(rho, sigma, x):
 def test_hom_validate_rejects_even_image():
     with pytest.raises(ParityError):
         GrassmannHom(1, 2, [GrassmannElement.monomial(2, 3)])
-    assert hom_validate(GrassmannHom(1, 2, [GrassmannElement.gen(2, 1)]))
 
 
 @given(homs(source=2, target=2), small_fractions)
 def test_hom_fixes_scalars(rho, c):
     assert hom_apply(rho, GrassmannElement.scalar(2, c)) == GrassmannElement.scalar(2, c)
+
+
+def test_hom_is_frozen():
+    rho = GrassmannHom.identity(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.images = ()
+
+
+
+def image_from_scratch(rho, mask):
+    """rho(eta^mask) as the ascending product of the images, from the unit."""
+    out = GrassmannElement.one(rho.target)
+    for i, image in enumerate(rho.images):
+        if mask >> i & 1:
+            out = out * image
+    return out
+
+
+def test_hom_builds_each_image_monomial_once(monkeypatch):
+    # three generator images into Lambda_4, applied to an element on all 8 masks
+    gen = [GrassmannElement.gen(4, i) for i in range(1, 5)]
+    rho = GrassmannHom(3, 4, [gen[0] + gen[3], gen[1], gen[2] - gen[0] * gen[1] * gen[3]])
+    x = GrassmannElement(3, {mask: mask + 1 for mask in range(8)})
+    expected = GrassmannElement.zero(4)
+    for mask, c in x.terms.items():
+        expected = expected + image_from_scratch(rho, mask).scale(c)
+    one = GrassmannElement.one(4)
+    products = []
+    mul = GrassmannElement.__mul__
+
+    def counted(a, b):
+        if isinstance(b, GrassmannElement):
+            products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(GrassmannElement, "__mul__", counted)
+    # cold: one product per mask with two or more generators, never with the unit
+    assert hom_apply(rho, x) == expected
+    assert len(products) == 4
+    assert all(a != one and b != one for a, b in products)
+    # warm: every image monomial is read from the hom's table
+    assert hom_apply(rho, x) == expected
+    assert len(products) == 4

@@ -25,7 +25,8 @@ from superjet import (
     trunc_compose,
     trunc_mul,
 )
-from superjet.jetcalc import MonomialTable, _alphas, trunc_poly
+from superjet.grassmann import MonomialTable
+from superjet.jetcalc import trunc_poly
 from superjet.polyalg import iter_multiindices, iter_multiindices_upto, mi_factorial
 from superjet.suites import random_polynomial
 
@@ -128,6 +129,19 @@ def test_faa_di_bruno_multivariate_against_oracle():
                 assert vals[0] == poly_derive(composite, K).eval_scalar(x0)
 
 
+def _alphas(m: int):
+    """All alpha in N_0^m with sum j*alpha_j == m."""
+    def rec(j: int, remaining: int):
+        if j > m:
+            if remaining == 0:
+                yield ()
+            return
+        for a in range(remaining // j, -1, -1):
+            for rest in rec(j + 1, remaining - j * a):
+                yield (a,) + rest
+    return list(rec(1, m))
+
+
 def faa_di_bruno_ordered(b, phi, x0, m):
     """The Faa di Bruno sum over every ordered tuple of components, with the
     derivative tables and Taylor parts taken by derive-and-evaluate."""
@@ -161,7 +175,7 @@ def test_faa_di_bruno_multisets_equal_the_ordered_tuple_sum():
             phi = [random_polynomial(rng, 2, degree=3) for _ in range(dim_y)]
             b = [random_polynomial(rng, dim_y, degree=4, terms=4) for _ in range(2)]
             x0 = [Fraction(rng.randint(-2, 2), 2), Fraction(rng.randint(-2, 2))]
-            for m in (1, 2, 3, 4):
+            for m in range(1, 7):
                 assert faa_di_bruno(b, phi, x0, m) == faa_di_bruno_ordered(b, phi, x0, m)
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-no private function, method or class goes unreferenced in the package.
+"""Source hygiene: no module of the package imports a name it never uses or
+imports inside a function, and no private function, method or class goes
+unreferenced in the package.
 
 `__init__` is exempt from the import check: it imports names to re-export them.
 """
@@ -55,6 +56,31 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: names for path in MODULES
               if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def imports_inside_functions(source: str) -> list:
+    """(line, function) for each import in the body of a function or method of
+    source, sorted; an import in a nested function counts for both."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {(inner.lineno, node.name) for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    return sorted(found)
+
+
+def test_the_check_sees_an_import_inside_a_function():
+    source = ("import math\n\nclass A:\n    def f(self):\n        from .b import c\n"
+              "        return c\n\ndef g():\n    def h():\n        import os\n"
+              "    return math.pi\n")
+    assert imports_inside_functions(source) == [(5, "f"), (10, "g"), (10, "h")]
+
+
+def test_no_function_imports():
+    assert PACKAGE
+    inside = {path.name: found for path in PACKAGE
+              if (found := imports_inside_functions(path.read_text(encoding="utf-8")))}
+    assert inside == {}
 
 
 def unreferenced_privates(sources) -> list:

@@ -175,6 +175,11 @@ class LambdaPointMap:
             odd.append(GrassmannElement(self.n, terms))
         return SuperPoint(self.n, even, odd)
 
+    def to_json(self) -> dict:
+        return {"n": self.n, "source": list(self.source), "target": list(self.target),
+                **{key: [{str(m): poly.to_json() for m, poly in t.items()} for t in tables]
+                   for key, tables in (("evens", self.evens), ("odds", self.odds))}}
+
 
 def lambda_point_map_of(phi: SuperMorphism, n: int) -> LambdaPointMap:
     """Exact coefficient-level form of the Lambda_n pushforward along phi.
@@ -231,6 +236,9 @@ class SuperChart:
 
     to_model: SuperMorphism
     from_model: SuperMorphism
+
+    def to_json(self) -> dict:
+        return {"to_model": self.to_model.to_json(), "from_model": self.from_model.to_json()}
 
 
 def chart_transition_map(chart1: SuperChart, chart2: SuperChart, n: int) -> LambdaPointMap:

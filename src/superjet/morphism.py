@@ -24,13 +24,13 @@ oracle.
 
 A morphism's pullback phi^* is fixed once phi is, so a `SuperMorphism`
 caches its monomial `table`, shared by every `sf_substitute` along it, and
-`pullback` memoizes the guardrail-free phi^*(g).  `EtaCoefficient.apply` and
-`order_bound_check` read that memo: every coefficient of one decomposition
-shares it.  A `SuperPoint` owns its table the same way, for `pushforward`.
-No oracle reads the memo: the verifier's reference sides call `sf_substitute`
-or their own expansions directly.  `pushforward_general` reads no cached
-table, nor does `eta_decompose`, which builds a table of the eta-parts and
-pulls nothing back.
+`pullback` memoizes the guardrail-free phi^*(g) for `order_bound_check`.
+`EtaCoefficient.apply` reads the symbol instead, through the psi that
+`eta_decompose` builds once, so a wrong c changes its value.  A `SuperPoint`
+owns its table the same way, for `pushforward`.  No oracle reads the memo: the
+verifier's reference sides call `sf_substitute` or their own expansions.
+`pushforward_general` reads no cached table, nor does `eta_decompose`, which
+builds a table of the eta-parts and pulls nothing back.
 """
 
 from __future__ import annotations
@@ -232,14 +232,16 @@ class EtaCoefficient:
     D_I(g) = sum c_{beta,K} psi(d^beta d_theta^K g) over `symbol`'s (beta, K):
     K masks the target's odd coordinates, and d_theta^K is the left odd
     derivative, theta^J = +-theta^K theta^(J-K) in ascending order.  The c
-    live on the reduced source R^{p|q} (the eta block removed).  The order is
-    exactly max |beta|, since each commutator with a coordinate increment
-    lowers beta by one step and keeps c.  `apply` evaluates D_I via the pullback.
+    live on the reduced source R^{p|q} (the eta block removed), as does psi,
+    phi's eta-free part; `apply` evaluates the sum.  The order is exactly max
+    |beta|, since each commutator with a coordinate increment lowers beta by
+    one step and keeps c.
     """
 
     index: tuple            # 0/1 per eta generator
     n_eta: int
     phi: SuperMorphism
+    psi: SuperMorphism      # phi's eta-free part, from the reduced source
     symbol: dict = field(default_factory=dict)   # (beta, K) -> c_{beta,K}
 
     @property
@@ -247,8 +249,13 @@ class EtaCoefficient:
         return sum(1 << i for i, v in enumerate(self.index) if v)
 
     def apply(self, g: SuperFunction) -> SuperFunction:
-        # probe substitutions are the verifier's own, so no degree guardrail
-        return _extract_eta(self.phi.pullback(g), self.n_eta, self.mask)
+        total = SuperFunction.zero(*self.psi.source)
+        for (beta, K), c in self.symbol.items():
+            d = odd_derivative(SuperFunction(g.p, g.q, {J: poly_derive(f, beta)
+                                                        for J, f in g.components.items()}), K)
+            # probe substitutions are the verifier's own, so no degree guardrail
+            total = total + c * sf_substitute(d, self.psi, degree_bound=None)
+        return total
 
     def order(self) -> int:
         """max |beta| over the symbol; 0 for D_I = 0."""
@@ -259,6 +266,17 @@ class EtaCoefficient:
         whole odd sector, as every b_j then has theta-degree >= 2."""
         weight = sum(self.index)
         return weight // 2 if self.n_eta == self.phi.source[1] else weight
+
+
+def odd_derivative(g: SuperFunction, K: int) -> SuperFunction:
+    """Left derivative d_theta^K, with theta^J = +-theta^K theta^(J-K) in ascending masks."""
+    comps = {}
+    for J, poly in g.components.items():
+        if J & K == K:
+            # each coordinate of K moves left past the smaller ones of J - K
+            swaps = sum((J & ~K & ((1 << b) - 1)).bit_count() for b in range(g.q) if K >> b & 1)
+            comps[J ^ K] = -poly if swaps & 1 else poly
+    return SuperFunction(g.p, g.q, comps)
 
 
 def _extract_eta(sf: SuperFunction, n_eta: int, eta_mask: int) -> SuperFunction:
@@ -299,8 +317,11 @@ def eta_decompose(phi: SuperMorphism, n_eta: int) -> list:
             by_index.setdefault(mask & eta_all, {})[mask >> n_eta] = poly
         for eta_mask, comps in by_index.items():
             symbols[eta_mask][beta, K] = SuperFunction(p, qs - n_eta, comps)
+    psi = SuperMorphism((p, qs - n_eta), phi.target,
+                        [_extract_eta(sf, n_eta, 0) for sf in phi.even_pb],
+                        [_extract_eta(sf, n_eta, 0) for sf in phi.odd_pb])
     return [EtaCoefficient(index=tuple(mask >> i & 1 for i in range(n_eta)), n_eta=n_eta,
-                           phi=phi, symbol=symbols[mask])
+                           phi=phi, psi=psi, symbol=symbols[mask])
             for mask in range(1 << n_eta)]
 
 

@@ -275,6 +275,9 @@ def test_decompose_certifies_sharp_orders(tmp_path, capsys):
     orders = {tuple(entry["index"]): entry["certified_order"] for entry in report["coefficients"]}
     assert orders[(0, 0)] == 0
     assert orders[(1, 1)] == 1
+    # the whole odd sector: the theta-grading bound floor(|I|/2)
+    bounds = {tuple(entry["index"]): entry["order_bound"] for entry in report["coefficients"]}
+    assert bounds == {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 1}
 
 
 def test_decompose_certifies_an_order_the_lattice_cannot_see(tmp_path, capsys):
@@ -360,6 +363,22 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "grassmann")
     assert code == 1
     assert json.loads(out)["failed"] == 1
+
+
+def test_a_law_that_raises_fails_its_case_and_keeps_the_report(capsys, monkeypatch):
+    import superjet.suites as suites
+
+    def broken(*args, **kwargs):
+        raise ValueError("base-point mismatch")
+
+    monkeypatch.setattr(suites, "trunc_compose", broken)
+    code, out, err = run(capsys, "verify", "jetcalc", "--cases", "2")
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["cases"] == 8 and report["failed"] == 4
+    assert {f["id"][:-5] for f in report["failures"]} == {"jetcalc/compose", "jetcalc/ident"}
+    for failure in report["failures"]:
+        assert failure["witness"]["error"] == "ValueError: base-point mismatch"
 
 
 def test_unknown_suite_is_a_usage_error(capsys):

@@ -33,6 +33,7 @@ from superjet import (
 from superjet.polyalg import mi_unit
 from superjet.suites import (
     coefficient_squaring_map,
+    late_failing_map,
     random_hom,
     random_morphism,
     random_shear_chart,
@@ -227,6 +228,15 @@ def test_coefficient_squaring_map_is_rejected():
     assert not pointwise_supersmooth(coefficient_squaring_map())
 
 
+def test_the_late_failing_map_is_rejected_only_at_a_late_mask():
+    # the first nonzero even mask at level 4 is 3; a check that stops there passes it
+    F = late_failing_map()
+    verdict = supersmooth_check(F)
+    assert not verdict.passed
+    assert verdict.witness["lambda_mask"] == 12
+    assert not pointwise_supersmooth(F)
+
+
 def _derivative_entry(F, kind, slot, mask, var):
     table = (F.evens if kind == "even" else F.odds)[slot]
     poly = table.get(mask, Polynomial.zero(F.nvars))
@@ -339,7 +349,7 @@ def test_cancellation_laws_fail_with_replayable_witnesses(monkeypatch):
         return not top_order_cancellation(n, p, r)
 
     monkeypatch.setattr(suites, "top_order_cancellation", inverted)
-    failures = {f["id"]: f.get("witness") for f in suites.suite_mapspace(0, 1)["failures"]}
+    failures = {f["id"]: f.get("witness") for f in suites.run_suite("mapspace", 0, 1)["failures"]}
     assert sorted(failures) == [f"mapspace/cancel-{n}" for n in range(2, 7)] + [
         "mapspace/cancel-sharp"]
     for case_id, witness in failures.items():
@@ -355,5 +365,8 @@ def test_pair_law_lets_unexpected_errors_through(monkeypatch):
         raise ValueError("not a missing-section error")
 
     monkeypatch.setattr(suites, "sc_pair_to_point", broken)
-    with pytest.raises(ValueError):
-        suites.suite_mapspace(0, 1)
+    report = suites.run_suite("mapspace", 0, 1)
+    # the error is not taken for a missing section: the pair case fails with it
+    pair = [f for f in report["failures"] if f["id"].startswith("mapspace/pair-")]
+    assert [f["witness"]["error"] for f in pair] == ["ValueError: not a missing-section error"]
+    assert report["failed"] == 1

@@ -32,6 +32,7 @@ from superjet import (
     taylor_coefficient,
     taylor_shift,
 )
+from superjet.morphism import _extract_eta, odd_derivative
 from superjet.polyalg import iter_multiindices_upto, poly_derive
 from superjet.suites import random_morphism, random_polynomial, random_superpoint, run_suite
 
@@ -267,9 +268,10 @@ def order_check_expanded(coef, k, trials=8, seed=0):
     """order_bound_check's (k+1)-fold commutator expanded over all 2^(k+1) subsets.
 
     Independent of the telescoped product: each subset S costs
-    psi(f_{S^c}) * coef.apply(f_S h), with psi the eta-free coefficient, and
-    the signed terms are summed before evaluation.  It draws the same random
-    numbers in the same order, so its verdicts must match to the byte.
+    psi(f_{S^c}) * D_I(f_S h), with psi the eta-free coefficient and D_I the
+    eta^I part of the pullback, and the signed terms are summed before
+    evaluation.  It draws the same random numbers in the same order, so its
+    verdicts must match to the byte.
     """
     phi = coef.phi
     p, _ = phi.source
@@ -282,7 +284,10 @@ def order_check_expanded(coef, k, trials=8, seed=0):
     rng.shuffle(lattice)
     probes = default_probes(p2, q2, 2 * k + 2)
     rng.shuffle(probes)
-    psi = EtaCoefficient(index=(0,) * coef.n_eta, n_eta=coef.n_eta, phi=phi)
+
+    def part(g, mask):
+        return _extract_eta(phi.pullback(g), coef.n_eta, mask)
+
     for t in range(trials):
         x0 = lattice[t % len(lattice)]
         y0 = [f.eval_scalar(x0) for f in bodies]
@@ -291,7 +296,7 @@ def order_check_expanded(coef, k, trials=8, seed=0):
             SuperFunction.from_poly(Polynomial.variable(p2, j) - Polynomial.constant(p2, y0[j]), q2)
             for j in coords
         ]
-        psi_factors = [psi.apply(f) for f in factors]
+        psi_factors = [part(f, 0) for f in factors]
         h = probes[t % len(probes)]
         total = None
         for subset in range(1 << (k + 1)):
@@ -302,7 +307,7 @@ def order_check_expanded(coef, k, trials=8, seed=0):
                     arg = factors[i] * arg
                 else:
                     twist = psi_factors[i] if twist is None else twist * psi_factors[i]
-            term = coef.apply(arg)
+            term = part(arg, coef.mask)
             if twist is not None:
                 term = twist * term
             if (k + 1 - subset.bit_count()) & 1:
@@ -375,17 +380,6 @@ def test_expansion_catches_the_whole_pullback_in_place_of_its_eta_part(monkeypat
 
 
 # -- the symbol against its oracles ------------------------------------------
-
-
-def odd_derivative(g: SuperFunction, K: int) -> SuperFunction:
-    """Left derivative d_theta^K, with theta^J = +-theta^K theta^(J-K) in ascending masks."""
-    comps = {}
-    for J, poly in g.components.items():
-        if J & K == K:
-            # each coordinate of K moves left past the smaller ones of J - K
-            swaps = sum((J & ~K & ((1 << b) - 1)).bit_count() for b in range(g.q) if K >> b & 1)
-            comps[J ^ K] = -poly if swaps & 1 else poly
-    return SuperFunction(g.p, g.q, comps)
 
 
 def eta_free(phi: SuperMorphism, n_eta: int) -> SuperMorphism:

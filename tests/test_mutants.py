@@ -1,0 +1,38 @@
+"""The mutation catalog stays applicable: each entry's text is still in the source.
+
+The sweep itself (`python mutants/run.py`) runs verify once per mutant and
+seed, so it stays outside the tests; this only checks that no entry has gone
+stale in silence.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import superjet
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(superjet.__file__).parent
+
+spec = importlib.util.spec_from_file_location("catalog", ROOT / "mutants" / "catalog.py")
+catalog = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(catalog)
+
+
+def test_mutant_names_are_unique_and_expectations_are_stated():
+    names = [entry[0] for entry in catalog.MUTANTS]
+    assert len(names) == len(set(names)) >= 16
+    for name, _, _, _, expect in catalog.MUTANTS:
+        assert expect == "killed" or expect.startswith("equivalent: "), name
+
+
+@pytest.mark.parametrize("entry", catalog.MUTANTS, ids=[entry[0] for entry in catalog.MUTANTS])
+def test_each_mutant_applies_once_and_still_parses(entry):
+    _, file, old, new, _ = entry
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert sum(text.count(old) for text in sources.values()) == 1
+    assert sources[file].count(old) == 1
+    assert old != new
+    ast.parse(sources[file].replace(old, new))

@@ -1,0 +1,111 @@
+"""The verify plumbing: laws as functions of their inputs, and what they catch."""
+
+import inspect
+import json
+from fractions import Fraction
+
+import pytest
+
+import superjet.morphism
+import superjet.suites as suites
+from superjet import EtaCoefficient
+from superjet.suites import LAWS, SUITES, Recorder, run_suite
+
+
+def test_a_law_that_raises_is_a_failed_row_with_its_error(monkeypatch):
+    def broken(a, b, c):
+        raise ZeroDivisionError("no inverse")
+
+    monkeypatch.setitem(LAWS, "grassmann/assoc", broken)
+    rec = Recorder("grassmann", 0)
+    assert rec.check("grassmann/assoc-0000", a=1, b=[2], c="x") is False
+    (failure,) = rec.report()["failures"]
+    assert failure == {"id": "grassmann/assoc-0000",
+                       "witness": {"a": 1, "b": [2], "c": "x",
+                                   "error": "ZeroDivisionError: no inverse"}}
+
+
+def test_evidence_joins_the_inputs_in_wire_form(monkeypatch):
+    monkeypatch.setitem(LAWS, "jetcalc/mul", lambda f, g, x0, k: (False, {"at": Fraction(1, 3)}))
+    rec = Recorder("jetcalc", 0)
+    rec.check("jetcalc/mul-0001", f=1, g=2, x0=[Fraction(-2, 3), Fraction(5)], k=(1, 2))
+    assert rec.report()["failures"][0]["witness"] == {
+        "f": 1, "g": 2, "x0": ["-2/3", "5"], "k": [1, 2], "at": "1/3"}
+
+
+def test_every_case_id_has_a_law_and_every_law_is_reached(monkeypatch):
+    reached = set()
+
+    def recording(key, law):
+        def run(**inputs):
+            reached.add(key)
+            return law(**inputs)
+        return run
+
+    for key, law in list(LAWS.items()):
+        monkeypatch.setitem(LAWS, key, recording(key, law))
+    report = run_suite("all", seed=0, cases=1)
+    assert report["failed"] == 0
+    assert reached == set(LAWS)
+
+
+def test_with_every_law_failing_each_witness_is_exactly_its_laws_inputs(monkeypatch):
+    params = {key: list(inspect.signature(law).parameters) for key, law in LAWS.items()}
+    for key in LAWS:
+        monkeypatch.setitem(LAWS, key, lambda **inputs: False)
+    report = run_suite("all", seed=0, cases=1)
+    assert report["passed"] == 0 and report["failed"] == report["cases"] > 0
+    json.dumps(report)
+    for failure in report["failures"]:
+        key = next(k for k in (failure["id"], failure["id"].rpartition("-")[0]) if k in params)
+        assert sorted(failure["witness"]) == sorted(params[key]), failure["id"]
+
+
+def test_all_is_every_suite_in_one_recorder():
+    reports = [run_suite(name, seed=5, cases=2) for name in SUITES]
+    merged = run_suite("all", seed=5, cases=2)
+    assert merged["suite"] == "all"
+    assert merged["cases"] == sum(r["cases"] for r in reports)
+    assert merged["failures"] == sorted((f for r in reports for f in r["failures"]),
+                                        key=lambda f: f["id"])
+
+
+def test_an_unknown_suite_is_a_key_error():
+    with pytest.raises(KeyError):
+        run_suite("nonsense")
+
+
+# -- the symbol and the bounds are what the morphism suite checks ------------------
+
+
+def failed_laws(report):
+    return sorted({f["id"].rpartition("-")[0] or f["id"] for f in report["failures"]})
+
+
+@pytest.mark.parametrize("scale", [2, -1])
+def test_the_morphism_suite_catches_a_scaled_symbol(monkeypatch, scale):
+    # c_{beta,K} = E_I(b^beta omega^K) / beta!: a factorial divided by the scale
+    # multiplies every c by it
+    exact = superjet.morphism.mi_factorial
+    monkeypatch.setattr(superjet.morphism, "mi_factorial",
+                        lambda beta: exact(beta) * Fraction(1, scale))
+    assert "morphism/decomp" in failed_laws(run_suite("morphism", seed=0, cases=10))
+
+
+def test_the_morphism_suite_catches_a_loosened_theta_bound(monkeypatch):
+    monkeypatch.setattr(EtaCoefficient, "order_bound", lambda self: sum(self.index))
+    assert "morphism/sharp" in failed_laws(run_suite("morphism", seed=0, cases=10))
+
+
+def test_the_mapspace_suite_catches_a_check_that_stops_at_the_first_mask(monkeypatch):
+    exact = suites.supersmooth_check
+
+    def first_mask_only(F):
+        # a check that tests only the first nonzero even mask, eta1 eta2
+        verdict = exact(F)
+        if verdict.witness is not None and verdict.witness["lambda_mask"] != 3:
+            verdict.passed, verdict.witness = True, None
+        return verdict
+
+    monkeypatch.setattr(suites, "supersmooth_check", first_mask_only)
+    assert failed_laws(run_suite("mapspace", seed=0, cases=1)) == ["mapspace/reject"]

@@ -1,25 +1,26 @@
 """Mutation sweep: does `superjet verify all` fail on each one-line source mutant?
 
-For each entry of `catalog.MUTANTS`, the runner copies src/ to a temporary
-directory, applies the one replacement, and runs
+The runner first runs verify on an unmutated copy of src/ at every seed and
+stops if any of those runs fails, so a kill below is never a failure the
+parent already had.  Then, for each entry of `catalog.MUTANTS`, it copies
+src/ to a temporary directory, applies the one replacement, and runs
 
-    python -m superjet.cli verify all --seed S --cases N
+    python -m superjet.cli verify all --seed S --cases 100
 
-in a subprocess for every seed.  It prints one line per mutant: the law ids
-that failed (the case ids without their running number), "survived" when
-every seed passed, or "crashed" when a run exited with neither 0 nor 1 or
-wrote no report.  A line ends in "unexpected" when the outcome contradicts
-the entry's `expect`, and the exit code is then 1.
+in a subprocess for seeds 0 and 42.  It prints one line per mutant: the law
+ids that failed (the case ids without their running number), "survived" when
+every seed passed, or "crashed" when a run exited with neither 0 nor 1, wrote
+no report, or ran past the timeout.  A line ends in "unexpected" when the
+outcome contradicts the entry's `expect`; a crash is always unexpected, since
+verify reports a law that raises as a failed case.  The exit code is then 1.
 
 Stdlib only.  Run from anywhere:
 
-    python mutants/run.py                    # every mutant, seeds 0 and 42
-    python mutants/run.py --seeds 7,8 symbol-doubled transport-sign
+    python mutants/run.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -32,19 +33,31 @@ from pathlib import Path
 from catalog import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 42)
+CASES = 100
+TIMEOUT_S = 600     # one verify run takes seconds; a mutant that loops must not hang the sweep
 
 
 def law_id(case_id: str) -> str:
     return re.sub(r"-(hi)?\d+$", "", case_id)
 
 
-def verify(src: Path, seed: int, cases: int):
-    """The failed law ids of one run, or None when it crashed."""
+def copy_src(tmp: str) -> Path:
+    src = Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def verify(src: Path, seed: int):
+    """The failed law ids of one run, or None when it crashed or timed out."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "superjet.cli", "verify", "all", "--seed", str(seed),
-         "--cases", str(cases)],
-        capture_output=True, text=True, env=env, cwd=src, check=False)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superjet.cli", "verify", "all", "--seed", str(seed),
+             "--cases", str(CASES)],
+            capture_output=True, text=True, env=env, cwd=src, check=False, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     if proc.returncode not in (0, 1):
         return None
     try:
@@ -54,44 +67,37 @@ def verify(src: Path, seed: int, cases: int):
     return {law_id(f["id"]) for f in report["failures"]}
 
 
-def sweep(entry, seeds, cases: int) -> tuple[str, bool]:
+def sweep(entry) -> tuple[str, bool]:
     """(outcome line, whether it matches the entry's expectation)."""
     name, file, old, new, expect = entry
     with tempfile.TemporaryDirectory(prefix="superjet-mutant-") as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src,
-                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        src = copy_src(tmp)
         path = src / "superjet" / file
         text = path.read_text(encoding="utf-8")
         if text.count(old) != 1:
             return f"{name}: stale entry, old text occurs {text.count(old)} times in {file}", False
         path.write_text(text.replace(old, new), encoding="utf-8")
-        runs = [verify(src, seed, cases) for seed in seeds]
+        runs = [verify(src, seed) for seed in SEEDS]
     if any(run is None for run in runs):
-        outcome, killed = "crashed", True
-    else:
-        failed = sorted(set().union(*runs))
-        outcome, killed = (" ".join(failed), True) if failed else ("survived", False)
-    ok = killed == (expect == "killed")
+        return f"{name}: crashed  unexpected ({expect})", False
+    failed = sorted(set().union(*runs))
+    ok = bool(failed) == (expect == "killed")
+    outcome = " ".join(failed) if failed else "survived"
     return f"{name}: {outcome}" + ("" if ok else f"  unexpected ({expect})"), ok
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")],
-                        default=[0, 42], help="comma-separated seeds (default 0,42)")
-    parser.add_argument("--cases", type=int, default=100)
-    args = parser.parse_args(argv)
-    known = {entry[0] for entry in MUTANTS}
-    unknown = set(args.names) - known
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="superjet-control-") as tmp:
+        src = copy_src(tmp)
+        for seed in SEEDS:
+            failed = verify(src, seed)
+            if failed != set():
+                print(f"unmutated source does not pass at seed {seed}: "
+                      f"{'crashed' if failed is None else ' '.join(sorted(failed))}")
+                return 1
     all_ok = True
     for entry in MUTANTS:
-        if args.names and entry[0] not in args.names:
-            continue
-        line, ok = sweep(entry, args.seeds, args.cases)
+        line, ok = sweep(entry)
         print(line, flush=True)
         all_ok &= ok
     return 0 if all_ok else 1

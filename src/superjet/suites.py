@@ -315,7 +315,9 @@ class Recorder:
     """Runs laws and accumulates (case id, verdict, witness) rows into a report dict."""
 
     def __init__(self, suite: str, seed: int):
-        self.suite, self.seed, self.rows = suite, seed, []
+        self.suite = suite
+        self.seed = seed
+        self.rows = []
 
     def check(self, case_id: str, **inputs) -> bool:
         """Run the law of case_id on inputs and record its row.
@@ -337,11 +339,22 @@ class Recorder:
 
     def report(self) -> dict:
         rows = sorted(self.rows, key=lambda r: r[0])
-        failures = [{"id": cid, **({"witness": witness} if witness else {})}
-                    for cid, ok, witness in rows if not ok]
-        return {"suite": self.suite, "algorithm": ALGORITHM, "seed": self.seed,
-                "cases": len(rows), "passed": len(rows) - len(failures),
-                "failed": len(failures), "failures": failures}
+        failures = []
+        for cid, ok, witness in rows:
+            if not ok:
+                entry = {"id": cid}
+                if witness:
+                    entry["witness"] = witness
+                failures.append(entry)
+        return {
+            "suite": self.suite,
+            "algorithm": ALGORITHM,
+            "seed": self.seed,
+            "cases": len(rows),
+            "passed": sum(1 for _, ok, _ in rows if ok),
+            "failed": len(failures),
+            "failures": failures,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +367,8 @@ def law_assoc(a, b, c):
 
 def law_sign(x, y):
     (ma,), (mb,) = x.terms, y.terms
-    return x * y == (y * x).scale(-1 if ma.bit_count() & mb.bit_count() & 1 else 1)
+    sign = -1 if (ma.bit_count() & 1) and (mb.bit_count() & 1) else 1
+    return x * y == (y * x).scale(sign)
 
 
 def law_split(a):
@@ -387,8 +401,11 @@ def law_unit(nu):
 
 
 def _apply_hom_point(rho: GrassmannHom, nu: SuperPoint) -> SuperPoint:
-    return SuperPoint(rho.target, [hom_apply(rho, c) for c in nu.even],
-                      [hom_apply(rho, c) for c in nu.odd])
+    return SuperPoint(
+        rho.target,
+        [hom_apply(rho, c) for c in nu.even],
+        [hom_apply(rho, c) for c in nu.odd],
+    )
 
 
 def law_compose(phi, psi, mu):
@@ -487,8 +504,12 @@ def law_fd(geometry, x, y0):
     return defect <= 1e-6, {"defect": defect}
 
 
+# the bundle rank of the chart law's backend; the suite sizes its xi from it
+CHART_RANK = 1
+
+
 def law_chart(geometry, f_x, xi):
-    backend = make_backend(geometry, bundle_rank=1)
+    backend = make_backend(geometry, bundle_rank=CHART_RANK)
     mu = backend.superchart_pointwise_inv(f_x, xi)
     back = backend.superchart_pointwise(f_x, mu)
     err = 0.0
@@ -603,15 +624,21 @@ def suite_grassmann(rec: Recorder, seed: int, cases: int, geometry: str) -> None
     rng = SplitMix64(seed)
     for i in range(cases):
         n = rng.randint(2, 6)
-        a, b, c = (random_grassmann(rng, n) for _ in range(3))
+        a = random_grassmann(rng, n)
+        b = random_grassmann(rng, n)
+        c = random_grassmann(rng, n)
         rec.check(f"grassmann/assoc-{i:04d}", a=a, b=b, c=c)
-        ma, mb = rng.randint(0, (1 << n) - 1), rng.randint(0, (1 << n) - 1)
+
+        ma = rng.randint(0, (1 << n) - 1)
+        mb = rng.randint(0, (1 << n) - 1)
         x = GrassmannElement.monomial(n, ma, rng.nonzero_fraction())
         y = GrassmannElement.monomial(n, mb, rng.nonzero_fraction())
         rec.check(f"grassmann/sign-{i:04d}", x=x, y=y)
         rec.check(f"grassmann/split-{i:04d}", a=a)
         rec.check(f"grassmann/json-{i:04d}", a=a)
-        rho = random_hom(rng, n, rng.randint(0, 5))
+
+        m = rng.randint(0, 5)
+        rho = random_hom(rng, n, m)
         rec.check(f"grassmann/hom-{i:04d}", rho=rho, a=a, b=b)
 
 
@@ -619,7 +646,9 @@ def suite_superfun(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
     """Evaluation is a unital algebra map and matches the expansion oracle."""
     rng = SplitMix64(seed)
     for i in range(cases):
-        p, q, n = rng.randint(1, 3), rng.randint(0, 3), rng.randint(2, 6)
+        p = rng.randint(1, 3)
+        q = rng.randint(0, 3)
+        n = rng.randint(2, 6)
         sigma = random_superfunction(rng, p, q, degree=4)
         tau = random_superfunction(rng, p, q, degree=4)
         nu = random_superpoint(rng, n, p, q)
@@ -641,12 +670,14 @@ def suite_morphism(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
         mu = random_superpoint(rng, n, p, q)
         rec.check(f"morphism/compose-{i:04d}", phi=phi, psi=psi, mu=mu)
         if i < max(1, cases // 2):
-            rho = random_hom(rng, n, rng.randint(0, 4))
+            m = rng.randint(0, 4)
+            rho = random_hom(rng, n, m)
             rec.check(f"morphism/natural-{i:04d}", phi=phi, mu=mu, rho=rho)
 
     # order bounds for the coefficient operators, in both gradings
     for i in range(cases):
-        p, q = rng.randint(1, 2), rng.randint(2, 3)
+        p = rng.randint(1, 2)
+        q = rng.randint(2, 3)
         r, s = rng.randint(1, 2), rng.randint(0, 2)
         phi = random_morphism(rng, (p, q), (r, s), degree=2)
         n_eta = rng.randint(1, q - 1)       # proper leading block: eta grading
@@ -679,9 +710,11 @@ def suite_jetcalc(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
         psi = [random_polynomial(rng, dy, degree=3) for _ in range(dz)]
         rec.check(f"jetcalc/compose-{i:04d}", phi=phi, psi=psi, x0=x0, k=k)
         rec.check(f"jetcalc/ident-{i:04d}", phi=phi, x0=x0, k=k)
-        f, g = (random_polynomial(rng, dx, degree=3) for _ in range(2))
+        f = random_polynomial(rng, dx, degree=3)
+        g = random_polynomial(rng, dx, degree=3)
         rec.check(f"jetcalc/mul-{i:04d}", f=f, g=g, x0=x0, k=k)
-        rec.check(f"jetcalc/faa-{i:04d}", phi=phi, psi=psi, x0=x0, m=rng.randint(1, 6))
+        m = rng.randint(1, 6)
+        rec.check(f"jetcalc/faa-{i:04d}", phi=phi, psi=psi, x0=x0, m=m)
 
 
 def suite_geometry(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
@@ -690,40 +723,52 @@ def suite_geometry(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
     backend = make_backend(geometry)
     flat = backend.kind == "flat"
 
-    def coords(lo: float, hi: float) -> tuple:
-        return tuple(_ufloat(rng, lo, hi) for _ in range(backend.m))
-
     for i in range(cases):
         if flat:
-            x, v, w1, w2 = (coords(-2.0, 2.0) for _ in range(4))
+            x = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
+            v = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
+            w1 = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
+            w2 = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
         else:
             x = random_sphere_point(rng)
-            v, w1, w2 = (random_tangent(rng, x) for _ in range(3))
+            v = random_tangent(rng, x)
+            w1 = random_tangent(rng, x)
+            w2 = random_tangent(rng, x)
         rec.check(f"geometry/roundtrip-{i:04d}", geometry=geometry, x=x, v=v)
         rec.check(f"geometry/isometry-{i:04d}", geometry=geometry, x=x, v=v, w1=w1, w2=w2)
 
     for i in range(min(cases, 4)):
         if flat:
-            x, y0 = coords(-2.0, 2.0), coords(-2.0, 2.0)
+            x = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
+            y0 = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
         else:
             x = random_sphere_point(rng)
-            y0 = backend.exp_closed(x, random_tangent(rng, x, lo=0.2, hi=0.9))
+            v = random_tangent(rng, x, lo=0.2, hi=0.9)
+            y0 = backend.exp_closed(x, v)
         rec.check(f"geometry/fd-{i:04d}", geometry=geometry, x=x, y0=y0)
 
-    d = 2 * backend.m               # base and one fibre: the chart law's rank-1 bundle
+    d = backend.m * (1 + CHART_RANK)
     for i in range(min(cases, 6)):
         n, q = 3, 1
         if flat:
-            f_x = coords(-2.0, 2.0)
-            vecs = {mask: [_ufloat(rng, -1.0, 1.0) for _ in range(d)]
-                    for mask in range(1 << n) if mask.bit_count() % 2 == 0}
+            base = [_ufloat(rng, -2.0, 2.0) for _ in range(backend.m)]
+            f_x = tuple(base)
+            vecs = {}
+            for mask in range(1 << n):
+                if mask.bit_count() % 2 == 0:
+                    vecs[mask] = [_ufloat(rng, -1.0, 1.0) for _ in range(d)]
         else:
             f_x = random_sphere_point(rng)
             vecs = {0: list(random_tangent(rng, f_x)) + list(random_tangent(rng, f_x))}
-            for mask in (3, 5, 6):      # the nonzero even masks at n = 3
-                raw = [_ufloat(rng, -1.0, 1.0) for _ in range(d)]
-                segs = [raw[3 * blk:3 * blk + 3] for blk in range(2)]
-                vecs[mask] = [c - _dot(seg, f_x) * fc for seg in segs for c, fc in zip(seg, f_x)]
+            for mask in range(1 << n):
+                if mask and mask.bit_count() % 2 == 0:
+                    raw = [_ufloat(rng, -1.0, 1.0) for _ in range(d)]
+                    fixed = []
+                    for blk in range(1 + CHART_RANK):
+                        seg = raw[3 * blk:3 * blk + 3]
+                        dd = _dot(seg, f_x)
+                        fixed.extend(c - dd * fc for c, fc in zip(seg, f_x))
+                    vecs[mask] = fixed
         xi = SuperPoint(
             n,
             [GrassmannElement(n, {m: vv[slot] for m, vv in vecs.items() if vv[slot]})
@@ -734,8 +779,10 @@ def suite_geometry(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
 
     for i in range(min(cases, 6)):
         if flat:
-            a = BundlePoint(coords(-2.0, 2.0), (coords(-1.0, 1.0),))
-            xi = BundleTangent(coords(-1.0, 1.0), (coords(-1.0, 1.0),))
+            a = BundlePoint(tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m)),
+                            (tuple(_ufloat(rng, -1.0, 1.0) for _ in range(backend.m)),))
+            xi = BundleTangent(tuple(_ufloat(rng, -1.0, 1.0) for _ in range(backend.m)),
+                               (tuple(_ufloat(rng, -1.0, 1.0) for _ in range(backend.m)),))
         else:
             x = random_sphere_point(rng)
             a = BundlePoint(x, (random_tangent(rng, x),))
@@ -747,14 +794,17 @@ def suite_mapspace(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
     """Pair roundtrips, functor laws, supersmooth transitions, cancellation."""
     rng = SplitMix64(seed)
     for i in range(cases):
-        p, q = rng.randint(1, 2), rng.randint(1, 3)
+        p = rng.randint(1, 2)
+        q = rng.randint(1, 3)
         n = rng.randint(0, q)
         point = MappingPoint(n, random_morphism(rng, (p, q), (rng.randint(1, 2), rng.randint(0, 2))))
         rec.check(f"mapspace/pair-{i:04d}", point=point)
 
     for i in range(max(1, cases // 2)):
         p, q = rng.randint(1, 2), rng.randint(0, 1)
-        a, b, c = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 2)
+        a = rng.randint(1, 3)
+        b = rng.randint(0, 3)
+        c = rng.randint(0, 2)
         point = MappingPoint(a, random_morphism(rng, (p, a + q), (rng.randint(1, 2), rng.randint(0, 1)), degree=2))
         rec.check(f"mapspace/functident-{i:04d}", point=point)
         rho = random_hom(rng, a, b)
@@ -764,19 +814,22 @@ def suite_mapspace(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
     for i in range(min(cases, 8)):
         p, q = rng.randint(1, 2), rng.randint(1, 2)
         n = rng.randint(2, 4)
-        c1, c2 = (random_shear_chart(rng, p, q, layers=2) for _ in range(2))
+        c1 = random_shear_chart(rng, p, q, layers=2)
+        c2 = random_shear_chart(rng, p, q, layers=2)
         rec.check(f"mapspace/shearinv-{i:04d}", chart=c1)
         rec.check(f"mapspace/transition-{i:04d}", chart1=c1, chart2=c2, n=n)
 
     # one transition each at the two highest levels the criteria ask for
     for n in (5, 6):
         hi_rng = SplitMix64(seed ^ n)
-        c1, c2 = (random_shear_chart(hi_rng, 1, 1, layers=1) for _ in range(2))
+        c1 = random_shear_chart(hi_rng, 1, 1, layers=1)
+        c2 = random_shear_chart(hi_rng, 1, 1, layers=1)
         rec.check(f"mapspace/transition-hi{n}", chart1=c1, chart2=c2, n=n)
 
     for i in range(min(cases, 8)):
         p, q = rng.randint(1, 2), rng.randint(0, 1)
-        n, m = rng.randint(2, 3), rng.randint(0, 3)
+        n = rng.randint(2, 3)
+        m = rng.randint(0, 3)
         phi = random_morphism(rng, (p, q), (rng.randint(1, 2), rng.randint(0, 1)), degree=2)
         rho = random_hom(rng, n, m)
         nu = random_superpoint(rng, n, p, q)

@@ -59,10 +59,22 @@ MUTANTS = [
      "trunc_poly(power(i, e - 1) * increments[i], k)",
      "trunc_poly(power(i, e - 1) * increments[i], k + 1)",
      "equivalent: every term is cut at k again after the product it enters"),
-    # the sphere chart
+    ("trunc-compose-higher-order", "jetcalc.py",
+     "k = min(outer.k, inner.k)",
+     "k = max(outer.k, inner.k)", "killed"),
+    ("trunc-mul-higher-order", "jetcalc.py",
+     "k = min(a.k, b.k)",
+     "k = max(a.k, b.k)", "killed"),
+    # the sphere's Taylor tables and chart
     ("chart-profiles-one-order-short", "geometry.py",
      "k = x.n // 2\n",
      "k = x.n // 2 - 1\n", "killed"),
+    ("log-jet-projection-sign", "geometry.py",
+     "Polynomial.variable(3, i) - dot * c",
+     "Polynomial.variable(3, i) + dot * c", "killed"),
+    ("theta-over-sin-argument-sign", "geometry.py",
+     "2 * u - u * u",
+     "2 * u + u * u", "killed"),
     ("transport-sign", "geometry.py",
      "out.extend(wi - factor * e for wi, e in zip(w, ends))",
      "out.extend(wi + factor * e for wi, e in zip(w, ends))", "killed"),

@@ -14,16 +14,18 @@ differentiation.  The three scalar profiles
 
     C(s) = cos(sqrt(s)),  S(s) = sinc(sqrt(s)),  A(u) = theta/sin(theta)
 
-(with u = 1 - cos(theta)) have rational series at 0, frozen below, and exact
-recurrences at general base values:  C' = -S/2 and s S' = (C - S)/2 follow by
-differentiating the closed forms, and  (2u - u^2) A' + (1 - u) A = 1  is the
-closed-form identity the u-series satisfies.  The Taylor tables of log and
-exp compose these series with the polynomial arguments u(y) and s(v).  The
-superchart evaluates the closed forms on a Lambda-point's own Grassmann
-coordinates: each profile (and 1/(2 - u) for transport) acts on an even
-element through its Taylor coefficients at the body, contracted against the
-nilpotent part by `jetcalc.exp_pair`.  Powers of the nilpotent part vanish
-past n // 2, so that order is exact.
+(with u = 1 - cos(theta)) have rational series at 0, frozen below.  C and S
+are entire, so their coefficients at any base value re-center the frozen
+series; A's do so near 0 and elsewhere follow from the closed-form identity
+(2u - u^2) A' + (1 - u) A = 1, seeded with A's value.  The Taylor tables
+are `jetcalc` compositions: each profile's jet after the `taylor_of` jet of
+its argument, u(Y) = 1 - <x, Y> or s(V) = <V, V>, times the vector factor's
+jet; the frozen u-series is arcsin(z)/z after z^2 = 2u - u^2, composed
+exactly.  The superchart evaluates the closed forms on a Lambda-point's own
+Grassmann coordinates: each profile (and 1/(2 - u) for transport) acts on an
+even element through its Taylor coefficients at the body, contracted against
+the nilpotent part by `jetcalc.exp_pair`.  Powers of the nilpotent part
+vanish past n // 2, so that order is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, DomainError
 from .grassmann import GrassmannElement
-from .jetcalc import TruncatedPolyMap, exp_pair, trunc_compose, trunc_poly
+from .jetcalc import TruncatedPolyMap, exp_pair, taylor_of, trunc_compose, trunc_mul
 from .polyalg import Polynomial, mi_unit
 from .superfun import SuperPoint
 
@@ -43,23 +45,25 @@ SERIES_ORDER = 20
 _A_SWITCH = 0.25        # below this u, the shifted frozen series beats the recurrence
 
 
+def _profile_jet(coeffs, t0, k: int) -> TruncatedPolyMap:
+    """The order-k jet at t0 of a scalar profile with Taylor coefficients coeffs there."""
+    return TruncatedPolyMap(k, (t0,), (Polynomial(1, {(j,): c for j, c in enumerate(coeffs)}),))
+
+
+def _profile_of(coeffs, arg: TruncatedPolyMap) -> TruncatedPolyMap:
+    """The jet of g(arg) for the scalar profile g whose Taylor coefficients at
+    t0 are coeffs(t0, k), at arg's base value t0 and order k."""
+    t0 = arg.base_value[0]
+    return trunc_compose(_profile_jet(coeffs(t0, arg.k), t0, arg.k), arg)
+
+
 def _frozen_theta_over_sin(order: int):
-    # arcsin(z)/z = sum_k binom(2k,k)/(4^k (2k+1)) z^{2k}, with z^2 = 2u - u^2
-    out = [Fraction(0)] * (order + 1)
-    power = {0: Fraction(1)}
-    for k in range(order + 1):
-        coef = Fraction(math.comb(2 * k, k), 4**k * (2 * k + 1))
-        for e, c in power.items():
-            out[e] += coef * c
-        nxt = {}
-        for e, c in power.items():
-            for de, dc in ((1, Fraction(2)), (2, Fraction(-1))):
-                if e + de <= order:
-                    nxt[e + de] = nxt.get(e + de, Fraction(0)) + c * dc
-        power = nxt
-        if not power:
-            break
-    return out
+    # arcsin(z)/z = sum_j binom(2j,j)/(4^j (2j+1)) w^j at w = z^2 = 2u - u^2, composed exactly
+    arcsin_over = _profile_jet([Fraction(math.comb(2 * j, j), 4**j * (2 * j + 1))
+                                for j in range(order + 1)], 0, order)
+    u = Polynomial.variable(1, 0)
+    series = trunc_compose(arcsin_over, taylor_of([2 * u - u * u], [0], order))
+    return [series.coefficient((j,))[0] for j in range(order + 1)]
 
 
 # rounded to binary64 once, here: the series are only ever summed in floats
@@ -119,15 +123,6 @@ def _dot(a, b) -> float:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _series_of_poly(coeffs, increment: Polynomial, k: int) -> Polynomial:
-    """sum_j coeffs[j] * increment^j, truncated at total degree k (Horner)."""
-    p = increment.p
-    acc = Polynomial.zero(p)
-    for c in reversed(coeffs[: k + 1]):
-        acc = trunc_poly(acc * increment, k) + Polynomial.constant(p, c)
-    return acc
-
-
 def _inner(a, b) -> GrassmannElement:
     """<a, b> for Grassmann a and Grassmann or float b."""
     terms = [x * y for x, y in zip(a, b)]
@@ -140,9 +135,8 @@ def _profiles(x: GrassmannElement, *series) -> list:
     nilpotent part, whose powers vanish past k = n // 2."""
     body, nil, _ = x.split()
     k = x.n // 2
-    jet = TruncatedPolyMap(k, (body,), tuple(
-        Polynomial(1, {(j,): c for j, c in enumerate(coeffs(body, k))}) for coeffs in series))
-    return exp_pair(jet, [nil], n=x.n)
+    polys = tuple(_profile_jet(coeffs(body, k), body, k).polys[0] for coeffs in series)
+    return exp_pair(TruncatedPolyMap(k, (body,), polys), [nil])
 
 
 def _transport(fibres, b, y, f_x, inv) -> list:
@@ -185,10 +179,7 @@ class FlatBackend:
         return math.sqrt(sum((b - a) ** 2 for a, b in zip(x, y)))
 
     def log_jet(self, x, y0, k: int) -> TruncatedPolyMap:
-        polys = tuple(trunc_poly(Polynomial(self.m, {(0,) * self.m: b - a,
-                                                     mi_unit(self.m, i): 1.0}), k)
-                      for i, (a, b) in enumerate(zip(x, y0)))
-        return TruncatedPolyMap(k, tuple(y0), polys)
+        return taylor_of([Polynomial.variable(self.m, i) - a for i, a in enumerate(x)], y0, k)
 
     def superchart_pointwise(self, f_x, mu: SuperPoint) -> SuperPoint:
         """Affine chart: subtract the base map; nilpotent and odd parts pass through."""
@@ -275,40 +266,32 @@ class Sphere2Backend:
     # -- Taylor tables -----------------------------------------------------
 
     def log_jet(self, x, y0, k: int) -> TruncatedPolyMap:
-        """Order-k Taylor data of Y -> exp_x^{-1}(Y) at Y = y0 (ambient coords)."""
+        """Order-k Taylor data of Y -> exp_x^{-1}(Y) = A(u) (Y - <x, Y> x) at
+        Y = y0 (ambient coords), with u = 1 - <x, Y>."""
         self.check_point(x)
-        u0 = self._u(x, y0)
-        du = Polynomial(3, {mi_unit(3, i): -x[i] for i in range(3) if x[i]})
-        a_poly = _series_of_poly(theta_over_sin_coeffs(u0, k), du, k)
-        polys = []
-        for i in range(3):
-            w = Polynomial(3, {(0, 0, 0): y0[i] - (1.0 - u0) * x[i], mi_unit(3, i): 1.0})
-            w = w + trunc_poly(du * Polynomial.constant(3, x[i]), k)
-            polys.append(trunc_poly(a_poly * w, k))
-        return TruncatedPolyMap(k, tuple(y0), tuple(polys))
+        self._u(x, y0)      # refuses the cut locus
+        dot = Polynomial(3, {mi_unit(3, i): c for i, c in enumerate(x)})
+        a = _profile_of(theta_over_sin_coeffs, taylor_of([1 - dot], y0, k))
+        return trunc_mul(a, taylor_of([Polynomial.variable(3, i) - dot * c
+                                       for i, c in enumerate(x)], y0, k))
 
     def exp_jet(self, x, v0, k: int) -> TruncatedPolyMap:
-        """Order-k Taylor data of V -> exp_x(V) at V = v0 (tangent coords)."""
+        """Order-k Taylor data of V -> exp_x(V) = C(s) x + S(s) V at V = v0
+        (tangent coords), with s = <V, V>."""
         self.check_point(x)
         self.check_tangent(x, v0)
-        s0 = _dot(v0, v0)
-        ds = Polynomial(3, {mi_unit(3, i): 2.0 * v0[i] for i in range(3) if v0[i]})
-        for i in range(3):
-            ds = ds + Polynomial.monomial(3, tuple(2 * u for u in mi_unit(3, i)), 1.0)
-        ds = trunc_poly(ds, k)
-        c_poly = _series_of_poly(cos_sqrt_coeffs(s0, k), ds, k)
-        s_poly = _series_of_poly(sinc_sqrt_coeffs(s0, k), ds, k)
-        polys = []
-        for i in range(3):
-            vi = Polynomial(3, {(0, 0, 0): v0[i], mi_unit(3, i): 1.0})
-            polys.append(trunc_poly(c_poly * Polynomial.constant(3, x[i]) + s_poly * vi, k))
-        return TruncatedPolyMap(k, tuple(v0), tuple(polys))
+        v = [Polynomial.variable(3, i) for i in range(3)]
+        s = taylor_of([sum(vi * vi for vi in v)], v0, k)
+        c = _profile_of(cos_sqrt_coeffs, s).polys[0]
+        moved = trunc_mul(_profile_of(sinc_sqrt_coeffs, s), taylor_of(v, v0, k))
+        return TruncatedPolyMap(k, moved.base_point,
+                                tuple(c * xi + p for xi, p in zip(x, moved.polys)))
 
     def transition_jet(self, x1, x2, v0, k: int) -> TruncatedPolyMap:
         """Taylor data of V -> exp_{x2}^{-1}(exp_{x1}(V)) at v0."""
         inner = self.exp_jet(x1, v0, k)
         outer = self.log_jet(x2, inner.base_value, k)
-        return trunc_compose(outer, inner, k)
+        return trunc_compose(outer, inner)
 
     # -- superchart --------------------------------------------------------
 

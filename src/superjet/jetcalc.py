@@ -5,9 +5,11 @@ as its Taylor polynomials: one polynomial per target component in the
 increment h, with Taylor-normalized coefficients c_I = (1/I!) D_I f and no
 term above degree k, so the map reads  f(x0 + h) ~ sum_{|I|<=k} c_I h^I.  The
 constant terms are the base value f(x0).  `taylor_of` builds each polynomial
-with one `polyalg.taylor_shift` (a binomial pass, no derivatives).  Products
-and compositions drop everything above order k.  `faa_di_bruno` is the
-higher chain rule read off one `trunc_compose` of order-m jets.
+with one `polyalg.taylor_shift` (a binomial pass, no derivatives).  A jet
+carries its own order: `trunc_mul` and `trunc_compose` return the lower of
+their inputs' orders, through `trunc_poly`, the package's one truncation.
+`faa_di_bruno` (the higher chain rule) and the sphere's Taylor tables in
+`geometry` are read off `trunc_compose`.
 
 `grassmann.MonomialTable` is the one truncated-Taylor contraction kernel:
 given even (nilpotent) and odd arguments in a Grassmann algebra over any
@@ -80,24 +82,26 @@ def trunc_poly(f: Polynomial, k: int) -> Polynomial:
     return Polynomial._of(f.p, {e: c for e, c in f.terms.items() if mi_abs(e) <= k})
 
 
-def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap, k: int) -> TruncatedPolyMap:
-    """Order-k product of scalar-valued truncated polynomials."""
+def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap) -> TruncatedPolyMap:
+    """Scalar-valued a times each component of b, at the lower of their orders."""
     if a.m != b.m:
         raise DimensionError("source dimensions differ")
-    if a.mt != 1 or b.mt != 1:
-        raise DimensionError("trunc_mul handles scalar-valued jets")
+    if a.mt != 1:
+        raise DimensionError("trunc_mul needs a scalar-valued first factor")
     if a.base_point != b.base_point:
         raise DimensionError("jets based at different points")
-    return TruncatedPolyMap(k, a.base_point, (trunc_poly(a.polys[0] * b.polys[0], k),))
+    k = min(a.k, b.k)
+    return TruncatedPolyMap(k, a.base_point, tuple(trunc_poly(a.polys[0] * g, k) for g in b.polys))
 
 
-def trunc_compose(outer: TruncatedPolyMap, inner: TruncatedPolyMap, k: int) -> TruncatedPolyMap:
-    """Order-k composition; outer must be expanded at inner's base value."""
+def trunc_compose(outer: TruncatedPolyMap, inner: TruncatedPolyMap) -> TruncatedPolyMap:
+    """outer after inner at the lower order; outer is expanded at inner's base value."""
     if outer.m != inner.mt:
         raise DimensionError("outer source dimension != inner target dimension")
     if tuple(outer.base_point) != inner.base_value:
         raise ValueError("base-point mismatch: outer jet not based at inner's value")
     m = inner.m
+    k = min(outer.k, inner.k)
     increments = [Polynomial._of(m, {e: c for e, c in f.terms.items() if any(e)})
                   for f in inner.polys]
     powcache: list[dict[int, Polynomial]] = [dict() for _ in increments]
@@ -143,7 +147,7 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
         if f.p != len(phi):
             raise DimensionError("outer arity != inner component count")
     inner = taylor_of(phi, x0, m)
-    composed = trunc_compose(taylor_of(b, inner.base_value, m), inner, m)
+    composed = trunc_compose(taylor_of(b, inner.base_value, m), inner)
     return {K: tuple(_coerce(c * mi_factorial(K)) for c in composed.coefficient(K))
             for K in iter_multiindices(phi[0].p, m)}
 
@@ -152,7 +156,7 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
 # Grassmann contraction
 
 
-def exp_pair(data: TruncatedPolyMap, even_args, n: int | None = None):
+def exp_pair(data: TruncatedPolyMap, even_args):
     """Evaluate jet data on Grassmann arguments.
 
     even_args fill the jet's variables: even elements, nilpotent in the
@@ -162,10 +166,9 @@ def exp_pair(data: TruncatedPolyMap, even_args, n: int | None = None):
     even_args = list(even_args)
     if len(even_args) != data.m:
         raise DimensionError(f"expected {data.m} even arguments, got {len(even_args)}")
-    if n is None:
-        if not even_args:
-            raise DimensionError("cannot infer generator count from empty arguments")
-        n = even_args[0].n
+    if not even_args:
+        raise DimensionError("cannot infer generator count from empty arguments")
+    n = even_args[0].n
     for a in even_args:
         if a.n != n:
             raise DimensionError("mixed generator counts in arguments")

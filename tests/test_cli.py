@@ -381,6 +381,39 @@ def test_a_law_that_raises_fails_its_case_and_keeps_the_report(capsys, monkeypat
         assert failure["witness"]["error"] == "ValueError: base-point mismatch"
 
 
+def test_a_draw_that_raises_fails_its_suite_and_keeps_the_report(capsys, monkeypatch):
+    import superjet.suites as suites
+
+    def broken(*args, **kwargs):
+        raise ValueError("compose fault")
+
+    # random_shear_chart composes morphisms, so the mapspace draw raises
+    monkeypatch.setattr(suites, "morphism_compose", broken)
+    code, out, err = run(capsys, "verify", "all", "--cases", "2")
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    assert set(report) == {"suite", "algorithm", "seed", "cases", "passed", "failed", "failures"}
+    assert report["cases"] == report["passed"] + report["failed"]
+    failures = {f["id"]: f["witness"] for f in report["failures"]}
+    assert failures["mapspace/draw"] == {"error": "ValueError: compose fault"}
+    assert {cid.partition("/")[0] for cid in failures} == {"morphism", "mapspace"}
+
+
+def test_verify_refuses_an_unknown_geometry(capsys):
+    code, out, err = run(capsys, "verify", "all", "--geometry", "torus", "--cases", "1")
+    assert code == 2 and out == "" and err.startswith("error: unknown geometry")
+
+
+def test_verify_runs_the_flat_geometry_reproducibly(tmp_path, capsys):
+    outs = [str(tmp_path / f"{i}.json") for i in range(2)]
+    for path in outs:
+        code, _, _ = run(capsys, "verify", "geometry", "--geometry", "flat:2", "--seed", "3",
+                         "--cases", "20", "--out", path)
+        assert code == 0
+    first, second = (open(path, "rb").read() for path in outs)
+    assert first == second and json.loads(first)["failed"] == 0
+
+
 def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

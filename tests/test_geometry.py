@@ -18,6 +18,7 @@ from superjet import (
     local_trivialize,
     make_backend,
 )
+from superjet.geometry import THETA_OVER_SIN, _frozen_theta_over_sin
 from superjet.suites import fd_derivative, jet_fd_defect, random_sphere_point, random_tangent
 
 
@@ -86,6 +87,12 @@ def test_sphere_rejects_bad_inputs():
         sphere.geo_exp([0.0, 0.0, 1.0], [0.0, 0.0, 0.5])  # not tangent
     with pytest.raises(DomainError):
         sphere.geo_log([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])  # antipodal
+
+
+def test_theta_over_sin_series_starts_with_its_known_coefficients():
+    want = [1, Fraction(1, 3), Fraction(2, 15), Fraction(2, 35)]
+    assert _frozen_theta_over_sin(3) == want
+    assert THETA_OVER_SIN[:4] == [float(c) for c in want]
 
 
 def test_log_jet_coefficients_match_finite_differences():

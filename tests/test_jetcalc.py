@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superjet import (
+    DimensionError,
     GrassmannElement,
     ParityError,
     Polynomial,
@@ -74,7 +75,7 @@ def test_truncated_composition_is_functorial(outer, inner, x0):
         inner_jet = taylor_of([inner], x0, k)
         outer_jet = taylor_of([outer], inner_jet.base_value, k)
         composite = poly_compose(outer, [inner], degree_bound=None)
-        composed = trunc_compose(outer_jet, inner_jet, k)
+        composed = trunc_compose(outer_jet, inner_jet)
         assert degree_at_most(composed, k)
         assert composed == taylor_of([composite], x0, k)
 
@@ -83,18 +84,60 @@ def test_truncated_composition_is_functorial(outer, inner, x0):
 def test_identity_jets_are_neutral(f, x0):
     for k in (1, 2):
         jet = taylor_of([f], x0, k)
-        assert trunc_compose(jet, identity_jet(x0, k), k) == jet
+        assert trunc_compose(jet, identity_jet(x0, k)) == jet
         # scalar identity on the output side
         post = identity_jet(jet.base_value, k)
-        assert trunc_compose(post, jet, k) == jet
+        assert trunc_compose(post, jet) == jet
 
 
 @given(polynomials(p=2, degree=2), polynomials(p=2, degree=2), x0_strategy)
 def test_truncated_product_matches_polynomial_product(f, g, x0):
     for k in (1, 2, 3):
-        lhs = trunc_mul(taylor_of([f], x0, k), taylor_of([g], x0, k), k)
+        lhs = trunc_mul(taylor_of([f], x0, k), taylor_of([g], x0, k))
         assert degree_at_most(lhs, k)
         assert lhs == taylor_of([f * g], x0, k)
+
+
+@given(polynomials(p=1, degree=2), polynomials(p=2, degree=2),
+       st.lists(polynomials(p=2, degree=2), min_size=1, max_size=3), x0_strategy,
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_mixed_orders_compose_and_multiply_at_the_lower_order(outer, f, gs, x0, ka, kb):
+    inner_jet = taylor_of([f], x0, kb)
+    composed = trunc_compose(taylor_of([outer], inner_jet.base_value, ka), inner_jet)
+    assert composed == taylor_of([poly_compose(outer, [f], degree_bound=None)], x0, min(ka, kb))
+    # a scalar-valued jet times each component of a vector-valued one
+    product = trunc_mul(taylor_of([f], x0, ka), taylor_of(gs, x0, kb))
+    assert product == taylor_of([f * g for g in gs], x0, min(ka, kb))
+
+
+def test_order_one_jets_compose_to_an_order_one_jet():
+    # y + y^3 after x^2 + 2x at x = 1: order-1 jets determine only 30 + 112 h,
+    # not the order-3 terms 172 h^2 + 136 h^3
+    inner = Polynomial(1, {(2,): 1, (1,): 2})
+    outer = Polynomial(1, {(1,): 1, (3,): 1})
+    x0 = [Fraction(1)]
+    composite = poly_compose(outer, [inner], degree_bound=None)
+    jets = {k: taylor_of([inner], x0, k) for k in (1, 3)}
+    low = trunc_compose(taylor_of([outer], [3], 1), jets[1])
+    assert low.k == 1 and low.polys[0].terms == {(0,): 30, (1,): 112}
+    assert low == taylor_of([composite], x0, 1)
+    assert trunc_compose(taylor_of([outer], [3], 3), jets[1]) == low
+    assert trunc_compose(taylor_of([outer], [3], 1), jets[3]) == low
+    high = trunc_compose(taylor_of([outer], [3], 3), jets[3])
+    assert high.polys[0].terms == {(0,): 30, (1,): 112, (2,): 172, (3,): 136}
+    product = trunc_mul(jets[1], taylor_of([composite], x0, 3))
+    assert product == taylor_of([inner * composite], x0, 1)
+
+
+def test_trunc_mul_refuses_factors_that_do_not_match():
+    x0 = [Fraction(0), Fraction(1)]
+    scalar = taylor_of([Polynomial.variable(2, 0)], x0, 2)
+    with pytest.raises(DimensionError, match="source dimensions"):
+        trunc_mul(scalar, taylor_of([Polynomial.variable(1, 0)], [Fraction(0)], 2))
+    with pytest.raises(DimensionError, match="different points"):
+        trunc_mul(scalar, taylor_of([Polynomial.variable(2, 0)], [Fraction(1), Fraction(1)], 2))
+    with pytest.raises(DimensionError, match="scalar-valued first factor"):
+        trunc_mul(taylor_of([Polynomial.variable(2, j) for j in range(2)], x0, 2), scalar)
 
 
 def test_compose_rejects_base_point_mismatch():
@@ -102,7 +145,7 @@ def test_compose_rejects_base_point_mismatch():
     a = taylor_of([f], [Fraction(0)], 2)
     b = taylor_of([f], [Fraction(1)], 2)
     with pytest.raises(ValueError):
-        trunc_compose(a, b, 2)
+        trunc_compose(a, b)
 
 
 def test_faa_di_bruno_chain_rule_orders():
@@ -193,7 +236,7 @@ def test_exp_pair_evaluates_on_nilpotents():
         nil = GrassmannElement(3, {3: Fraction(1, 2), 5: Fraction(rng.randint(-2, 2))})
         jet = taylor_of([f], [x0], 3)
         direct = poly_eval(f, [GrassmannElement.scalar(3, x0) + nil])
-        (via_jet,) = exp_pair(jet, [nil], n=3)
+        (via_jet,) = exp_pair(jet, [nil])
         assert via_jet == direct
 
 
@@ -201,7 +244,13 @@ def test_exp_pair_checks_parities():
     jet = taylor_of([Polynomial.variable(1, 0)], [Fraction(0)], 1)
     odd = GrassmannElement.gen(2, 1)
     with pytest.raises(ParityError):
-        exp_pair(jet, [odd], n=2)
+        exp_pair(jet, [odd])
+    # the generator count is read off the arguments, so there must be one to read
+    with pytest.raises(DimensionError, match="cannot infer"):
+        exp_pair(taylor_of([], [], 1), [])
+    plane = taylor_of([Polynomial.variable(2, 0)], [Fraction(0)] * 2, 1)
+    with pytest.raises(DimensionError, match="mixed generator counts"):
+        exp_pair(plane, [GrassmannElement.zero(2), GrassmannElement.zero(4)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses or
-imports inside a function, and no private function, method or class goes
-unreferenced in the package.
+imports inside a function, no private function, method or class goes
+unreferenced in the package, and only `jetcalc` calls `trunc_poly`, so jet
+truncation lives in one module.
 
 `__init__` is exempt from the import check: it imports names to re-export them.
 """
@@ -114,3 +115,29 @@ def test_the_check_sees_an_unreferenced_private():
 def test_every_private_definition_is_referenced():
     assert PACKAGE
     assert unreferenced_privates(path.read_text(encoding="utf-8") for path in PACKAGE) == []
+
+
+def callers(sources: dict, name: str) -> list:
+    """The names of the sources (a {name: source} dict) that call `name`,
+    as a bare name or as an attribute, sorted."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.add(module)
+    return sorted(found)
+
+
+def test_the_check_sees_every_caller():
+    sources = {"a.py": "from .b import cut\n\ndef f(p):\n    return cut(p, 2)\n",
+               "b.py": "def cut(p, k):\n    return p\n",
+               "c.py": "from . import b\n\nx = [b.cut(1, 2)]\n",
+               "d.py": "from .b import cut\n\ng = cut\n"}
+    assert callers(sources, "cut") == ["a.py", "c.py"]
+
+
+def test_only_jetcalc_truncates():
+    assert callers({path.name: path.read_text(encoding="utf-8") for path in PACKAGE},
+                   "trunc_poly") == ["jetcalc.py"]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import superjet
 import superjet.morphism
 import superjet.suites as suites
 from superjet import EtaCoefficient
@@ -68,6 +69,26 @@ def test_all_is_every_suite_in_one_recorder():
     assert merged["cases"] == sum(r["cases"] for r in reports)
     assert merged["failures"] == sorted((f for r in reports for f in r["failures"]),
                                         key=lambda f: f["id"])
+
+
+def test_a_draw_that_raises_is_one_failed_row_and_the_next_suites_run(monkeypatch):
+    def broken(rec, seed, cases, geometry):
+        rec.check("grassmann/split-0000", a=1)
+        raise RuntimeError("no more cases")
+
+    others = [run_suite(name, seed=5, cases=2) for name in SUITES if name != "grassmann"]
+    monkeypatch.setitem(SUITES, "grassmann", broken)
+    monkeypatch.setitem(LAWS, "grassmann/split", lambda a: True)
+    report = run_suite("all", seed=5, cases=2)
+    assert report["cases"] == 2 + sum(r["cases"] for r in others)
+    assert report["failures"] == [{"id": "grassmann/draw",
+                                   "witness": {"error": "RuntimeError: no more cases"}}]
+
+
+def test_an_unknown_geometry_is_refused_before_any_suite_runs(monkeypatch):
+    monkeypatch.setitem(SUITES, "grassmann", None)      # never called
+    with pytest.raises(superjet.DimensionError):
+        run_suite("all", geometry="torus")
 
 
 def test_an_unknown_suite_is_a_key_error():

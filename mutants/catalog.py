@@ -29,8 +29,8 @@ MUTANTS = [
      "= _coerce(c * k)",
      "= _coerce(c)", "killed"),
     ("functor-theta-unshifted", "mapspace.py",
-     "SuperFunction.theta(p, m + q, m + a) for a in range(q)",
-     "SuperFunction.theta(p, m + q, a) for a in range(q)", "killed"),
+     "GrassmannElement.gen(m + q, m + a + 1) for a in range(q)",
+     "GrassmannElement.gen(m + q, a + 1) for a in range(q)", "killed"),
     # the algebra and the contraction kernels
     ("merge-sign-always-plus", "grassmann.py",
      "return -1 if inv & 1 else 1",
@@ -75,6 +75,9 @@ MUTANTS = [
     ("theta-over-sin-argument-sign", "geometry.py",
      "2 * u - u * u",
      "2 * u + u * u", "killed"),
+    ("exp-jet-sine-sign", "geometry.py",
+     "tuple(c * xi + p for xi, p in zip(x, moved.polys))",
+     "tuple(c * xi - p for xi, p in zip(x, moved.polys))", "killed"),
     ("transport-sign", "geometry.py",
      "out.extend(wi - factor * e for wi, e in zip(w, ends))",
      "out.extend(wi + factor * e for wi, e in zip(w, ends))", "killed"),

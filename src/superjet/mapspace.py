@@ -98,30 +98,25 @@ def sc_pair_to_point(n: int, body, even_sections, odd_sections) -> MappingPoint:
     return MappingPoint(n, morphism)
 
 
-def grassmann_to_superfunction(g: GrassmannElement, p: int, q: int) -> SuperFunction:
-    """Constant superfunction with theta-monomials for the generator subsets."""
-    if g.n > q:
-        raise DimensionError("element needs more odd coordinates than available")
-    return SuperFunction(p, q, {mask: Polynomial.constant(p, c) for mask, c in g.terms.items()})
-
-
 def sc_functor_action(rho: GrassmannHom, point: MappingPoint) -> MappingPoint:
     """Move a level-n point to level m by substituting rho(eta_i) for each eta.
 
-    Functorial: the identity acts trivially and composites act as composites.
+    One GrassmannHom Lambda_{n+q} -> Lambda_{m+q} sends eta_i to rho(eta_i)
+    and theta_a to theta_{m+a}, and applies to each pullback, a Grassmann
+    element over Q[x]; no degree in x changes.  Functorial: the identity acts
+    trivially and composites act as composites.
     """
     if rho.source != point.n:
         raise DimensionError(f"hom from Lambda_{rho.source} applied to a level-{point.n} point")
     p, q = point.base_source
     m = rho.target
-    substitution = SuperMorphism(
-        (p, m + q),
-        (p, point.n + q),
-        [SuperFunction.coordinate(p, m + q, j) for j in range(p)],
-        [grassmann_to_superfunction(im, p, m + q) for im in rho.images]
-        + [SuperFunction.theta(p, m + q, m + a) for a in range(q)],
-    )
-    return MappingPoint(m, morphism_compose(point.morphism, substitution))
+    substitution = GrassmannHom(point.n + q, m + q,
+                                [GrassmannElement(m + q, im.terms) for im in rho.images]
+                                + [GrassmannElement.gen(m + q, m + a + 1) for a in range(q)])
+    phi = point.morphism
+    even, odd = ([SuperFunction._of(p, substitution.apply(sf.element)) for sf in pbs]
+                 for pbs in (phi.even_pb, phi.odd_pb))
+    return MappingPoint(m, SuperMorphism((p, m + q), phi.target, even, odd))
 
 
 # ---------------------------------------------------------------------------

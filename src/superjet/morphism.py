@@ -23,14 +23,12 @@ a trial multiplies k+1 fixed b's and at most one pullback instead of expanding
 oracle.
 
 A morphism's pullback phi^* is fixed once phi is, so a `SuperMorphism`
-caches its monomial `table`, shared by every `sf_substitute` along it, and
-`pullback` memoizes the guardrail-free phi^*(g) for `order_bound_check`.
-`EtaCoefficient.apply` reads the symbol instead, through the psi that
-`eta_decompose` builds once, so a wrong c changes its value.  A `SuperPoint`
-owns its table the same way, for `pushforward`.  No oracle reads the memo: the
-verifier's reference sides call `sf_substitute` or their own expansions.
-`pushforward_general` reads no cached table, nor does `eta_decompose`, which
-builds a table of the eta-parts and pulls nothing back.
+caches its monomial `table`, shared by every `sf_substitute` along it.
+`EtaCoefficient.apply` reads the symbol, through the psi that `eta_decompose`
+builds once, so a wrong c changes its value.  A `SuperPoint` owns its table
+the same way, for `pushforward`.  `pushforward_general` reads no cached
+table, nor does `eta_decompose`, which builds a table of the eta-parts and
+pulls nothing back.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ class SuperMorphism:
     target: tuple
     even_pb: tuple
     odd_pb: tuple
-    _pullbacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("source", "target", "even_pb", "odd_pb"):
@@ -104,19 +101,6 @@ class SuperMorphism:
         p, q = self.source
         return MonomialTable([sf.nilpotent_part().element for sf in self.even_pb],
                              [sf.element for sf in self.odd_pb], SuperFunction.one(p, q).element)
-
-    def pullback(self, g: SuperFunction) -> SuperFunction:
-        """phi^*(g) without the degree guardrail, memoized on g's content.
-
-        Sound because no Polynomial or GrassmannElement is mutated in place.
-        """
-        key = (g.p, g.q, frozenset((mask, frozenset(poly.terms.items()))
-                                   for mask, poly in g.components.items()))
-        out = self._pullbacks.get(key)
-        if out is None:
-            # the module global, so a tracer that rebinds sf_substitute sees each miss
-            out = self._pullbacks[key] = sf_substitute(g, self, degree_bound=None)
-        return out
 
     def body_map(self) -> list:
         """The classical map underneath: theta-free parts of the even pullbacks."""
@@ -362,10 +346,10 @@ def order_bound_check(coef: EtaCoefficient, k: int, trials: int = 8,
     and eta-free, so it commutes with everything and with E_I.  Each factor
     phi^*(y_j - c) - psi(y_j - c) is b_j, the eta-part of the j-th even
     pullback, whatever the constant c; so a trial costs k+1 products of b's
-    and, only if that product is nonzero, one product with the memoized
-    phi^*(h).  Body points x0 come from a fixed rational lattice, shuffled by
-    the seed.  PASS certifies order <= k on the probe family only; FAIL carries
-    a replayable witness.
+    and, only if that product is nonzero, one product with phi^*(h).  Body
+    points x0 come from a fixed rational lattice, shuffled by the seed.  PASS
+    certifies order <= k on the probe family only; FAIL carries a replayable
+    witness.
     """
     if k < 0:
         raise ValueError("order must be >= 0")
@@ -397,7 +381,8 @@ def order_bound_check(coef: EtaCoefficient, k: int, trials: int = 8,
             product = product * etas[j]
         if not product:
             continue
-        value = _extract_eta(product * phi.pullback(h), coef.n_eta, coef.mask).eval_body(x0)
+        pulled = sf_substitute(h, phi, degree_bound=None)
+        value = _extract_eta(product * pulled, coef.n_eta, coef.mask).eval_body(x0)
         if value:
             witness = {
                 "x0": [str(v) for v in x0],

@@ -510,6 +510,12 @@ def law_fd(geometry, x, y0):
     return defect <= 1e-6, {"defect": defect}
 
 
+def law_fd_exp(geometry, x, v):
+    backend = make_backend(geometry)
+    defect = jet_fd_defect(backend.exp_jet(x, v, 4), lambda vv: backend.exp_closed(x, vv))
+    return defect <= 1e-6, {"defect": defect}
+
+
 # the bundle rank of the chart law's backend; the suite sizes its xi from it
 CHART_RANK = 1
 
@@ -612,7 +618,8 @@ LAWS = {
     "jetcalc/compose": law_jet_compose, "jetcalc/ident": law_jet_ident,
     "jetcalc/mul": law_jet_mul, "jetcalc/faa": law_faa,
     "geometry/roundtrip": law_roundtrip, "geometry/isometry": law_isometry,
-    "geometry/fd": law_fd, "geometry/chart": law_chart, "geometry/bundle": law_bundle,
+    "geometry/fd": law_fd, "geometry/fd-exp": law_fd_exp,
+    "geometry/chart": law_chart, "geometry/bundle": law_bundle,
     "mapspace/pair": law_pair, "mapspace/functident": law_functident,
     "mapspace/functcomp": law_functcomp, "mapspace/shearinv": law_shearinv,
     "mapspace/transition": law_transition, "mapspace/natural": law_map_natural,
@@ -751,6 +758,7 @@ def suite_geometry(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
             x = random_sphere_point(rng)
             v = random_tangent(rng, x, lo=0.2, hi=0.9)
             y0 = backend.exp_closed(x, v)
+            rec.check(f"geometry/fd-exp-{i:04d}", geometry=geometry, x=x, v=v)
         rec.check(f"geometry/fd-{i:04d}", geometry=geometry, x=x, y0=y0)
 
     d = backend.m * (1 + CHART_RANK)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import superjet.cli as cli_mod
+import superjet.suites as suites
 from superjet import (
     DomainError,
     GrassmannElement,
@@ -346,8 +348,6 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    import superjet.cli as cli_mod
-
     def fake(name, seed=0, cases=100, geometry="sphere2"):
         return {
             "suite": name,
@@ -366,8 +366,6 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_a_law_that_raises_fails_its_case_and_keeps_the_report(capsys, monkeypatch):
-    import superjet.suites as suites
-
     def broken(*args, **kwargs):
         raise ValueError("base-point mismatch")
 
@@ -382,8 +380,6 @@ def test_a_law_that_raises_fails_its_case_and_keeps_the_report(capsys, monkeypat
 
 
 def test_a_draw_that_raises_fails_its_suite_and_keeps_the_report(capsys, monkeypatch):
-    import superjet.suites as suites
-
     def broken(*args, **kwargs):
         raise ValueError("compose fault")
 

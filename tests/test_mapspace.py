@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superjet.suites as suites
 from superjet import (
     DimensionError,
     GrassmannElement,
@@ -171,6 +172,55 @@ def test_functor_action_composition_law():
         once = sc_functor_action(hom_compose(sigma, rho), point)
         twice = sc_functor_action(sigma, sc_functor_action(rho, point))
         assert once.morphism == twice.morphism
+
+
+def expanded_action(rho, point):
+    """The functor action by hand: each sigma_J theta^J becomes sigma_J times the
+    images of J's odd coordinates in ascending order, multiplied with plain *."""
+    p, q = point.base_source
+    m = rho.target
+    images = [SuperFunction(p, m + q, {mask: Polynomial.constant(p, c)
+                                       for mask, c in im.terms.items()})
+              for im in rho.images] + [SuperFunction.theta(p, m + q, m + a) for a in range(q)]
+
+    def substitute(sf):
+        total = SuperFunction.zero(p, m + q)
+        for J, sigma in sf.components.items():
+            term = SuperFunction.from_poly(sigma, m + q)
+            for i, image in enumerate(images):
+                if J >> i & 1:
+                    term = term * image
+            total = total + term
+        return total
+
+    phi = point.morphism
+    return MappingPoint(m, SuperMorphism((p, m + q), phi.target,
+                                         [substitute(sf) for sf in phi.even_pb],
+                                         [substitute(sf) for sf in phi.odd_pb]))
+
+
+def test_functor_action_matches_the_expansion_by_hand():
+    rng = SplitMix64(46)
+    moved = 0
+    for p in range(3):
+        for q in range(3):
+            for n in range(4):
+                for m in (0, 1, 3):
+                    point = MappingPoint(n, random_morphism(rng, (p, n + q), (1, 2), degree=3))
+                    zero = GrassmannHom(n, m, [GrassmannElement.zero(m)] * n)
+                    for rho in (random_hom(rng, n, m), zero):
+                        got = sc_functor_action(rho, point)
+                        assert got == expanded_action(rho, point)
+                        moved += got.morphism != point.morphism
+    assert moved > 0
+
+
+def test_the_identity_acts_on_a_point_past_the_degree_bound():
+    # x^17 exceeds the default degree bound of 16, and substituting etas raises
+    # no degree in x, so no guardrail may refuse it
+    x17 = SuperFunction.from_poly(Polynomial.monomial(1, (17,)), 1)
+    point = MappingPoint(1, SuperMorphism((1, 1), (1, 1), [x17], [SuperFunction.theta(1, 1, 0)]))
+    assert sc_functor_action(GrassmannHom.identity(1), point) == point
 
 
 def test_functor_action_rejects_level_mismatch():
@@ -343,8 +393,6 @@ def test_top_order_cancellation_table():
 
 
 def test_cancellation_laws_fail_with_replayable_witnesses(monkeypatch):
-    import superjet.suites as suites
-
     def inverted(n, p, r):
         return not top_order_cancellation(n, p, r)
 
@@ -359,8 +407,6 @@ def test_cancellation_laws_fail_with_replayable_witnesses(monkeypatch):
 
 
 def test_pair_law_lets_unexpected_errors_through(monkeypatch):
-    import superjet.suites as suites
-
     def broken(*args):
         raise ValueError("not a missing-section error")
 

@@ -5,6 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superjet.jetcalc
+import superjet.morphism
+import superjet.polyalg
+import superjet.superfun
 from superjet import (
     DegreeBoundError,
     DimensionError,
@@ -34,7 +38,13 @@ from superjet import (
 )
 from superjet.morphism import _extract_eta, odd_derivative
 from superjet.polyalg import iter_multiindices_upto, poly_derive
-from superjet.suites import random_morphism, random_polynomial, random_superpoint, run_suite
+from superjet.suites import (
+    random_hom,
+    random_morphism,
+    random_polynomial,
+    random_superpoint,
+    run_suite,
+)
 
 from conftest import morphisms, polynomials, small_ints, superfunctions, superpoints
 from test_superfun import substitute_oracle
@@ -121,9 +131,6 @@ def test_pushforward_general_agrees():
 
 
 def test_pushforward_commutes_with_coefficient_homs():
-    from superjet import GrassmannHom
-    from superjet.suites import random_hom
-
     rng = SplitMix64(9)
     for _ in range(10):
         phi = random_morphism(rng, (1, 1), (1, 1), degree=2)
@@ -286,7 +293,7 @@ def order_check_expanded(coef, k, trials=8, seed=0):
     rng.shuffle(probes)
 
     def part(g, mask):
-        return _extract_eta(phi.pullback(g), coef.n_eta, mask)
+        return _extract_eta(sf_substitute(g, phi, degree_bound=None), coef.n_eta, mask)
 
     for t in range(trials):
         x0 = lattice[t % len(lattice)]
@@ -371,8 +378,6 @@ def test_telescoped_order_check_matches_the_expansion_on_failing_cases():
 
 
 def test_expansion_catches_the_whole_pullback_in_place_of_its_eta_part(monkeypatch):
-    import superjet.morphism
-
     monkeypatch.setattr(superjet.morphism, "_eta_part", lambda sf, n_eta: sf)
     differ = sum(order_check_disagreements(phi, n_eta, trials=8, seed=i)[1]
                  for i, (phi, n_eta) in enumerate(seeded_order_sweep()))
@@ -435,8 +440,6 @@ def test_the_sampled_check_passes_at_the_symbol_order(data, seed):
 
 @pytest.mark.parametrize("mutant", [None, "mi_factorial", "_eta_part"])
 def test_the_rebuild_catches_a_broken_symbol(monkeypatch, mutant):
-    import superjet.morphism
-
     broken = {"mi_factorial": lambda beta: 1,            # 1/beta! dropped
               "_eta_part": lambda sf, n_eta: sf}        # whole pullback for its eta-part
     if mutant:
@@ -461,23 +464,12 @@ def test_the_sampled_check_catches_an_order_below_the_symbol(monkeypatch, mutant
     assert (failed > 0) == mutant
 
 
-# -- the per-morphism pullback memo ------------------------------------------
+# -- the per-morphism monomial table -----------------------------------------
 
 
 def fresh(phi: SuperMorphism) -> SuperMorphism:
-    """An equal morphism with an empty pullback memo."""
+    """An equal morphism whose monomial table is not built yet."""
     return SuperMorphism.from_json(phi.to_json())
-
-
-@given(morphisms((1, 3), (2, 2)), superfunctions(p=2, q=2))
-def test_pullback_memo_agrees_with_substitution_cold_and_warm(phi, g):
-    expected = sf_substitute(g, phi, degree_bound=None)
-    cold = phi.pullback(g)
-    assert cold == expected
-    # equal content in another component order is the same memo entry
-    g_again = SuperFunction(g.p, g.q, dict(reversed(list(g.components.items()))))
-    assert phi.pullback(g_again) is cold
-    assert phi.pullback(g) == sf_substitute(g, phi, degree_bound=None)
 
 
 @settings(max_examples=30)
@@ -494,32 +486,15 @@ def test_order_verdicts_do_not_depend_on_memo_order(phi, n_eta, seed):
     assert verdicts(phi) == forward                         # warm
 
 
-def test_memo_is_invisible_to_equality_and_wire_format():
-    phi = theta_pair_shift()
-    before = phi.to_json()
-    for g in default_probes(1, 2, 2):
-        phi.pullback(g)
-    assert phi._pullbacks
-    assert phi == fresh(phi) and fresh(phi) == phi
-    assert phi.to_json() == before == fresh(phi).to_json()
-    assert repr(phi) == repr(fresh(phi))
-
-
 def test_oracles_do_not_read_the_memo(monkeypatch):
-    import superjet.morphism
-
     rng = SplitMix64(12)
     phi = random_morphism(rng, (1, 3), (1, 1), degree=2)
     probes = default_probes(1, 1, 2)
     expected = [sf_substitute(g, phi) for g in probes]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("oracle pulled back through SuperMorphism.pullback or sf_substitute")
+        raise AssertionError("oracle pulled back through sf_substitute")
 
-    monkeypatch.setattr(SuperMorphism, "pullback", refuse)
-    for g, full in zip(probes, expected):
-        # the morphism/decomp-* right-hand side
-        assert sf_substitute(g, phi) == full
     mu = random_superpoint(rng, 3, 1, 3)
     fast_point = pushforward(phi, mu)
     fast_values = [sf_eval(sigma, mu) for sigma in phi.even_pb + phi.odd_pb]
@@ -546,10 +521,6 @@ def test_oracles_do_not_read_the_memo(monkeypatch):
 
 
 def test_oracles_do_not_call_the_taylor_shift(monkeypatch):
-    import superjet.jetcalc
-    import superjet.polyalg
-    import superjet.superfun
-
     rng = SplitMix64(13)
     phi = random_morphism(rng, (2, 1), (1, 2), degree=3)
     mu = random_superpoint(rng, 4, 2, 1)
@@ -616,16 +587,6 @@ def test_integer_inputs_give_no_float_in_an_exact_result(data):
         sf_substitute(g, into_odd),
     ]
     assert not any(isinstance(c, float) for c in scalar_leaves(results))
-
-
-def test_a_warm_memo_never_lifts_the_degree_guardrail():
-    # y -> x^5 pulls y^4 back to x^20, past the default degree bound of 16
-    fifth = SuperFunction.from_poly(Polynomial.monomial(1, (5,)), 0)
-    phi = SuperMorphism((1, 0), (1, 0), [fifth], [])
-    g = SuperFunction.from_poly(Polynomial.monomial(1, (4,)), 0)
-    assert phi.pullback(g) == SuperFunction.from_poly(Polynomial.monomial(1, (20,)), 0)
-    with pytest.raises(DegreeBoundError):
-        sf_substitute(g, phi)
 
 
 def test_a_shared_table_keeps_the_guardrail_for_every_pullback():

@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses or
 imports inside a function, no private function, method or class goes
 unreferenced in the package, and only `jetcalc` calls `trunc_poly`, so jet
-truncation lives in one module.
+truncation lives in one module.  No test module imports inside a function
+either: after a harness re-imports `superjet`, such an import returns the new
+modules, and a monkeypatch on them misses the code the test module bound.
 
 `__init__` is exempt from the import check: it imports names to re-export them.
 """
@@ -13,6 +15,7 @@ import superjet
 
 PACKAGE = sorted(Path(superjet.__file__).parent.glob("*.py"))
 MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def quoted_names(tree) -> set:
@@ -78,8 +81,8 @@ def test_the_check_sees_an_import_inside_a_function():
 
 
 def test_no_function_imports():
-    assert PACKAGE
-    inside = {path.name: found for path in PACKAGE
+    assert PACKAGE and TESTS
+    inside = {path.name: found for path in PACKAGE + TESTS
               if (found := imports_inside_functions(path.read_text(encoding="utf-8")))}
     assert inside == {}
 

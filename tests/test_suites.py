@@ -9,7 +9,7 @@ import pytest
 import superjet
 import superjet.morphism
 import superjet.suites as suites
-from superjet import EtaCoefficient
+from superjet import EtaCoefficient, Sphere2Backend, TruncatedPolyMap
 from superjet.suites import LAWS, SUITES, Recorder, run_suite
 
 
@@ -130,3 +130,18 @@ def test_the_mapspace_suite_catches_a_check_that_stops_at_the_first_mask(monkeyp
 
     monkeypatch.setattr(suites, "supersmooth_check", first_mask_only)
     assert failed_laws(run_suite("mapspace", seed=0, cases=1)) == ["mapspace/reject"]
+
+
+# -- the exponential's jet is what geometry/fd-exp checks ----------------------
+
+
+def test_the_geometry_suite_catches_a_sign_flip_in_exp_jet(monkeypatch):
+    # C(s) x - S(s) V, exp's closed form with its second sign flipped, is -exp_{-x}(V)
+    exact = Sphere2Backend.exp_jet
+
+    def flipped(self, x, v0, k):
+        jet = exact(self, tuple(-c for c in x), v0, k)
+        return TruncatedPolyMap(jet.k, jet.base_point, tuple(-f for f in jet.polys))
+
+    monkeypatch.setattr(Sphere2Backend, "exp_jet", flipped)
+    assert failed_laws(run_suite("geometry", seed=0, cases=4)) == ["geometry/fd-exp"]

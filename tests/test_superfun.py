@@ -10,6 +10,7 @@ from superjet import (
     ParityError,
     Polynomial,
     SuperFunction,
+    SuperMorphism,
     SuperPoint,
     sf_eval,
     sf_eval_naive,
@@ -96,8 +97,6 @@ def test_eval_rejects_wrong_shape():
 
 
 def test_substitution_expands_composite():
-    from superjet import SuperMorphism
-
     # sigma(u, xi) = u * xi with u <- y^2, xi <- y th1:  y^3 th1
     sigma = SuperFunction(1, 1, {1: Polynomial.monomial(1, (1,))})
     phi = SuperMorphism(

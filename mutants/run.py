@@ -10,9 +10,12 @@ src/ to a temporary directory, applies the one replacement, and runs
 in a subprocess for seeds 0 and 42.  It prints one line per mutant: the law
 ids that failed (the case ids without their running number), "survived" when
 every seed passed, or "crashed" when a run exited with neither 0 nor 1, wrote
-no report, or ran past the timeout.  A line ends in "unexpected" when the
-outcome contradicts the entry's `expect`; a crash is always unexpected, since
-verify reports a law that raises as a failed case.  The exit code is then 1.
+no report, or ran past the timeout.  When the seeds fail different laws, the
+line lists them per seed.  A "killed" entry holds only when every seed fails
+some law, an "equivalent" one only when every seed passes.  A line ends in
+"unexpected" when the outcome contradicts the entry's `expect`; a crash is
+always unexpected, since verify reports a law that raises as a failed case.
+The exit code is then 1.
 
 Stdlib only.  Run from anywhere:
 
@@ -80,9 +83,12 @@ def sweep(entry) -> tuple[str, bool]:
         runs = [verify(src, seed) for seed in SEEDS]
     if any(run is None for run in runs):
         return f"{name}: crashed  unexpected ({expect})", False
-    failed = sorted(set().union(*runs))
-    ok = bool(failed) == (expect == "killed")
-    outcome = " ".join(failed) if failed else "survived"
+    ok = all(runs) if expect == "killed" else not any(runs)
+    named = [" ".join(sorted(run)) or "survived" for run in runs]
+    if len(set(named)) == 1:
+        outcome = named[0]
+    else:
+        outcome = "; ".join(f"seed {seed}: {laws}" for seed, laws in zip(SEEDS, named))
     return f"{name}: {outcome}" + ("" if ok else f"  unexpected ({expect})"), ok
 
 

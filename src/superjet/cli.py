@@ -3,7 +3,7 @@
 JSON is the only wire format: every command reads JSON files and writes a
 single JSON document to stdout (or ``--out``).  Output is byte-stable --
 keys sorted, two-space indent, trailing newline -- so reports for identical
-``(suite, seed, cases, geometry)`` inputs compare equal as bytes.  Timing
+``(suite, seed, cases)`` inputs compare equal as bytes.  Timing
 goes to stderr only.
 
 Exit codes: 0 success / all checks passed, 1 verification failures,
@@ -157,7 +157,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     _at_least("--cases", args.cases, 1)
     start = time.perf_counter()
-    report = run_suite(args.suite, seed=args.seed, cases=args.cases, geometry=args.geometry)
+    report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     elapsed = time.perf_counter() - start
     print(f"suite {args.suite}: {elapsed:.3f}s", file=sys.stderr)
     _emit(report, args.out)
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--cases", type=int, default=100)
-    p_ver.add_argument("--geometry", default="sphere2", help="geometry suite backend")
     p_ver.add_argument("--out", help="write report here instead of stdout")
     p_ver.set_defaults(fn=cmd_verify)
 

@@ -101,7 +101,10 @@ def rational_from_json(item) -> int | Fraction:
 
 
 def float_from_json(value) -> float:
-    """Parse a binary64 wire value; a non-numeric or non-finite one is a SchemaError."""
+    """Parse a binary64 wire value; a bool, a non-numeric or a non-finite one is
+    a SchemaError."""
+    if isinstance(value, bool):
+        raise SchemaError(f"not a number: {value!r}")
     with payload_errors("number"):
         out = float(value)
     if not math.isfinite(out):

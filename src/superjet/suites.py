@@ -25,11 +25,11 @@ from .errors import DimensionError
 from .geometry import (
     BundlePoint,
     BundleTangent,
+    Sphere2Backend,
     _dot,
     bundle_exp,
     local_detrivialize,
     local_trivialize,
-    make_backend,
 )
 from .grassmann import GrassmannElement, GrassmannHom, hom_apply, hom_compose
 from .jetcalc import faa_di_bruno, taylor_of, trunc_compose, trunc_mul
@@ -483,75 +483,67 @@ def law_faa(phi, psi, x0, m):
                for K, vals in faa_di_bruno(psi, phi, x0, m).items())
 
 
-def law_roundtrip(geometry, x, v):
-    backend = make_backend(geometry)
-    y = backend.geo_exp(x, v)
-    back = backend.geo_log(x, y)
+# the bundle rank of the chart law's backend; the suite sizes its xi from it
+CHART_RANK = 1
+# the backends of the geometry laws
+SPHERE = Sphere2Backend()
+SPHERE_CHART = Sphere2Backend(bundle_rank=CHART_RANK)
+
+
+def law_roundtrip(x, v):
+    y = SPHERE.geo_exp(x, v)
+    back = SPHERE.geo_log(x, y)
     err = max(abs(a - b) for a, b in zip(v, back))
-    dist_err = abs(backend.geo_dist(x, y) - math.sqrt(_dot(v, v)))
-    return (err <= backend.tol and dist_err <= backend.tol,
+    dist_err = abs(SPHERE.geo_dist(x, y) - math.sqrt(_dot(v, v)))
+    return (err <= SPHERE.tol and dist_err <= SPHERE.tol,
             {"log_exp_v": back, "max_err": err, "dist_err": dist_err})
 
 
-def law_isometry(geometry, x, v, w1, w2):
-    backend = make_backend(geometry)
-    y = backend.geo_exp(x, v)
-    p1, p2 = (backend.geo_pt(x, y, w) for w in (w1, w2))
-    errs = [abs(_dot(p1, p2) - _dot(w1, w2))]
-    if backend.kind != "flat":
-        errs.append(abs(_dot(p1, y)))
-    return max(errs) <= backend.tol, {"y": y, "errs": errs}
+def law_isometry(x, v, w1, w2):
+    y = SPHERE.geo_exp(x, v)
+    p1, p2 = (SPHERE.geo_pt(x, y, w) for w in (w1, w2))
+    errs = [abs(_dot(p1, p2) - _dot(w1, w2)), abs(_dot(p1, y))]
+    return max(errs) <= SPHERE.tol, {"y": y, "errs": errs}
 
 
-def law_fd(geometry, x, y0):
-    backend = make_backend(geometry)
-    log = backend.geo_log if backend.kind == "flat" else backend.log_closed
-    defect = jet_fd_defect(backend.log_jet(x, y0, 4), lambda yy: log(x, yy))
+def law_fd(x, y0):
+    defect = jet_fd_defect(SPHERE.log_jet(x, y0, 4), lambda yy: SPHERE.log_closed(x, yy))
     return defect <= 1e-6, {"defect": defect}
 
 
-def law_fd_exp(geometry, x, v):
-    backend = make_backend(geometry)
-    defect = jet_fd_defect(backend.exp_jet(x, v, 4), lambda vv: backend.exp_closed(x, vv))
+def law_fd_exp(x, v):
+    defect = jet_fd_defect(SPHERE.exp_jet(x, v, 4), lambda vv: SPHERE.exp_closed(x, vv))
     return defect <= 1e-6, {"defect": defect}
 
 
-# the bundle rank of the chart law's backend; the suite sizes its xi from it
-CHART_RANK = 1
-
-
-def law_chart(geometry, f_x, xi):
-    backend = make_backend(geometry, bundle_rank=CHART_RANK)
-    mu = backend.superchart_pointwise_inv(f_x, xi)
-    back = backend.superchart_pointwise(f_x, mu)
+def law_chart(f_x, xi):
+    mu = SPHERE_CHART.superchart_pointwise_inv(f_x, xi)
+    back = SPHERE_CHART.superchart_pointwise(f_x, mu)
     err = 0.0
     for a, b in zip(back.even + back.odd, xi.even + xi.odd):
         for mask in set(a.terms) | set(b.terms):
             err = max(err, abs(float(a.terms.get(mask, 0)) - float(b.terms.get(mask, 0))))
-    unit_err = 0.0
-    if backend.kind != "flat":
-        norm = mu.even[0] * mu.even[0] + mu.even[1] * mu.even[1] + mu.even[2] * mu.even[2]
-        delta = norm - GrassmannElement.one(xi.n)
-        unit_err = max((abs(float(c)) for c in delta.terms.values()), default=0.0)
-    return (err <= backend.tol and unit_err <= backend.tol,
+    norm = mu.even[0] * mu.even[0] + mu.even[1] * mu.even[1] + mu.even[2] * mu.even[2]
+    delta = norm - GrassmannElement.one(xi.n)
+    unit_err = max((abs(float(c)) for c in delta.terms.values()), default=0.0)
+    return (err <= SPHERE_CHART.tol and unit_err <= SPHERE_CHART.tol,
             {"roundtrip_err": err, "unit_defect": unit_err})
 
 
-def law_bundle(geometry, a, xi):
-    backend = make_backend(geometry)
-    moved = bundle_exp(backend, a, xi)
+def law_bundle(a, xi):
+    moved = bundle_exp(SPHERE, a, xi)
     shifted = tuple(f + dv for f, dv in zip(a.fibre[0], xi.vertical[0]))
     fibre_norm_err = abs(math.sqrt(_dot(moved.fibre[0], moved.fibre[0]))
                          - math.sqrt(_dot(shifted, shifted)))
     samples = [a.base, moved.base]
     sections = [a, moved]
-    rebuilt = local_detrivialize(backend, samples, local_trivialize(backend, samples, sections))
+    rebuilt = local_detrivialize(SPHERE, samples, local_trivialize(SPHERE, samples, sections))
     rt_err = 0.0
     for orig, got in zip(sections, rebuilt):
         rt_err = max(rt_err, max(abs(p - qq) for p, qq in zip(orig.base, got.base)))
         for wf, gf in zip(orig.fibre, got.fibre):
             rt_err = max(rt_err, max(abs(p - qq) for p, qq in zip(wf, gf)))
-    return (fibre_norm_err <= backend.tol and rt_err <= backend.tol,
+    return (fibre_norm_err <= SPHERE.tol and rt_err <= SPHERE.tol,
             {"fibre_norm_err": fibre_norm_err, "roundtrip_err": rt_err})
 
 
@@ -632,7 +624,7 @@ LAWS = {
 # suites: each draws its corpus in a fixed order and hands every case to rec
 
 
-def suite_grassmann(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
+def suite_grassmann(rec: Recorder, seed: int, cases: int) -> None:
     """Algebra laws, the body/soul split, JSON round-trips, homomorphisms."""
     rng = SplitMix64(seed)
     for i in range(cases):
@@ -655,7 +647,7 @@ def suite_grassmann(rec: Recorder, seed: int, cases: int, geometry: str) -> None
         rec.check(f"grassmann/hom-{i:04d}", rho=rho, a=a, b=b)
 
 
-def suite_superfun(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
+def suite_superfun(rec: Recorder, seed: int, cases: int) -> None:
     """Evaluation is a unital algebra map and matches the expansion oracle."""
     rng = SplitMix64(seed)
     for i in range(cases):
@@ -670,7 +662,7 @@ def suite_superfun(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
         rec.check(f"superfun/unit-{i:04d}", nu=nu)
 
 
-def suite_morphism(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
+def suite_morphism(rec: Recorder, seed: int, cases: int) -> None:
     """Functoriality of pushforward, naturality, and coefficient order bounds."""
     rng = SplitMix64(seed)
     for i in range(cases):
@@ -712,7 +704,7 @@ def suite_morphism(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
         rec.check(f"morphism/{label}", phi=phi, n_eta=n_eta, index=index, seed=seed)
 
 
-def suite_jetcalc(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
+def suite_jetcalc(rec: Recorder, seed: int, cases: int) -> None:
     """Truncated composition, identity jets, products, and Faa di Bruno."""
     rng = SplitMix64(seed)
     for i in range(cases):
@@ -730,81 +722,53 @@ def suite_jetcalc(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
         rec.check(f"jetcalc/faa-{i:04d}", phi=phi, psi=psi, x0=x0, m=m)
 
 
-def suite_geometry(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
+def suite_geometry(rec: Recorder, seed: int, cases: int) -> None:
     """Roundtrips, transport isometry, jet-vs-difference checks, supercharts."""
     rng = SplitMix64(seed)
-    backend = make_backend(geometry)
-    flat = backend.kind == "flat"
-
     for i in range(cases):
-        if flat:
-            x = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
-            v = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
-            w1 = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
-            w2 = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
-        else:
-            x = random_sphere_point(rng)
-            v = random_tangent(rng, x)
-            w1 = random_tangent(rng, x)
-            w2 = random_tangent(rng, x)
-        rec.check(f"geometry/roundtrip-{i:04d}", geometry=geometry, x=x, v=v)
-        rec.check(f"geometry/isometry-{i:04d}", geometry=geometry, x=x, v=v, w1=w1, w2=w2)
+        x = random_sphere_point(rng)
+        v = random_tangent(rng, x)
+        w1 = random_tangent(rng, x)
+        w2 = random_tangent(rng, x)
+        rec.check(f"geometry/roundtrip-{i:04d}", x=x, v=v)
+        rec.check(f"geometry/isometry-{i:04d}", x=x, v=v, w1=w1, w2=w2)
 
     for i in range(min(cases, 4)):
-        if flat:
-            x = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
-            y0 = tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m))
-        else:
-            x = random_sphere_point(rng)
-            v = random_tangent(rng, x, lo=0.2, hi=0.9)
-            y0 = backend.exp_closed(x, v)
-            rec.check(f"geometry/fd-exp-{i:04d}", geometry=geometry, x=x, v=v)
-        rec.check(f"geometry/fd-{i:04d}", geometry=geometry, x=x, y0=y0)
+        x = random_sphere_point(rng)
+        v = random_tangent(rng, x, lo=0.2, hi=0.9)
+        rec.check(f"geometry/fd-exp-{i:04d}", x=x, v=v)
+        rec.check(f"geometry/fd-{i:04d}", x=x, y0=SPHERE.exp_closed(x, v))
 
-    d = backend.m * (1 + CHART_RANK)
+    d = 3 * (1 + CHART_RANK)
     for i in range(min(cases, 6)):
         n, q = 3, 1
-        if flat:
-            base = [_ufloat(rng, -2.0, 2.0) for _ in range(backend.m)]
-            f_x = tuple(base)
-            vecs = {}
-            for mask in range(1 << n):
-                if mask.bit_count() % 2 == 0:
-                    vecs[mask] = [_ufloat(rng, -1.0, 1.0) for _ in range(d)]
-        else:
-            f_x = random_sphere_point(rng)
-            vecs = {0: list(random_tangent(rng, f_x)) + list(random_tangent(rng, f_x))}
-            for mask in range(1 << n):
-                if mask and mask.bit_count() % 2 == 0:
-                    raw = [_ufloat(rng, -1.0, 1.0) for _ in range(d)]
-                    fixed = []
-                    for blk in range(1 + CHART_RANK):
-                        seg = raw[3 * blk:3 * blk + 3]
-                        dd = _dot(seg, f_x)
-                        fixed.extend(c - dd * fc for c, fc in zip(seg, f_x))
-                    vecs[mask] = fixed
+        f_x = random_sphere_point(rng)
+        vecs = {0: list(random_tangent(rng, f_x)) + list(random_tangent(rng, f_x))}
+        for mask in range(1 << n):
+            if mask and mask.bit_count() % 2 == 0:
+                raw = [_ufloat(rng, -1.0, 1.0) for _ in range(d)]
+                fixed = []
+                for blk in range(1 + CHART_RANK):
+                    seg = raw[3 * blk:3 * blk + 3]
+                    dd = _dot(seg, f_x)
+                    fixed.extend(c - dd * fc for c, fc in zip(seg, f_x))
+                vecs[mask] = fixed
         xi = SuperPoint(
             n,
             [GrassmannElement(n, {m: vv[slot] for m, vv in vecs.items() if vv[slot]})
              for slot in range(d)],
             [random_grassmann(rng, n, parity=1) for _ in range(q)],
         )
-        rec.check(f"geometry/chart-{i:04d}", geometry=geometry, f_x=f_x, xi=xi)
+        rec.check(f"geometry/chart-{i:04d}", f_x=f_x, xi=xi)
 
     for i in range(min(cases, 6)):
-        if flat:
-            a = BundlePoint(tuple(_ufloat(rng, -2.0, 2.0) for _ in range(backend.m)),
-                            (tuple(_ufloat(rng, -1.0, 1.0) for _ in range(backend.m)),))
-            xi = BundleTangent(tuple(_ufloat(rng, -1.0, 1.0) for _ in range(backend.m)),
-                               (tuple(_ufloat(rng, -1.0, 1.0) for _ in range(backend.m)),))
-        else:
-            x = random_sphere_point(rng)
-            a = BundlePoint(x, (random_tangent(rng, x),))
-            xi = BundleTangent(random_tangent(rng, x), (random_tangent(rng, x),))
-        rec.check(f"geometry/bundle-{i:04d}", geometry=geometry, a=a, xi=xi)
+        x = random_sphere_point(rng)
+        a = BundlePoint(x, (random_tangent(rng, x),))
+        xi = BundleTangent(random_tangent(rng, x), (random_tangent(rng, x),))
+        rec.check(f"geometry/bundle-{i:04d}", a=a, xi=xi)
 
 
-def suite_mapspace(rec: Recorder, seed: int, cases: int, geometry: str) -> None:
+def suite_mapspace(rec: Recorder, seed: int, cases: int) -> None:
     """Pair roundtrips, functor laws, supersmooth transitions, cancellation."""
     rng = SplitMix64(seed)
     for i in range(cases):
@@ -868,17 +832,15 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, cases: int = 100,
-              geometry: str = "sphere2") -> dict:
+def run_suite(name: str, seed: int = 0, cases: int = 100) -> dict:
     """Run a named suite, or every suite for 'all', into one report dict; a
     suite whose drawing raises ends in one failed row `<suite>/draw`."""
     if name != "all" and name not in SUITES:
         raise KeyError(name)
-    make_backend(geometry)      # a bad selector is the caller's error, not a failed draw
     rec = Recorder(name, seed)
     for suite in SUITES if name == "all" else [name]:
         try:
-            SUITES[suite](rec, seed, cases, geometry)
+            SUITES[suite](rec, seed, cases)
         except Exception as exc:
             rec.rows.append((f"{suite}/draw", False, {"error": _error(exc)}))
     return rec.report()

@@ -1,12 +1,13 @@
 """The mutation catalog stays applicable: each entry's text is still in the source.
 
 The sweep itself (`python mutants/run.py`) runs verify once per mutant and
-seed, so it stays outside the tests; this only checks that no entry has gone
-stale in silence.
+seed, so it stays outside the tests; this checks that no entry has gone
+stale in silence, and, with verify stubbed, how the runner judges a kill.
 """
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,15 @@ import superjet
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(superjet.__file__).parent
 
-spec = importlib.util.spec_from_file_location("catalog", ROOT / "mutants" / "catalog.py")
-catalog = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(catalog)
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "mutants" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+catalog = load("catalog")
 
 
 def test_mutant_names_are_unique_and_expectations_are_stated():
@@ -36,3 +43,18 @@ def test_each_mutant_applies_once_and_still_parses(entry):
     assert sources[file].count(old) == 1
     assert old != new
     ast.parse(sources[file].replace(old, new))
+
+
+def test_a_kill_counts_only_when_every_seed_fails_a_law(monkeypatch):
+    monkeypatch.setitem(sys.modules, "catalog", catalog)     # what run.py imports
+    runner = load("run")
+    name, *_, expect = entry = next(e for e in catalog.MUTANTS if e[-1] == "killed")
+    first, second = runner.SEEDS
+    killers = {first: {"geometry/fd"}, second: {"geometry/fd"}}
+    monkeypatch.setattr(runner, "verify", lambda src, seed: killers[seed])
+    assert runner.sweep(entry) == (f"{name}: geometry/fd", True)
+
+    killers[second] = set()
+    assert runner.sweep(entry) == (
+        f"{name}: seed {first}: geometry/fd; seed {second}: survived  unexpected ({expect})",
+        False)

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import superjet
 import superjet.morphism
 import superjet.suites as suites
 from superjet import EtaCoefficient, Sphere2Backend, TruncatedPolyMap
@@ -72,7 +71,7 @@ def test_all_is_every_suite_in_one_recorder():
 
 
 def test_a_draw_that_raises_is_one_failed_row_and_the_next_suites_run(monkeypatch):
-    def broken(rec, seed, cases, geometry):
+    def broken(rec, seed, cases):
         rec.check("grassmann/split-0000", a=1)
         raise RuntimeError("no more cases")
 
@@ -83,12 +82,6 @@ def test_a_draw_that_raises_is_one_failed_row_and_the_next_suites_run(monkeypatc
     assert report["cases"] == 2 + sum(r["cases"] for r in others)
     assert report["failures"] == [{"id": "grassmann/draw",
                                    "witness": {"error": "RuntimeError: no more cases"}}]
-
-
-def test_an_unknown_geometry_is_refused_before_any_suite_runs(monkeypatch):
-    monkeypatch.setitem(SUITES, "grassmann", None)      # never called
-    with pytest.raises(superjet.DimensionError):
-        run_suite("all", geometry="torus")
 
 
 def test_an_unknown_suite_is_a_key_error():

@@ -33,8 +33,11 @@ MUTANTS = [
      "GrassmannElement.gen(m + q, a + 1) for a in range(q)", "killed"),
     # the algebra and the contraction kernels
     ("merge-sign-always-plus", "grassmann.py",
-     "return -1 if inv & 1 else 1",
+     "return -1 if (b & x).bit_count() & 1 else 1",
      "return 1", "killed"),
+    ("exact-product-reduced-by-left-denominator", "grassmann.py",
+     "den = la * lb",
+     "den = la", "killed"),
     ("odd-monomial-order-swapped", "grassmann.py",
      "self._times(self.odd_args[low.bit_length() - 1],\n"
      "                                                 self._odd(mask ^ low))",

@@ -12,9 +12,12 @@ product sign is the parity of the inversion count of the merge:
 Coefficients are exact rationals by default, each in one canonical form: a
 plain int when its denominator is 1, a `fractions.Fraction` with denominator
 above 1 otherwise.  `_coerce` canonicalizes what enters and `_accumulate` what
-a sum or product stores, so most products stay on int arithmetic and skip
-Fraction's gcds.  An int coefficient divides to a float under `/`; divide by
-multiplying with `Fraction(1, b)` instead.  The arithmetic only assumes a
+a sum stores.  A product whose coefficients are all ints and Fractions runs on
+int arithmetic: each operand is scaled once to integer numerators over the lcm
+of its denominators, and each output coefficient is reduced once, so Fraction's
+gcds are paid per output term, not per pair of terms.  An int coefficient
+divides to a float under `/`; divide by multiplying with `Fraction(1, b)`
+instead.  The arithmetic only assumes a
 commutative coefficient ring with +, *, - and truthiness-as-nonzero, which is
 what lets superfunctions and the symbolic Lambda-point machinery reuse these
 classes with polynomial coefficients (and the float geometry backend with
@@ -40,14 +43,19 @@ MAX_GENERATORS = 62
 
 
 def merge_sign(a: int, b: int) -> int:
-    """Sign of concatenating ascending monomials with masks a and b (disjoint)."""
-    inv = 0
-    x = a
-    while x:
-        low = x & -x
-        inv += (b & (low - 1)).bit_count()
-        x ^= low
-    return -1 if inv & 1 else 1
+    """Sign of concatenating ascending monomials with masks a and b (disjoint).
+
+    The six shift-xors leave in bit j of x the parity of a's bits above j, so
+    popcount(b & x) counts the inversions (i in a, j in b, i > j) mod 2.
+    """
+    x = a >> 1
+    x ^= x >> 1
+    x ^= x >> 2
+    x ^= x >> 4
+    x ^= x >> 8
+    x ^= x >> 16
+    x ^= x >> 32
+    return -1 if (b & x).bit_count() & 1 else 1
 
 
 def _coerce(c):
@@ -77,6 +85,52 @@ def _accumulate(acc: dict, terms, c=None) -> dict:
     return acc
 
 
+def _common_denominator(terms: dict) -> int:
+    """The lcm of the denominators of terms whose coefficients are all ints and
+    Fractions, or 0 at the first coefficient of another ring."""
+    den = 1
+    for c in terms.values():
+        if type(c) is Fraction:
+            d = c.denominator
+            if den % d:
+                den = den // math.gcd(den, d) * d
+        elif type(c) is not int:
+            return 0
+    return den
+
+
+def _numerators(terms: dict, den: int):
+    """The (mask, c * den) pairs of rational terms, as ints; den is a common
+    denominator of the coefficients."""
+    if den == 1:
+        return terms.items()
+    return [(m, c * den if type(c) is int else c.numerator * (den // c.denominator))
+            for m, c in terms.items()]
+
+
+def _exact_product(a: dict, la: int, b: dict, lb: int) -> dict:
+    """The terms of a * b for rational terms over common denominators la and lb:
+    int products of numerators summed per mask, in the insertion order of
+    `_accumulate`, each sum reduced once to its canonical form."""
+    out: dict = {}
+    right = _numerators(b, lb)
+    for ma, ca in _numerators(a, la):
+        for mb, cb in right:
+            if ma & mb:
+                continue    # a repeated generator kills the product
+            key = ma | mb
+            v = (ca * cb if merge_sign(ma, mb) > 0 else -ca * cb) + out.get(key, 0)
+            if v:
+                out[key] = v
+            else:
+                del out[key]    # a nonzero product only cancels a stored sum
+    den = la * lb
+    if den != 1:
+        for key, v in out.items():
+            out[key] = Fraction(v, den) if v % den else v // den
+    return out
+
+
 def rational_to_json(c) -> dict:
     """Wire form {"num": "...", "den": "..."} of an exact rational."""
     c = Fraction(c)
@@ -101,9 +155,9 @@ def rational_from_json(item) -> int | Fraction:
 
 
 def float_from_json(value) -> float:
-    """Parse a binary64 wire value; a bool, a non-numeric or a non-finite one is
-    a SchemaError."""
-    if isinstance(value, bool):
+    """Parse a binary64 wire value, a JSON number: anything but an int or a
+    float (a bool, a string) or a non-finite value is a SchemaError."""
+    if type(value) is not int and type(value) is not float:
         raise SchemaError(f"not a number: {value!r}")
     with payload_errors("number"):
         out = float(value)
@@ -187,6 +241,10 @@ class GrassmannElement:
         if not isinstance(other, GrassmannElement):
             return self.scale(other)
         self._check(other)
+        la = _common_denominator(self.terms)
+        lb = la and _common_denominator(other.terms)
+        if lb:
+            return GrassmannElement._of(self.n, _exact_product(self.terms, la, other.terms, lb))
         terms: dict = {}
         right = other.terms.items()
         for ma, ca in self.terms.items():

@@ -184,12 +184,12 @@ def chart_point(tmp_path):
 
 
 @pytest.mark.parametrize("base", ['["a",0,1]', "[NaN,0,1]", "[0,Infinity,1]", "[0,0,[1]]",
-                                  "[true,0,1]"])
+                                  "[true,0,1]", '["1e3",0,1]'])
 def test_chart_base_must_be_finite_numbers(capsys, chart_point, base):
     assert_one_line_input_error(run(capsys, "chart", chart_point, "--base", base, "--inverse"))
 
 
-@pytest.mark.parametrize("value", ["nan", "-inf", "x", 1e400, True])
+@pytest.mark.parametrize("value", ["nan", "-inf", "x", 1e400, True, "1_0", " 2.5 "])
 def test_chart_point_values_must_be_finite_numbers(tmp_path, capsys, value):
     xi = tangent_at_north_pole().to_json()
     xi["even"][0]["terms"][0]["value"] = value

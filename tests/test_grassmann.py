@@ -2,19 +2,20 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from superjet import (
     GrassmannElement,
     GrassmannHom,
     ParityError,
     SchemaError,
+    grassmann,
     hom_apply,
     hom_compose,
     merge_sign,
 )
 
-from conftest import grassmann_elements, small_fractions
+from conftest import grassmann_elements, polynomials, small_fractions, small_ints
 
 
 def brute_merge_sign(a: int, b: int) -> int:
@@ -29,11 +30,72 @@ def brute_merge_sign(a: int, b: int) -> int:
     return sign
 
 
-@given(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=63))
+masks = st.integers(min_value=0, max_value=(1 << grassmann.MAX_GENERATORS) - 1)
+
+
+@given(masks, masks)
+@example(1 << (grassmann.MAX_GENERATORS - 1), 1)
 def test_merge_sign_matches_inversion_count(a, b):
-    if a & b:
-        return  # product vanishes, sign irrelevant
+    b &= ~a     # a shared generator kills the product, so only disjoint masks have a sign
     assert merge_sign(a, b) == brute_merge_sign(a, b)
+
+
+def gens_of(mask: int) -> tuple:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def textbook_product(x: GrassmannElement, y: GrassmannElement) -> dict:
+    """x * y over sorted generator tuples: each pair of terms concatenates its
+    generators and bubble-sorts them, a swap flipping the sign."""
+    out = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            gens = list(gens_of(ma) + gens_of(mb))
+            if len(set(gens)) < len(gens):
+                continue
+            term = ca * cb
+            for i in range(len(gens)):
+                for j in range(len(gens) - 1 - i):
+                    if gens[j] > gens[j + 1]:
+                        gens[j], gens[j + 1] = gens[j + 1], gens[j]
+                        term = -term
+            key = tuple(gens)
+            out[key] = out[key] + term if key in out else term
+    return {key: c for key, c in out.items() if c}
+
+
+near_trillion = st.builds(Fraction, st.integers(min_value=-10**15, max_value=10**15),
+                          st.integers(min_value=10**12 - 30, max_value=10**12 + 30))
+coefficient_rings = {
+    "int": st.integers(min_value=-10**6, max_value=10**6),
+    "int and Fraction": st.one_of(small_ints, small_fractions),
+    "large denominators": st.one_of(small_ints, near_trillion),
+    "float": st.floats(min_value=-4, max_value=4, allow_nan=False),
+    "polynomial": polynomials(p=1, degree=2),
+}
+
+
+@pytest.mark.parametrize("ring", coefficient_rings)
+@given(data=st.data())
+def test_product_matches_the_textbook_product(ring, data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    x, y = (data.draw(grassmann_elements(n=n, max_terms=6, coefficients=coefficient_rings[ring]))
+            for _ in range(2))
+    product = x * y
+    assert {gens_of(m): c for m, c in product.terms.items()} == textbook_product(x, y)
+    assert all(product.terms.values())
+    if ring in ("int", "int and Fraction", "large denominators"):
+        # canonical: an int when the denominator is 1, a Fraction otherwise
+        for c in product.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@pytest.mark.parametrize("one", [1, Fraction(1, 3), 1.0], ids=["int", "Fraction", "float"])
+def test_both_product_paths_take_the_sign_from_merge_sign(monkeypatch, one):
+    e1, e2 = GrassmannElement.gen(2, 1).scale(one), GrassmannElement.gen(2, 2).scale(one)
+    assert (e2 * e1).terms == {0b11: -one * one}
+    monkeypatch.setattr(grassmann, "merge_sign", lambda a, b: 1)
+    assert (e2 * e1).terms == {0b11: one * one}
 
 
 @given(grassmann_elements(n=3), grassmann_elements(n=3), grassmann_elements(n=3))
@@ -87,6 +149,12 @@ def test_json_roundtrip_float_coefficients():
     x = GrassmannElement(2, {0: 0.25, 3: -1.5e-3})
     back = GrassmannElement.from_json(x.to_json())
     assert back.terms == x.terms
+
+
+@pytest.mark.parametrize("value", ["1_0", " 2.5 ", "1e3", "nan", True, None])
+def test_json_float_values_are_json_numbers(value):
+    with pytest.raises(SchemaError):
+        GrassmannElement.from_json({"n": 1, "terms": [{"subset": [], "value": value}]})
 
 
 def test_json_rejects_repeated_generator():

@@ -50,6 +50,13 @@ MUTANTS = [
     ("taylor-shift-binomial-off-by-one", "polyalg.py",
      "math.comb(e, j) * pw[e - j]",
      "math.comb(e, j + 1) * pw[e - j]", "killed"),
+    # the wire parsers' fast paths
+    ("polynomial-wire-drops-last-exponent", "polyalg.py",
+     'for v in item["exp"]]',
+     'for v in item["exp"][:-1]]', "killed"),
+    ("rational-wire-integer-negated", "grassmann.py",
+     'return int_from_json(item["num"])',
+     'return -int_from_json(item["num"])', "killed"),
     # jets
     ("faa-without-factorial", "jetcalc.py",
      "_coerce(c * mi_factorial(K))",

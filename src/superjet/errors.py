@@ -1,7 +1,5 @@
 """Shared exception types, and the one policy that folds payload errors into SchemaError."""
 
-from contextlib import contextmanager
-
 
 class DimensionError(ValueError):
     """Operands live over different generator counts / variable counts."""
@@ -23,16 +21,30 @@ class SchemaError(ValueError):
     """A JSON payload does not match the documented schema."""
 
 
-@contextmanager
-def payload_errors(kind: str):
-    """Report a missing key or bad value met while parsing a `kind` payload as a SchemaError.
+class payload_errors:
+    """``with payload_errors(kind):`` reports a missing key or bad value met
+    while parsing a `kind` payload as ``SchemaError("bad <kind> payload: ...")``.
 
-    Each from_json calls its own constructor after this block, so that
-    constructor's DimensionError or ParityError keeps its type.
+    A SchemaError raised inside the block passes through unchanged, and so
+    does every exception other than KeyError, TypeError, ValueError and
+    OverflowError (JSON's Infinity overflows int()).  Each from_json checks the
+    shape of what it parsed (generator counts, exponent lengths, parities)
+    after this block, so those DimensionErrors and ParityErrors keep their
+    type.  A plain class rather than a generator context manager: parsers open
+    one block per payload node, and this costs two method calls each.
     """
-    try:
-        yield
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
-        raise SchemaError(f"bad {kind} payload: {exc}") from exc
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None or issubclass(exc_type, SchemaError):
+            return False
+        if issubclass(exc_type, (KeyError, TypeError, ValueError, OverflowError)):
+            raise SchemaError(f"bad {self.kind} payload: {exc}") from exc
+        return False

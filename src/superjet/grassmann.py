@@ -68,6 +68,11 @@ def _coerce(c):
     return c
 
 
+def _nonzero(terms: dict) -> dict:
+    """terms without its zero coefficients, in order; terms itself when it has none."""
+    return terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
+
+
 def _accumulate(acc: dict, terms, c=None) -> dict:
     """Add the (key, coefficient) pairs `terms`, each times c if given, into acc
     in place; a sum that comes out zero removes its key, and an integral
@@ -133,6 +138,8 @@ def _exact_product(a: dict, la: int, b: dict, lb: int) -> dict:
 
 def rational_to_json(c) -> dict:
     """Wire form {"num": "...", "den": "..."} of an exact rational."""
+    if type(c) is int:
+        return {"num": str(c), "den": "1"}
     c = Fraction(c)
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
@@ -149,6 +156,8 @@ def rational_from_json(item) -> int | Fraction:
     """Parse the wire form of a rational, in canonical form; a zero denominator
     is a SchemaError."""
     den = int_from_json(item["den"])
+    if den == 1:
+        return int_from_json(item["num"])
     if not den:
         raise SchemaError("rational with zero denominator")
     return _coerce(Fraction(int_from_json(item["num"]), den))
@@ -172,9 +181,7 @@ class GrassmannElement:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if not 0 <= n <= MAX_GENERATORS:
-            raise DimensionError(f"generator count {n} outside 0..{MAX_GENERATORS}")
-        self.n = n
+        self.n = self._generator_count(n)
         clean = {}
         for mask, c in (terms or {}).items():
             if mask < 0 or mask >> n:
@@ -191,6 +198,13 @@ class GrassmannElement:
         out.n = n
         out.terms = terms
         return out
+
+    @staticmethod
+    def _generator_count(n: int) -> int:
+        """n itself, or a DimensionError when no algebra has n generators."""
+        if not 0 <= n <= MAX_GENERATORS:
+            raise DimensionError(f"generator count {n} outside 0..{MAX_GENERATORS}")
+        return n
 
     # -- constructors ------------------------------------------------------
 
@@ -344,10 +358,21 @@ class GrassmannElement:
 
     def to_json(self) -> dict:
         items = []
-        for mask in sorted(self.terms):
-            c = self.terms[mask]
-            subset = [i + 1 for i in range(self.n) if mask >> i & 1]
-            if isinstance(c, float):
+        terms = self.terms
+        for mask in sorted(terms):
+            c = terms[mask]
+            subset = []
+            while mask:
+                low = mask & -mask
+                subset.append(low.bit_length())
+                mask ^= low
+            kind = type(c)
+            if kind is int:
+                items.append({"subset": subset, "num": str(c), "den": "1"})
+            elif kind is Fraction:
+                items.append({"subset": subset, "num": str(c.numerator),
+                              "den": str(c.denominator)})
+            elif isinstance(c, float):
                 items.append({"subset": subset, "value": c})
             else:
                 items.append({"subset": subset, **rational_to_json(c)})
@@ -357,17 +382,20 @@ class GrassmannElement:
     def from_json(cls, data: dict) -> "GrassmannElement":
         with payload_errors("GrassmannElement"):
             n = int_from_json(data["n"])
+            top = min(n, MAX_GENERATORS)
             terms = {}
             for item in data["terms"]:
                 mask = 0
                 for i in item["subset"]:
-                    i = int_from_json(i)
+                    if type(i) is not int:
+                        i = int_from_json(i)
                     # bounded before the shift, so a huge index never builds a huge mask
-                    if not 1 <= i <= min(n, MAX_GENERATORS):
+                    if not 1 <= i <= top:
                         raise SchemaError(f"generator {i} outside 1..{n}")
-                    if mask >> (i - 1) & 1:
+                    bit = 1 << (i - 1)
+                    if mask & bit:
                         raise SchemaError("repeated generator in subset")
-                    mask |= 1 << (i - 1)
+                    mask |= bit
                 if "value" in item:
                     c = float_from_json(item["value"])
                 else:
@@ -375,7 +403,8 @@ class GrassmannElement:
                 if mask in terms:
                     raise SchemaError("repeated subset")
                 terms[mask] = c
-        return cls(n, terms)
+        # every mask is below 2^n and every coefficient canonical; zeros are dropped
+        return cls._of(cls._generator_count(n), _nonzero(terms))
 
 
 class MonomialTable:

@@ -22,6 +22,7 @@ from .grassmann import (
     GrassmannElement,
     _accumulate,
     _coerce,
+    _nonzero,
     int_from_json,
     rational_from_json,
     rational_to_json,
@@ -72,6 +73,12 @@ def iter_multiindices_upto(p: int, bound: int):
         yield from iter_multiindices(p, total)
 
 
+def _check_exponent(exp: tuple, p: int) -> None:
+    """A DimensionError unless exp is an exponent vector of p variables."""
+    if len(exp) != p or min(exp, default=0) < 0:
+        raise DimensionError(f"bad exponent {exp} for {p} variables")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -89,8 +96,7 @@ class Polynomial:
         self.p = p
         clean = {}
         for exp, c in (terms or {}).items():
-            if len(exp) != p or any(e < 0 for e in exp):
-                raise DimensionError(f"bad exponent {exp} for {p} variables")
+            _check_exponent(exp, p)
             c = _coerce(c)
             if c:
                 clean[exp] = c
@@ -251,10 +257,9 @@ class Polynomial:
     __repr__ = __str__
 
     def to_json(self) -> dict:
-        items = []
-        for e in sorted(self.terms):
-            items.append({"exp": list(e), **rational_to_json(self.terms[e])})
-        return {"p": self.p, "terms": items}
+        terms = self.terms
+        return {"p": self.p,
+                "terms": [{"exp": list(e), **rational_to_json(terms[e])} for e in sorted(terms)]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
@@ -262,11 +267,13 @@ class Polynomial:
             p = int_from_json(data["p"])
             terms = {}
             for item in data["terms"]:
-                e = tuple(int_from_json(v) for v in item["exp"])
+                e = tuple([v if type(v) is int else int_from_json(v) for v in item["exp"]])
                 if e in terms:
                     raise SchemaError("repeated exponent")
                 terms[e] = rational_from_json(item)
-        return cls(p, terms)
+        for e in terms:
+            _check_exponent(e, p)
+        return cls._of(p, _nonzero(terms))
 
 
 def poly_derive(f: Polynomial, I) -> Polynomial:

@@ -328,7 +328,9 @@ class Recorder:
 
         A law returns True, False or (ok, evidence).  A failure's witness is
         the inputs in wire form plus the evidence; a law that raises fails,
-        with the exception as its evidence.
+        with the exception as its evidence.  So that a witness always holds
+        the law's inputs, evidence that names an input fails the row, with an
+        error in place of the evidence.
         """
         law = LAWS.get(case_id) or LAWS[case_id.rpartition("-")[0]]
         try:
@@ -337,6 +339,9 @@ class Recorder:
             verdict = False, {"error": _error(exc)}
         ok, evidence = verdict if isinstance(verdict, tuple) else (verdict, {})
         ok = bool(ok)
+        shadowed = sorted(evidence.keys() & inputs.keys())
+        if shadowed:
+            ok, evidence = False, {"error": f"evidence shadows the inputs {shadowed}"}
         witness = None if ok else {k: _wire(v) for k, v in {**inputs, **evidence}.items()}
         self.rows.append((case_id, ok, witness))
         return ok
@@ -382,8 +387,11 @@ def law_split(a):
             and (even_nil + odd) ** (a.n + 1) == GrassmannElement.zero(a.n))
 
 
-def law_json(a):
-    return GrassmannElement.from_json(a.to_json()) == a
+def law_json(payloads):
+    """Each payload reads back equal from its own wire form; evidence: the
+    positions of those that did not."""
+    bad = [i for i, x in enumerate(payloads) if type(x).from_json(x.to_json()) != x]
+    return not bad, {"mismatched": bad}
 
 
 def law_hom(rho, a, b):
@@ -589,7 +597,7 @@ def law_cancel_sharp(n, p, r):
     """No cancellation one order lower, at each (n[i], p, r[i]); evidence: the first that died."""
     for level, order in zip(n, r):
         if top_order_cancellation(level, p, order):
-            return False, {"n": level, "p": p, "r": order}
+            return False, {"cancelled_at": {"n": level, "p": p, "r": order}}
     return True
 
 
@@ -604,7 +612,8 @@ LAWS = {
     "grassmann/assoc": law_assoc, "grassmann/sign": law_sign, "grassmann/split": law_split,
     "grassmann/json": law_json, "grassmann/hom": law_hom,
     "superfun/oracle": law_oracle, "superfun/mult": law_mult, "superfun/unit": law_unit,
-    "morphism/compose": law_compose, "morphism/natural": law_natural,
+    "superfun/json": law_json,
+    "morphism/compose": law_compose, "morphism/natural": law_natural, "morphism/json": law_json,
     "morphism/etaorder": law_order, "morphism/thetaorder": law_order,
     "morphism/decomp": law_decomp, "morphism/sharp": law_sharp,
     "jetcalc/compose": law_jet_compose, "jetcalc/ident": law_jet_ident,
@@ -616,8 +625,12 @@ LAWS = {
     "mapspace/functcomp": law_functcomp, "mapspace/shearinv": law_shearinv,
     "mapspace/transition": law_transition, "mapspace/natural": law_map_natural,
     "mapspace/cancel": law_cancel, "mapspace/cancel-sharp": law_cancel_sharp,
-    "mapspace/reject": law_reject,
+    "mapspace/reject": law_reject, "mapspace/json": law_json,
 }
+
+# superfun/, morphism/ and mapspace/json read back the payloads of this many cases;
+# each costs about 0.2 ms, and grassmann/json reads back every case
+WIRE_CASES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +653,7 @@ def suite_grassmann(rec: Recorder, seed: int, cases: int) -> None:
         y = GrassmannElement.monomial(n, mb, rng.nonzero_fraction())
         rec.check(f"grassmann/sign-{i:04d}", x=x, y=y)
         rec.check(f"grassmann/split-{i:04d}", a=a)
-        rec.check(f"grassmann/json-{i:04d}", a=a)
+        rec.check(f"grassmann/json-{i:04d}", payloads=(a,))
 
         m = rng.randint(0, 5)
         rho = random_hom(rng, n, m)
@@ -648,7 +661,7 @@ def suite_grassmann(rec: Recorder, seed: int, cases: int) -> None:
 
 
 def suite_superfun(rec: Recorder, seed: int, cases: int) -> None:
-    """Evaluation is a unital algebra map and matches the expansion oracle."""
+    """Evaluation is a unital algebra map and matches the expansion oracle; wire round-trips."""
     rng = SplitMix64(seed)
     for i in range(cases):
         p = rng.randint(1, 3)
@@ -660,10 +673,12 @@ def suite_superfun(rec: Recorder, seed: int, cases: int) -> None:
         rec.check(f"superfun/oracle-{i:04d}", sigma=sigma, nu=nu)
         rec.check(f"superfun/mult-{i:04d}", sigma=sigma, tau=tau, nu=nu)
         rec.check(f"superfun/unit-{i:04d}", nu=nu)
+        if i < WIRE_CASES:
+            rec.check(f"superfun/json-{i:04d}", payloads=(sigma, nu))
 
 
 def suite_morphism(rec: Recorder, seed: int, cases: int) -> None:
-    """Functoriality of pushforward, naturality, and coefficient order bounds."""
+    """Functoriality of pushforward, naturality, coefficient order bounds, wire round-trips."""
     rng = SplitMix64(seed)
     for i in range(cases):
         p, q = rng.randint(1, 3), rng.randint(0, 2)
@@ -678,6 +693,8 @@ def suite_morphism(rec: Recorder, seed: int, cases: int) -> None:
             m = rng.randint(0, 4)
             rho = random_hom(rng, n, m)
             rec.check(f"morphism/natural-{i:04d}", phi=phi, mu=mu, rho=rho)
+            if i < WIRE_CASES:
+                rec.check(f"morphism/json-{i:04d}", payloads=(phi, mu, rho))
 
     # order bounds for the coefficient operators, in both gradings
     for i in range(cases):
@@ -769,7 +786,7 @@ def suite_geometry(rec: Recorder, seed: int, cases: int) -> None:
 
 
 def suite_mapspace(rec: Recorder, seed: int, cases: int) -> None:
-    """Pair roundtrips, functor laws, supersmooth transitions, cancellation."""
+    """Pair and wire roundtrips, functor laws, supersmooth transitions, cancellation."""
     rng = SplitMix64(seed)
     for i in range(cases):
         p = rng.randint(1, 2)
@@ -777,6 +794,8 @@ def suite_mapspace(rec: Recorder, seed: int, cases: int) -> None:
         n = rng.randint(0, q)
         point = MappingPoint(n, random_morphism(rng, (p, q), (rng.randint(1, 2), rng.randint(0, 2))))
         rec.check(f"mapspace/pair-{i:04d}", point=point)
+        if i < WIRE_CASES:
+            rec.check(f"mapspace/json-{i:04d}", payloads=(point,))
 
     for i in range(max(1, cases // 2)):
         p, q = rng.randint(1, 2), rng.randint(0, 1)

@@ -29,11 +29,12 @@ coordinates into sigma_J and expand.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import GrassmannElement, MonomialTable, _accumulate, int_from_json
+from .grassmann import GrassmannElement, MonomialTable, _accumulate, _nonzero, int_from_json
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -42,6 +43,16 @@ from .polyalg import (
     poly_eval,
     taylor_shift,
 )
+
+
+_BITS = frozenset((0, 1))     # the entries of a wire odd multi-index
+
+
+def _check_components(components: dict, p: int) -> None:
+    """A DimensionError unless every component polynomial has p variables."""
+    for poly in components.values():
+        if poly.p != p:
+            raise DimensionError("component polynomial has wrong variable count")
 
 
 class SuperFunction:
@@ -55,9 +66,7 @@ class SuperFunction:
 
     def __init__(self, p: int, q: int, components=None):
         components = components or {}
-        for poly in components.values():
-            if poly.p != p:
-                raise DimensionError("component polynomial has wrong variable count")
+        _check_components(components, p)
         self.p = p
         self.element = GrassmannElement(q, components)
 
@@ -205,14 +214,17 @@ class SuperFunction:
             q = int_from_json(data["q"])
             comps = {}
             for item in data["components"]:
-                J = [int_from_json(v) for v in item["J"]]
-                if len(J) != q or any(v not in (0, 1) for v in J):
+                J = [v if type(v) is int else int_from_json(v) for v in item["J"]]
+                if len(J) != q or not _BITS.issuperset(J):
                     raise SchemaError(f"bad odd multi-index {J}")
-                mask = sum(1 << b for b, v in enumerate(J) if v)
+                mask = sum(map(operator.lshift, J, range(q)))   # J[b] << b is bit b
                 if mask in comps:
                     raise SchemaError("repeated odd multi-index")
                 comps[mask] = Polynomial.from_json(item["poly"])
-        return cls(p, q, comps)
+        _check_components(comps, p)
+        # each mask has q bits, and each Polynomial is already checked
+        q = GrassmannElement._generator_count(q)
+        return cls._of(p, GrassmannElement._of(q, _nonzero(comps)))
 
 
 @dataclass(frozen=True)

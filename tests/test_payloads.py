@@ -6,15 +6,19 @@ list item); the loader must then return an object or raise one of the errors
 the CLI maps to exit 2, never anything else.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import grassmann_elements, morphisms, polynomials, superfunctions, superpoints
 from superjet import (
+    DimensionError,
     GrassmannElement,
     GrassmannHom,
     MappingPoint,
+    ParityError,
     Polynomial,
     SchemaError,
     SuperFunction,
@@ -22,6 +26,8 @@ from superjet import (
     SuperPoint,
 )
 from superjet.cli import INPUT_ERRORS
+from superjet.errors import payload_errors
+from superjet.grassmann import MAX_GENERATORS
 
 
 def _valid_payloads():
@@ -157,3 +163,122 @@ def test_a_huge_generator_index_is_refused_before_its_mask_is_built():
     payload = {"n": huge, "terms": [{"subset": [huge], "num": "1", "den": "1"}]}
     with pytest.raises(SchemaError):
         GrassmannElement.from_json(payload)
+
+
+# -- the encoders against a reference written from the wire format ------------
+
+
+def reference_rational(c) -> dict:
+    c = Fraction(c)
+    return {"num": str(c.numerator), "den": str(c.denominator)}
+
+
+def reference_grassmann(a: GrassmannElement) -> dict:
+    items = []
+    for mask in sorted(a.terms):
+        c = a.terms[mask]
+        subset = [i + 1 for i in range(a.n) if mask >> i & 1]
+        if isinstance(c, float):
+            items.append({"subset": subset, "value": c})
+        else:
+            items.append({"subset": subset, **reference_rational(c)})
+    return {"n": a.n, "terms": items}
+
+
+def reference_polynomial(f: Polynomial) -> dict:
+    return {"p": f.p,
+            "terms": [{"exp": list(e), **reference_rational(f.terms[e])} for e in sorted(f.terms)]}
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.fractions(max_denominator=10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def wide_grassmann_elements(draw):
+    """Elements on up to MAX_GENERATORS generators, with int, Fraction and float coefficients."""
+    n = draw(st.integers(min_value=0, max_value=MAX_GENERATORS))
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=(1 << n) - 1), coefficients,
+                                 max_size=6))
+    return GrassmannElement(n, terms)
+
+
+def same_bytes(got: dict, want: dict) -> bool:
+    """Equal wire payloads, with every key in the same order."""
+    return json.dumps(got) == json.dumps(want)
+
+
+@given(wide_grassmann_elements())
+def test_grassmann_to_json_is_the_reference_encoding(a):
+    assert same_bytes(a.to_json(), reference_grassmann(a))
+    assert GrassmannElement.from_json(a.to_json()) == a
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda p: polynomials(p=p, coefficients=coefficients.filter(lambda c: type(c) is not float))))
+def test_polynomial_to_json_is_the_reference_encoding(f):
+    assert same_bytes(f.to_json(), reference_polynomial(f))
+    assert Polynomial.from_json(f.to_json()) == f
+
+
+@st.composite
+def homs(draw):
+    source, target = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    return GrassmannHom(source, target, [draw(grassmann_elements(n=target, parity=1))
+                                         for _ in range(source)])
+
+
+@st.composite
+def mapping_points(draw):
+    p, q = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    phi = draw(morphisms((p, q), (draw(st.integers(1, 2)), draw(st.integers(0, 2)))))
+    return MappingPoint(draw(st.integers(0, q)), phi)
+
+
+@given(st.one_of(
+    grassmann_elements(), polynomials(), superfunctions(),
+    superpoints(p=2, q=2), homs(), mapping_points(),
+    mapping_points().map(lambda point: point.morphism),
+))
+def test_every_wire_type_reads_back_what_it_wrote(x):
+    assert type(x).from_json(x.to_json()) == x
+
+
+# -- payload_errors: which errors become SchemaErrors -------------------------
+
+
+@pytest.mark.parametrize("exc", [KeyError("n"), TypeError("t"), ValueError("v"),
+                                 OverflowError("o"), DimensionError("raised inside")])
+def test_a_malformed_value_is_a_schema_error_naming_the_payload(exc):
+    with pytest.raises(SchemaError) as info:
+        with payload_errors("Thing"):
+            raise exc
+    assert str(info.value) == f"bad Thing payload: {exc}"
+    assert info.value.__cause__ is exc
+
+
+def test_a_schema_error_and_other_errors_pass_through_unchanged():
+    for exc in (SchemaError("as raised"), ZeroDivisionError("kept")):
+        with pytest.raises(type(exc)) as info:
+            with payload_errors("Thing"):
+                raise exc
+        assert info.value is exc
+    with payload_errors("Thing"):
+        pass
+
+
+@pytest.mark.parametrize("cls, payload, error", [
+    (GrassmannElement, {"n": MAX_GENERATORS + 1, "terms": []}, DimensionError),
+    (Polynomial, {"p": 1, "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]}, DimensionError),
+    (SuperFunction, {"p": 1, "q": 0, "components": [{"J": [], "poly": Polynomial.one(2).to_json()}]},
+     DimensionError),
+    (SuperPoint, {"n": 1, "even": [GrassmannElement.gen(1, 1).to_json()], "odd": []}, ParityError),
+])
+def test_a_well_formed_payload_of_the_wrong_shape_keeps_its_error_type(cls, payload, error):
+    # these are raised after the payload_errors block, so they are not SchemaErrors
+    with pytest.raises(error) as info:
+        cls.from_json(payload)
+    assert not isinstance(info.value, SchemaError)

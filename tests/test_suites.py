@@ -33,6 +33,21 @@ def test_evidence_joins_the_inputs_in_wire_form(monkeypatch):
         "f": 1, "g": 2, "x0": ["-2/3", "5"], "k": [1, 2], "at": "1/3"}
 
 
+def test_evidence_that_names_an_input_fails_the_row(monkeypatch):
+    monkeypatch.setitem(LAWS, "jetcalc/mul", lambda f, g, x0, k: (True, {"k": 3, "at": 1}))
+    rec = Recorder("jetcalc", 0)
+    assert rec.check("jetcalc/mul-0001", f=1, g=2, x0=[5], k=(1, 2)) is False
+    assert rec.report()["failures"][0]["witness"] == {
+        "f": 1, "g": 2, "x0": [5], "k": [1, 2], "error": "evidence shadows the inputs ['k']"}
+
+
+def test_a_failed_cancel_sharp_witness_keeps_its_inputs(monkeypatch):
+    monkeypatch.setattr(suites, "top_order_cancellation", lambda n, p, r: True)
+    failures = {f["id"]: f["witness"] for f in run_suite("mapspace", seed=0, cases=1)["failures"]}
+    assert failures["mapspace/cancel-sharp"] == {
+        "n": [4, 6], "p": 2, "r": [1, 2], "cancelled_at": {"n": 4, "p": 2, "r": 1}}
+
+
 def test_every_case_id_has_a_law_and_every_law_is_reached(monkeypatch):
     reached = set()
 

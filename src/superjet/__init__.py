@@ -16,7 +16,6 @@ from .errors import (
 from .geometry import (
     BundlePoint,
     BundleTangent,
-    FlatBackend,
     Sphere2Backend,
     bundle_exp,
     local_detrivialize,
@@ -68,7 +67,6 @@ from .polyalg import (
     Polynomial,
     lattice_points,
     poly_compose,
-    poly_derive,
     poly_eval,
     taylor_coefficient,
     taylor_shift,
@@ -94,7 +92,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "EtaCoefficient",
-    "FlatBackend",
     "GrassmannElement",
     "GrassmannHom",
     "LambdaPointMap",
@@ -130,7 +127,6 @@ __all__ = [
     "morphism_compose",
     "order_bound_check",
     "poly_compose",
-    "poly_derive",
     "poly_eval",
     "pushforward",
     "pushforward_general",

@@ -25,7 +25,7 @@ from .errors import (
     ParityError,
     SchemaError,
 )
-from .geometry import make_backend
+from .geometry import Sphere2Backend
 from .grassmann import float_from_json
 from .morphism import SuperMorphism, eta_decompose, morphism_compose, pushforward
 from .suites import SUITES, run_suite
@@ -141,14 +141,13 @@ def cmd_chart(args: argparse.Namespace) -> int:
         raise SchemaError("base must be a JSON list of coordinates")
     base = [float_from_json(v) for v in base]
 
-    probe = make_backend(args.geometry)
-    if point.p % probe.m or point.p < probe.m:
+    if point.p % 3 or point.p < 3:
         raise DimensionError(
-            f"point has {point.p} even coordinates, not a multiple of base dimension {probe.m}"
+            f"point has {point.p} even coordinates, not a positive multiple of 3"
         )
-    backend = make_backend(args.geometry, bundle_rank=point.p // probe.m - 1)
-    if len(base) != backend.m:
-        raise SchemaError(f"base must have {backend.m} coordinates")
+    if len(base) != 3:
+        raise SchemaError("base must have 3 coordinates")
+    backend = Sphere2Backend(bundle_rank=point.p // 3 - 1)
     fn = backend.superchart_pointwise_inv if args.inverse else backend.superchart_pointwise
     _emit(_finite(fn(base, point), "chart result").to_json(), args.out)
     return 0
@@ -198,11 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--out", help="write result here instead of stdout")
     p_dec.set_defaults(fn=cmd_decompose)
 
-    p_chart = sub.add_parser("chart", help="geometry chart of a Lambda-point near a base point")
+    p_chart = sub.add_parser("chart", help="sphere chart of a Lambda-point near a base point")
     p_chart.add_argument("point", help="point JSON file")
-    p_chart.add_argument(
-        "--geometry", default="sphere2", help="'sphere2' or 'flat:m' (default sphere2)"
-    )
     p_chart.add_argument(
         "--base",
         required=True,

@@ -30,8 +30,11 @@ class payload_errors:
     OverflowError (JSON's Infinity overflows int()).  Each from_json checks the
     shape of what it parsed (generator counts, exponent lengths, parities)
     after this block, so those DimensionErrors and ParityErrors keep their
-    type.  A plain class rather than a generator context manager: parsers open
-    one block per payload node, and this costs two method calls each.
+    type.  A container payload likewise only takes its nested lists in the
+    block, through `nested`, and parses their items after it, so a nested
+    shape error reads as it does when that payload is parsed alone.  A plain
+    class rather than a generator context manager: parsers open one block per
+    payload node, and this costs two method calls each.
     """
 
     __slots__ = ("kind",)
@@ -41,6 +44,12 @@ class payload_errors:
 
     def __enter__(self):
         return self
+
+    def nested(self, value) -> list:
+        """value, which must be a JSON list of nested payloads."""
+        if type(value) is not list:
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return value
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None or issubclass(exc_type, SchemaError):

@@ -1,4 +1,4 @@
-"""Flat and round-sphere backends: closed-form geometry plus Taylor tables.
+"""The round-sphere backend: closed-form geometry plus Taylor tables.
 
 This is the one floating-point module.  Everything upstream is rational; here
 the closed forms involve trigonometry, so values are binary64 and tests are
@@ -150,59 +150,9 @@ def _transport(fibres, b, y, f_x, inv) -> list:
     return out
 
 
-class FlatBackend:
-    """Affine R^m with a trivial bundle: exp adds, log subtracts, transport is id."""
-
-    kind = "flat"
-    tol = DEFAULT_TOL
-
-    def __init__(self, m: int, bundle_rank: int = 0):
-        self.m = m
-        self.bundle_rank = bundle_rank
-
-    def check_point(self, x):
-        if len(x) != self.m:
-            raise DimensionError(f"expected {self.m} coordinates, got {len(x)}")
-
-    def geo_exp(self, x, v):
-        self.check_point(x)
-        return tuple(a + b for a, b in zip(x, v))
-
-    def geo_log(self, x, y):
-        self.check_point(x)
-        return tuple(b - a for a, b in zip(x, y))
-
-    def geo_pt(self, x, y, w):
-        return tuple(w)
-
-    def geo_dist(self, x, y) -> float:
-        return math.sqrt(sum((b - a) ** 2 for a, b in zip(x, y)))
-
-    def log_jet(self, x, y0, k: int) -> TruncatedPolyMap:
-        return taylor_of([Polynomial.variable(self.m, i) - a for i, a in enumerate(x)], y0, k)
-
-    def superchart_pointwise(self, f_x, mu: SuperPoint) -> SuperPoint:
-        """Affine chart: subtract the base map; nilpotent and odd parts pass through."""
-        return self._shift(f_x, mu, -1)
-
-    def superchart_pointwise_inv(self, f_x, xi: SuperPoint) -> SuperPoint:
-        return self._shift(f_x, xi, 1)
-
-    def _shift(self, f_x, mu: SuperPoint, sign: int) -> SuperPoint:
-        d = self.m * (1 + self.bundle_rank)
-        if mu.p != d:
-            raise DimensionError(f"expected {d} even coordinates, got {mu.p}")
-        shift = list(f_x) + [0.0] * (d - self.m)
-        even = [c + GrassmannElement.scalar(mu.n, sign * s) if s else c
-                for c, s in zip(mu.even, shift)]
-        return SuperPoint(mu.n, even, mu.odd)
-
-
 class Sphere2Backend:
     """Unit 2-sphere in R^3, great-circle closed forms, tangent-valued fibres."""
 
-    kind = "sphere2"
-    m = 3
     tol = DEFAULT_TOL
 
     def __init__(self, bundle_rank: int = 0):
@@ -232,12 +182,6 @@ class Sphere2Backend:
         a = theta_over_sin_coeffs(u, 0)[0]
         return tuple(a * (yc - (1.0 - u) * xc) for xc, yc in zip(x, y))
 
-    def pt_closed(self, x, y, w):
-        """Ambient closed form w - <w, y>/(2-u) (x + y)."""
-        u = self._u(x, y)
-        f = _dot(w, y) / (2.0 - u)
-        return tuple(wc - f * (xc + yc) for wc, xc, yc in zip(w, x, y))
-
     def geo_exp(self, x, v):
         self.check_point(x)
         self.check_tangent(x, v)
@@ -257,8 +201,11 @@ class Sphere2Backend:
         return self.log_closed(x, y)
 
     def geo_pt(self, x, y, w):
-        """Transport w from T_x to T_y along the minimal great circle."""
-        return self.pt_closed(x, y, w)
+        """Transport w from T_x to T_y along the minimal great circle: the
+        ambient closed form w - <w, y>/(2-u) (x + y)."""
+        u = self._u(x, y)
+        f = _dot(w, y) / (2.0 - u)
+        return tuple(wc - f * (xc + yc) for wc, xc, yc in zip(w, x, y))
 
     def geo_dist(self, x, y) -> float:
         return math.acos(max(-1.0, min(1.0, _dot(x, y))))
@@ -397,16 +344,8 @@ def local_detrivialize(backend, f_samples, pairs):
     return out
 
 
-def make_backend(spec: str, bundle_rank: int = 0):
-    """Backend from a selector string: 'flat:m' or 'sphere2'."""
-    if spec == "sphere2":
-        return Sphere2Backend(bundle_rank=bundle_rank)
-    if spec.startswith("flat:"):
-        try:
-            m = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise DimensionError(f"bad flat dimension in {spec!r}") from None
-        if m <= 0:
-            raise DimensionError("flat dimension must be positive")
-        return FlatBackend(m, bundle_rank=bundle_rank)
-    raise DimensionError(f"unknown geometry {spec!r} (use 'flat:m' or 'sphere2')")
+def make_backend(spec: str, bundle_rank: int = 0) -> Sphere2Backend:
+    """Backend from a selector string; 'sphere2' is the one geometry."""
+    if spec != "sphere2":
+        raise DimensionError(f"unknown geometry {spec!r} (use 'sphere2')")
+    return Sphere2Backend(bundle_rank=bundle_rank)

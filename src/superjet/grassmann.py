@@ -503,11 +503,6 @@ class GrassmannHom:
     def identity(cls, n: int) -> "GrassmannHom":
         return cls(n, n, [GrassmannElement.gen(n, i) for i in range(1, n + 1)])
 
-    @classmethod
-    def body_projection(cls, n: int) -> "GrassmannHom":
-        """All generators to zero: projection onto the real part."""
-        return cls(n, 0, [GrassmannElement.zero(0)] * n)
-
     @cached_property
     def table(self) -> MonomialTable:
         """The ascending monomials of the images, shared by every `apply`."""
@@ -530,11 +525,11 @@ class GrassmannHom:
 
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannHom":
-        with payload_errors("GrassmannHom"):
+        with payload_errors("GrassmannHom") as wire:
             source = int_from_json(data["source"])
             target = int_from_json(data["target"])
-            images = [GrassmannElement.from_json(d) for d in data["images"]]
-        return cls(source, target, images)
+            images = wire.nested(data["images"])
+        return cls(source, target, [GrassmannElement.from_json(d) for d in images])
 
 
 def hom_apply(rho: GrassmannHom, a: GrassmannElement) -> GrassmannElement:

@@ -363,34 +363,14 @@ def top_order_cancellation(n: int, p: int, r: int) -> bool:
 
 
 def mapping_chart(f, point: MappingPoint, backend):
-    """Chart image of a mapping point around the base map f.
-
-    Flat backend: f is a list of body polynomials, the result is the exact
-    (body - f, sections) pair of the affine-shifted morphism.  Sphere backend:
-    f is a list of (x, base point) samples and the result is the per-sample
-    tangent/fibre chart value.
-    """
+    """Chart image of a mapping point around the base map f: f is a list of
+    (x, base point) samples, and the result is the per-sample tangent/fibre
+    chart value of the point's Lambda-point at x."""
     phi = point.morphism
-    pt, qt = phi.target
-    kind = getattr(backend, "kind", None)
-    if kind is not None and kind.startswith("flat"):
-        body, even_sections, odd_sections = sc_point_to_pair(point)
-        if len(f) != pt:
-            raise DimensionError("base map has wrong number of components")
-        shifted = [b - fj for b, fj in zip(body, f)]
-        return shifted, even_sections, odd_sections
-    if kind == "sphere2":
-        out = []
-        p, qs = phi.source
-        n_total = qs
-        for x, base_pt in f:
-            even = [
-                GrassmannElement(n_total, sf.eval_body(list(x))) for sf in phi.even_pb
-            ]
-            odd = [
-                GrassmannElement(n_total, sf.eval_body(list(x))) for sf in phi.odd_pb
-            ]
-            mu = SuperPoint(n_total, even, odd)
-            out.append(backend.superchart_pointwise(base_pt, mu))
-        return out
-    raise DimensionError(f"unsupported geometry backend {backend!r}")
+    n = phi.source[1]
+    out = []
+    for x, base_pt in f:
+        even = [GrassmannElement(n, sf.eval_body(list(x))) for sf in phi.even_pb]
+        odd = [GrassmannElement(n, sf.eval_body(list(x))) for sf in phi.odd_pb]
+        out.append(backend.superchart_pointwise(base_pt, SuperPoint(n, even, odd)))
+    return out

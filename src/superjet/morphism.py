@@ -45,7 +45,6 @@ from .polyalg import (
     iter_multiindices_upto,
     lattice_points,
     mi_factorial,
-    poly_derive,
 )
 from .rng import SplitMix64
 from .superfun import SuperFunction, SuperPoint, sf_eval, sf_substitute
@@ -116,12 +115,12 @@ class SuperMorphism:
 
     @classmethod
     def from_json(cls, data: dict) -> "SuperMorphism":
-        with payload_errors("SuperMorphism"):
+        with payload_errors("SuperMorphism") as wire:
             source = [int_from_json(v) for v in data["source"]]
             target = [int_from_json(v) for v in data["target"]]
-            even = [SuperFunction.from_json(d) for d in data["even"]]
-            odd = [SuperFunction.from_json(d) for d in data["odd"]]
-        return cls(source, target, even, odd)
+            even, odd = wire.nested(data["even"]), wire.nested(data["odd"])
+        return cls(source, target, [SuperFunction.from_json(d) for d in even],
+                   [SuperFunction.from_json(d) for d in odd])
 
 
 def morphism_compose(psi: SuperMorphism, phi: SuperMorphism,
@@ -179,7 +178,7 @@ def pushforward_general(phi: SuperMorphism, mu: SuperPoint) -> SuperPoint:
                         mono = mono * nil[i]
                 if mono.is_zero():
                     continue
-                val = poly_derive(poly, I).eval_scalar(body) * Fraction(1, mi_factorial(I))
+                val = poly.derive(I).eval_scalar(body) * Fraction(1, mi_factorial(I))
                 if val:
                     acc = acc + (mono * wedge).scale(val)
         return acc
@@ -235,7 +234,7 @@ class EtaCoefficient:
     def apply(self, g: SuperFunction) -> SuperFunction:
         total = SuperFunction.zero(*self.psi.source)
         for (beta, K), c in self.symbol.items():
-            d = odd_derivative(SuperFunction(g.p, g.q, {J: poly_derive(f, beta)
+            d = odd_derivative(SuperFunction(g.p, g.q, {J: f.derive(beta)
                                                         for J, f in g.components.items()}), K)
             # probe substitutions are the verifier's own, so no degree guardrail
             total = total + c * sf_substitute(d, self.psi, degree_bound=None)

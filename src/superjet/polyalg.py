@@ -276,11 +276,6 @@ class Polynomial:
         return cls._of(p, _nonzero(terms))
 
 
-def poly_derive(f: Polynomial, I) -> Polynomial:
-    """Iterated partial derivative; these are ordinary coordinate derivatives."""
-    return f.derive(I)
-
-
 def poly_eval(f: Polynomial, args) -> GrassmannElement:
     """Substitute even Grassmann elements and expand exactly.
 

@@ -209,18 +209,19 @@ class SuperFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "SuperFunction":
-        with payload_errors("SuperFunction"):
+        with payload_errors("SuperFunction") as wire:
             p = int_from_json(data["p"])
             q = int_from_json(data["q"])
-            comps = {}
-            for item in data["components"]:
+            polys = {}
+            for item in wire.nested(data["components"]):
                 J = [v if type(v) is int else int_from_json(v) for v in item["J"]]
                 if len(J) != q or not _BITS.issuperset(J):
                     raise SchemaError(f"bad odd multi-index {J}")
                 mask = sum(map(operator.lshift, J, range(q)))   # J[b] << b is bit b
-                if mask in comps:
+                if mask in polys:
                     raise SchemaError("repeated odd multi-index")
-                comps[mask] = Polynomial.from_json(item["poly"])
+                polys[mask] = item["poly"]
+        comps = {mask: Polynomial.from_json(d) for mask, d in polys.items()}
         _check_components(comps, p)
         # each mask has q bits, and each Polynomial is already checked
         q = GrassmannElement._generator_count(q)
@@ -279,11 +280,11 @@ class SuperPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "SuperPoint":
-        with payload_errors("SuperPoint"):
+        with payload_errors("SuperPoint") as wire:
             n = int_from_json(data["n"])
-            even = [GrassmannElement.from_json(d) for d in data["even"]]
-            odd = [GrassmannElement.from_json(d) for d in data["odd"]]
-        return cls(n, even, odd)
+            even, odd = wire.nested(data["even"]), wire.nested(data["odd"])
+        return cls(n, [GrassmannElement.from_json(d) for d in even],
+                   [GrassmannElement.from_json(d) for d in odd])
 
 
 def _contract(comps: dict, bodies, table: MonomialTable, degree_bound) -> dict:

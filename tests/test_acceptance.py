@@ -31,7 +31,6 @@ from superjet import (
     morphism_compose,
     order_bound_check,
     poly_compose,
-    poly_derive,
     pushforward,
     sc_functor_action,
     sc_pair_to_point,
@@ -184,7 +183,7 @@ def test_truncated_jet_calculus_matches_polynomial_oracles():
         derivs = faa_di_bruno(psi, phi, x0, m)
         composed = [poly_compose(g, phi, degree_bound=None) for g in psi]
         for K, vals in derivs.items():
-            assert vals == tuple(poly_derive(cp, K).eval_scalar(x0) for cp in composed)
+            assert vals == tuple(cp.derive(K).eval_scalar(x0) for cp in composed)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,36 @@ def test_chart_point_values_must_be_finite_numbers(tmp_path, capsys, value):
     assert_one_line_input_error(run(capsys, "chart", bad, "--base", "[0,0,1]", "--inverse"))
 
 
+@pytest.mark.parametrize("even", [0, 2, 4])
+def test_chart_even_coordinates_come_in_threes(tmp_path, capsys, even):
+    xi = SuperPoint(1, [GrassmannElement(1, {})] * even, [])
+    src = write(tmp_path / "xi.json", xi.to_json())
+    assert_one_line_input_error(run(capsys, "chart", src, "--base", "[0,0,1]"))
+
+
+def test_chart_base_has_three_coordinates(capsys, chart_point):
+    assert_one_line_input_error(run(capsys, "chart", chart_point, "--base", "[0,1]"))
+
+
+def test_chart_refuses_a_geometry(chart_point):
+    # the sphere is the one geometry; the flag is refused, never silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["chart", chart_point, "--base", "[0,0,1]", "--geometry", "sphere2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key, value", [("even", None), ("even", {}), ("odd", "ab")])
+def test_a_missing_or_non_list_item_list_is_an_input_error(tmp_path, capsys, scaling, point, key, value):
+    phi = json.loads(open(scaling).read())
+    phi[key] = value
+    bad = write(tmp_path / "bad_phi.json", phi)
+    assert_one_line_input_error(run(capsys, "eval", bad, point))
+    mu = json.loads(open(point).read())
+    del mu[key]
+    bad = write(tmp_path / "bad_mu.json", mu)
+    assert_one_line_input_error(run(capsys, "eval", scaling, bad))
+
+
 def test_chart_cut_locus(tmp_path, capsys):
     # log fails at the antipode; exp is global, so the inverse chart fails at
     # |v0| = pi only when it has fibre slots to transport out to -f_x

@@ -8,10 +8,9 @@ import pytest
 from superjet import (
     BundlePoint,
     BundleTangent,
+    DimensionError,
     DomainError,
-    FlatBackend,
     GrassmannElement,
-    Polynomial,
     SplitMix64,
     SuperPoint,
     bundle_exp,
@@ -19,14 +18,12 @@ from superjet import (
     local_detrivialize,
     local_trivialize,
     make_backend,
-    taylor_of,
 )
 from superjet.geometry import THETA_OVER_SIN, _frozen_theta_over_sin
 from superjet.suites import (
     fd_derivative,
     jet_fd_defect,
     random_sphere_point,
-    random_superpoint,
     random_tangent,
 )
 
@@ -51,40 +48,11 @@ def tangent_frame(x):
     return u, v
 
 
-def test_flat_backend_is_affine():
-    flat = make_backend("flat:2")
-    x, v = [1.0, 2.0], [0.25, -1.0]
-    y = flat.geo_exp(x, v)
-    assert y == (1.25, 1.0)
-    assert flat.geo_log(x, y) == (0.25, -1.0)
-    assert flat.geo_pt(x, y, v) == tuple(v)
-    assert flat.geo_dist(x, y) == pytest.approx(math.sqrt(dot(v, v)))
-
-    # the chart shifts the first m bodies by the base; souls, fibre and odd
-    # coordinates pass through, and the inverse shifts them back
-    bundle = FlatBackend(2, bundle_rank=1)
-    xi = random_superpoint(SplitMix64(34), 3, 4, 1)
-    mu = bundle.superchart_pointwise_inv(x, xi)
-    for i, (moved, orig) in enumerate(zip(mu.even, xi.even)):
-        assert moved - orig == GrassmannElement.scalar(3, x[i] if i < 2 else 0)
-    assert mu.odd == xi.odd
-    back = bundle.superchart_pointwise(x, mu)
-    for a, b in zip(back.even + back.odd, xi.even + xi.odd):
-        assert all(abs(a.terms.get(m, 0) - b.terms.get(m, 0)) <= bundle.tol
-                   for m in set(a.terms) | set(b.terms))
-
-    # the log's jet is that of Y - x, and matches differences of geo_log
-    y0 = [0.5, -1.5]
-    jet = flat.log_jet(x, y0, 3)
-    assert jet == taylor_of([Polynomial.variable(2, i) - a for i, a in enumerate(x)], y0, 3)
-    assert jet_fd_defect(jet, lambda yy: flat.geo_log(x, yy)) <= 1e-6
-
-    samples = [tuple(x), y]
-    sections = [BundlePoint(y, ((0.5, 0.25),)), BundlePoint((-1.0, 0.0), ((2.0, -3.0),))]
-    rebuilt = local_detrivialize(bundle, samples, local_trivialize(bundle, samples, sections))
-    for orig, got in zip(sections, rebuilt):
-        assert got.base == pytest.approx(orig.base, abs=bundle.tol)
-        assert got.fibre[0] == pytest.approx(orig.fibre[0], abs=bundle.tol)
+def test_sphere2_is_the_one_geometry():
+    assert make_backend("sphere2", bundle_rank=2).bundle_rank == 2
+    for spec in ("flat:2", "sphere3", ""):
+        with pytest.raises(DimensionError):
+            make_backend(spec)
 
 
 def test_sphere_exp_log_roundtrip():

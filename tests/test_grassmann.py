@@ -188,7 +188,7 @@ def test_identity_hom_fixes_everything(x):
 
 @given(grassmann_elements(n=3))
 def test_body_projection_kills_the_soul(x):
-    image = hom_apply(GrassmannHom.body_projection(3), x)
+    image = hom_apply(GrassmannHom(3, 0, [GrassmannElement.zero(0)] * 3), x)
     assert image == GrassmannElement.scalar(0, x.body())
 
 

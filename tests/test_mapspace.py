@@ -20,8 +20,6 @@ from superjet import (
     chart_transition_map,
     hom_compose,
     lambda_point_map_of,
-    mapping_chart,
-    make_backend,
     merge_sign,
     morphism_compose,
     pushforward,
@@ -371,16 +369,6 @@ def test_identity_and_pointwise_oracle_accept_morphism_maps(seed, p, q, n, trans
         phi = random_morphism(rng, (p, q), (rng.randint(1, 2), rng.randint(0, 2)), degree=2)
         F = lambda_point_map_of(phi, n)
     assert_both_pass(F)
-
-
-def test_mapping_chart_flat_is_an_affine_shift():
-    rng = SplitMix64(48)
-    point = random_mapping_point(rng, 2)
-    body, even_sections, odd_sections = sc_point_to_pair(point)
-    flat = make_backend("flat:1")
-    shifted, ev2, od2 = mapping_chart([body[0]], point, flat)
-    assert shifted == [Polynomial.zero(body[0].p)]
-    assert ev2 == even_sections and od2 == odd_sections
 
 
 def test_top_order_cancellation_table():

@@ -37,7 +37,7 @@ from superjet import (
     taylor_shift,
 )
 from superjet.morphism import _extract_eta, odd_derivative
-from superjet.polyalg import iter_multiindices_upto, poly_derive
+from superjet.polyalg import iter_multiindices_upto
 from superjet.suites import (
     random_hom,
     random_morphism,
@@ -403,7 +403,7 @@ def symbol_pullback(phi: SuperMorphism, n_eta: int, g: SuperFunction) -> SuperFu
     total = SuperFunction.zero(*phi.source)
     for coef in eta_decompose(phi, n_eta):
         for (beta, K), c in coef.symbol.items():
-            d_beta = SuperFunction(g.p, g.q, {J: poly_derive(f, beta)
+            d_beta = SuperFunction(g.p, g.q, {J: f.derive(beta)
                                               for J, f in g.components.items()})
             term = sf_substitute(odd_derivative(d_beta, K), psi, degree_bound=None)
             total = total + embed(c, coef.index, phi.source[1]) * term

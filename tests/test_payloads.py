@@ -270,15 +270,39 @@ def test_a_schema_error_and_other_errors_pass_through_unchanged():
         pass
 
 
+WIDE_COORDINATE = {"n": MAX_GENERATORS + 1, "terms": []}
+LONG_EXPONENT = {"p": 1, "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]}
+BAD_COMPONENT = {"p": 1, "q": 0, "components": [{"J": [], "poly": LONG_EXPONENT}]}
+BAD_MORPHISM = {"source": [1, 0], "target": [1, 0], "even": [BAD_COMPONENT], "odd": []}
+
+
 @pytest.mark.parametrize("cls, payload, error", [
-    (GrassmannElement, {"n": MAX_GENERATORS + 1, "terms": []}, DimensionError),
-    (Polynomial, {"p": 1, "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]}, DimensionError),
+    (GrassmannElement, WIDE_COORDINATE, DimensionError),
+    (Polynomial, LONG_EXPONENT, DimensionError),
     (SuperFunction, {"p": 1, "q": 0, "components": [{"J": [], "poly": Polynomial.one(2).to_json()}]},
      DimensionError),
     (SuperPoint, {"n": 1, "even": [GrassmannElement.gen(1, 1).to_json()], "odd": []}, ParityError),
+    # the same errors one payload down
+    (SuperPoint, {"n": 1, "even": [WIDE_COORDINATE], "odd": []}, DimensionError),
+    (GrassmannHom, {"source": 1, "target": 1, "images": [WIDE_COORDINATE]}, DimensionError),
+    (SuperFunction, BAD_COMPONENT, DimensionError),
+    (SuperMorphism, BAD_MORPHISM, DimensionError),
+    (MappingPoint, dict(BAD_MORPHISM, n=0), DimensionError),
 ])
 def test_a_well_formed_payload_of_the_wrong_shape_keeps_its_error_type(cls, payload, error):
-    # these are raised after the payload_errors block, so they are not SchemaErrors
+    # these are raised after the payload_errors block, so they are not SchemaErrors;
+    # a container parses its nested payloads after its own block too
     with pytest.raises(error) as info:
         cls.from_json(payload)
     assert not isinstance(info.value, SchemaError)
+
+
+@pytest.mark.parametrize("cls, key", [(SuperPoint, "even"), (SuperPoint, "odd"),
+                                      (SuperFunction, "components"), (SuperMorphism, "even"),
+                                      (SuperMorphism, "odd"), (GrassmannHom, "images")],
+                         ids=lambda v: v.__name__ if isinstance(v, type) else v)
+@pytest.mark.parametrize("value", [None, "ab", {"n": 1}], ids=["null", "string", "object"])
+def test_a_non_list_item_list_is_a_schema_error_naming_its_container(cls, key, value):
+    with pytest.raises(SchemaError) as info:
+        cls.from_json(dict(dict(VALID)[cls], **{key: value}))
+    assert str(info.value).startswith(f"bad {cls.__name__} payload:")

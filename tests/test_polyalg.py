@@ -13,7 +13,6 @@ from superjet import (
     SchemaError,
     lattice_points,
     poly_compose,
-    poly_derive,
     taylor_coefficient,
     taylor_shift,
 )
@@ -41,21 +40,21 @@ def test_evaluation_is_a_ring_hom(f, g, x):
 @given(polynomials(p=2), polynomials(p=2))
 def test_derive_satisfies_leibniz(f, g):
     for axis in ((1, 0), (0, 1)):
-        lhs = poly_derive(f * g, axis)
-        assert lhs == poly_derive(f, axis) * g + f * poly_derive(g, axis)
+        lhs = (f * g).derive(axis)
+        assert lhs == f.derive(axis) * g + f * g.derive(axis)
 
 
 @given(polynomials(p=2))
 def test_mixed_partials_commute(f):
-    a = poly_derive(poly_derive(f, (1, 0)), (0, 1))
-    b = poly_derive(poly_derive(f, (0, 1)), (1, 0))
-    assert a == b == poly_derive(f, (1, 1))
+    a = f.derive((1, 0)).derive((0, 1))
+    b = f.derive((0, 1)).derive((1, 0))
+    assert a == b == f.derive((1, 1))
 
 
 def test_derive_monomial_coefficients():
     f = Polynomial.monomial(1, (4,))  # x^4
-    assert poly_derive(f, (2,)) == Polynomial.monomial(1, (2,), Fraction(12))
-    assert poly_derive(f, (5,)) == Polynomial.zero(1)
+    assert f.derive((2,)) == Polynomial.monomial(1, (2,), Fraction(12))
+    assert f.derive((5,)) == Polynomial.zero(1)
 
 
 @given(polynomials(p=1, degree=3), polynomials(p=2, degree=2))
@@ -130,7 +129,7 @@ def canonical_nonzero(terms):
 @given(polynomials(p=2), polynomials(p=2), small_fractions, points2)
 def test_polynomial_results_hold_only_canonical_nonzero_rationals(f, g, c, x0):
     for out in (f + g, f - g, -f, f * g, f * c, c * f, f * 2, f / 3,
-                poly_derive(f, (1, 0)), poly_derive(f, (1, 2)),
+                f.derive((1, 0)), f.derive((1, 2)),
                 Polynomial.from_json(f.to_json()), taylor_shift(f, x0, 3),
                 poly_compose(f, [g, g * c]),
                 Polynomial(2, {(0, 0): Fraction(6, 3), (1, 0): True, (0, 1): c})):

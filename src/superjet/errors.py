@@ -32,9 +32,11 @@ class payload_errors:
     after this block, so those DimensionErrors and ParityErrors keep their
     type.  A container payload likewise only takes its nested lists in the
     block, through `nested`, and parses their items after it, so a nested
-    shape error reads as it does when that payload is parsed alone.  A plain
-    class rather than a generator context manager: parsers open one block per
-    payload node, and this costs two method calls each.
+    shape error reads as it does when that payload is parsed alone.  A list
+    of integers (a subset, an exponent, an odd multi-index) is taken through
+    `nested` too, so a string in its place is refused rather than iterated.
+    A plain class rather than a generator context manager: parsers open one
+    block per payload node, and this costs two method calls each.
     """
 
     __slots__ = ("kind",)
@@ -46,7 +48,7 @@ class payload_errors:
         return self
 
     def nested(self, value) -> list:
-        """value, which must be a JSON list of nested payloads."""
+        """value, which must be a JSON list: of nested payloads or of integers."""
         if type(value) is not list:
             raise TypeError(f"expected a list, got {type(value).__name__}")
         return value

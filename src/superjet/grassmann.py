@@ -12,17 +12,20 @@ product sign is the parity of the inversion count of the merge:
 Coefficients are exact rationals by default, each in one canonical form: a
 plain int when its denominator is 1, a `fractions.Fraction` with denominator
 above 1 otherwise.  `_coerce` canonicalizes what enters and `_accumulate` what
-a sum stores.  A product whose coefficients are all ints and Fractions runs on
-int arithmetic: each operand is scaled once to integer numerators over the lcm
-of its denominators, and each output coefficient is reduced once, so Fraction's
-gcds are paid per output term, not per pair of terms.  An int coefficient
-divides to a float under `/`; divide by multiplying with `Fraction(1, b)`
-instead.  The arithmetic only assumes a
-commutative coefficient ring with +, *, - and truthiness-as-nonzero, which is
-what lets superfunctions and the symbolic Lambda-point machinery reuse these
-classes with polynomial coefficients (and the float geometry backend with
-binary64 ones).  The wire form of a rational, shared by every JSON payload,
-is defined here too.
+a sum stores.  One product loop, `_product_terms`, serves every coefficient
+ring, and `merge_sign` gives the sign of each pair of terms it keeps.  When
+both operands' coefficients are all ints and Fractions they enter that loop as
+int numerators over the lcm of each operand's denominators, and each output
+coefficient is reduced once, so Fraction's gcds are paid per output term, not
+per pair of terms.  `_combination` sums a linear combination of elements the
+same way: on int numerators over one lcm when every coefficient is rational,
+pair by pair through `_accumulate` otherwise.  An int coefficient divides to
+a float under `/`; divide by multiplying with `Fraction(1, b)` instead.  The
+arithmetic only assumes a commutative coefficient ring with +, *, - and
+truthiness-as-nonzero, which is what lets superfunctions and the symbolic
+Lambda-point machinery reuse these classes with polynomial coefficients (and
+the float geometry backend with binary64 ones).  The wire form of a rational,
+shared by every JSON payload, is defined here too.
 
 `MonomialTable` builds the monomials eps^I omega^J of fixed even (nilpotent)
 and odd arguments once each; it is the contraction kernel that `jetcalc`,
@@ -113,26 +116,79 @@ def _numerators(terms: dict, den: int):
             for m, c in terms.items()]
 
 
-def _exact_product(a: dict, la: int, b: dict, lb: int) -> dict:
-    """The terms of a * b for rational terms over common denominators la and lb:
-    int products of numerators summed per mask, in the insertion order of
-    `_accumulate`, each sum reduced once to its canonical form."""
+def _product_terms(a, b) -> dict:
+    """The terms of the product of the (mask, coefficient) pairs a and b, in any
+    coefficient ring: each pair's sign from `merge_sign`, its product added per
+    mask in the order of `_accumulate`, and a mask whose sum comes out zero
+    removed.  Each sum is stored as the ring's arithmetic returns it, so
+    rational operands come in as int numerators (`_exact_product`).  b is
+    iterated once per term of a."""
     out: dict = {}
-    right = _numerators(b, lb)
-    for ma, ca in _numerators(a, la):
-        for mb, cb in right:
+    sign = merge_sign
+    for ma, ca in a:
+        for mb, cb in b:
             if ma & mb:
                 continue    # a repeated generator kills the product
             key = ma | mb
-            v = (ca * cb if merge_sign(ma, mb) > 0 else -ca * cb) + out.get(key, 0)
+            v = ca * cb if sign(ma, mb) > 0 else -(ca * cb)
+            got = out.get(key)
+            if got is not None:
+                v = got + v
             if v:
                 out[key] = v
             else:
-                del out[key]    # a nonzero product only cancels a stored sum
-    den = la * lb
+                out.pop(key, None)  # a cancelled sum, or a float product underflowing to 0.0
+    return out
+
+
+def _reduced(out: dict, den: int) -> dict:
+    """out, whose values are int numerators over den, with each value replaced
+    in place by its canonical rational."""
     if den != 1:
         for key, v in out.items():
             out[key] = Fraction(v, den) if v % den else v // den
+    return out
+
+
+def _exact_product(a: dict, la: int, b: dict, lb: int) -> dict:
+    """The terms of a * b for rational terms over common denominators la and lb:
+    the product of their int numerators, each mask's sum reduced once."""
+    return _reduced(_product_terms(_numerators(a, la), _numerators(b, lb)), la * lb)
+
+
+def _combination(pairs) -> dict:
+    """The terms of sum c * t over the (c, t) in the list pairs, each t a terms
+    dict, with `_accumulate`'s keys, sums and insertion order.
+
+    When every c and every coefficient of every t is an int or a Fraction, the
+    sum runs on int numerators over one lcm of the denominators of the c * t,
+    and each mask's sum is reduced once; otherwise it is `_accumulate`, pair by
+    pair.
+    """
+    scaled = []
+    den = 1
+    for c, terms in pairs:
+        if type(c) is int:
+            nc, dc = c, 1
+        elif type(c) is Fraction:
+            nc, dc = c.numerator, c.denominator
+        else:
+            break
+        dt = _common_denominator(terms)
+        if not dt:
+            break
+        d = dc * dt
+        if den % d:
+            den = den // math.gcd(den, d) * d
+        scaled.append((nc, dc, dt, _numerators(terms, dt)))
+    else:
+        out: dict = {}
+        for nc, dc, dt, numerators in scaled:
+            _accumulate(out, numerators, nc * (den // (dc * dt)))
+        return _reduced(out, den)
+    out = {}
+    for c, terms in pairs:
+        _accumulate(out, terms.items(), c)
     return out
 
 
@@ -259,13 +315,7 @@ class GrassmannElement:
         lb = la and _common_denominator(other.terms)
         if lb:
             return GrassmannElement._of(self.n, _exact_product(self.terms, la, other.terms, lb))
-        terms: dict = {}
-        right = other.terms.items()
-        for ma, ca in self.terms.items():
-            # a repeated generator kills the product
-            _accumulate(terms, ((ma | mb, -cb if merge_sign(ma, mb) < 0 else cb)
-                                for mb, cb in right if not ma & mb), ca)
-        return GrassmannElement._of(self.n, terms)
+        return GrassmannElement._of(self.n, _product_terms(self.terms.items(), other.terms.items()))
 
     def __rmul__(self, other):
         # coefficients are central, so scalar action commutes
@@ -380,13 +430,13 @@ class GrassmannElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannElement":
-        with payload_errors("GrassmannElement"):
+        with payload_errors("GrassmannElement") as wire:
             n = int_from_json(data["n"])
             top = min(n, MAX_GENERATORS)
             terms = {}
             for item in data["terms"]:
                 mask = 0
-                for i in item["subset"]:
+                for i in wire.nested(item["subset"]):
                     if type(i) is not int:
                         i = int_from_json(i)
                     # bounded before the shift, so a huge index never builds a huge mask

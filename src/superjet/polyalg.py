@@ -263,11 +263,12 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
-        with payload_errors("Polynomial"):
+        with payload_errors("Polynomial") as wire:
             p = int_from_json(data["p"])
             terms = {}
             for item in data["terms"]:
-                e = tuple([v if type(v) is int else int_from_json(v) for v in item["exp"]])
+                e = tuple([v if type(v) is int else int_from_json(v)
+                           for v in wire.nested(item["exp"])])
                 if e in terms:
                     raise SchemaError("repeated exponent")
                 terms[e] = rational_from_json(item)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import GrassmannElement, MonomialTable, _accumulate, _nonzero, int_from_json
+from .grassmann import GrassmannElement, MonomialTable, _combination, _nonzero, int_from_json
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -214,7 +214,7 @@ class SuperFunction:
             q = int_from_json(data["q"])
             polys = {}
             for item in wire.nested(data["components"]):
-                J = [v if type(v) is int else int_from_json(v) for v in item["J"]]
+                J = [v if type(v) is int else int_from_json(v) for v in wire.nested(item["J"])]
                 if len(J) != q or not _BITS.issuperset(J):
                     raise SchemaError(f"bad odd multi-index {J}")
                 mask = sum(map(operator.lshift, J, range(q)))   # J[b] << b is bit b
@@ -293,12 +293,14 @@ def _contract(comps: dict, bodies, table: MonomialTable, degree_bound) -> dict:
 
     Each sigma_J is shifted once, on first use.  That is at I = 0 (eps^0 is the
     unit), so `degree_bound` is checked there as `poly_compose` checks it, and
-    never for a sigma_J whose omega^J vanishes.
+    never for a sigma_J whose omega^J vanishes.  The pairs (c_{I,J}, eps^I
+    omega^J) are summed once, by `_combination`: on int numerators when every
+    coefficient is rational, as at a rational Lambda-point.
     """
     # every eps_i has degree >= 2 in the table's n generators, so |I| <= n/2
     top = table.one.n // 2
     shifted = {}                # J -> terms of sigma_J(bodies + h)
-    out: dict = {}
+    pairs = []                  # (c_{I,J}, terms of eps^I omega^J)
     for I, J, mono in table.monomials(iter_multiindices_upto(len(bodies), top), comps):
         coeffs = shifted.get(J)
         if coeffs is None:
@@ -306,8 +308,8 @@ def _contract(comps: dict, bodies, table: MonomialTable, degree_bound) -> dict:
             coeffs = shifted[J] = taylor_shift(comps[J], bodies, top).terms
         val = coeffs.get(I)
         if val is not None:
-            _accumulate(out, mono.terms.items(), val)
-    return out
+            pairs.append((val, mono.terms))
+    return _combination(pairs)
 
 
 def sf_eval(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:

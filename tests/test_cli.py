@@ -125,6 +125,22 @@ def test_a_wire_integer_is_never_truncated(tmp_path, capsys, scaling, point, whi
     assert f"not an integer: {value!r}" in result[2]
 
 
+@pytest.mark.parametrize("which, path", [
+    ("point", ["odd", 0, "terms", 0, "subset"]),                             # GrassmannElement
+    ("morphism", ["even", 0, "components", 0, "poly", "terms", 0, "exp"]),  # Polynomial
+    ("morphism", ["odd", 0, "components", 0, "J"]),                         # SuperFunction
+])
+def test_a_string_in_place_of_an_integer_list_is_an_input_error(
+        tmp_path, capsys, scaling, point, which, path):
+    files = {"morphism": scaling, "point": point}
+    payload = json.loads(open(files[which]).read())
+    _set(payload, path, "1")
+    files[which] = write(tmp_path / "bad.json", payload)
+    result = run(capsys, "eval", files["morphism"], files["point"])
+    assert_one_line_input_error(result)
+    assert "expected a list, got str" in result[2]
+
+
 def test_missing_file_is_a_usage_error(capsys, point):
     code, _, err = run(capsys, "eval", "/nonexistent/m.json", point)
     assert code == 2

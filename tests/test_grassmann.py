@@ -98,6 +98,43 @@ def test_both_product_paths_take_the_sign_from_merge_sign(monkeypatch, one):
     assert (e2 * e1).terms == {0b11: one * one}
 
 
+def test_a_float_product_that_cancels_to_zero_leaves_no_mask():
+    x = GrassmannElement(2, {1: 0.5, 2: 0.5})
+    # eta1 eta2 + eta2 eta1: the stored 0.25 meets -0.25 and sums to 0.0
+    assert (x * x).terms == {}
+    y = GrassmannElement(2, {0: 1.0, 1: 0.5, 2: 0.5})
+    assert (y * x).terms == {1: 0.5, 2: 0.5}
+
+
+def plain_combination(pairs) -> dict:
+    out = {}
+    for c, terms in pairs:
+        grassmann._accumulate(out, terms.items(), c)
+    return out
+
+
+@pytest.mark.parametrize("ring", coefficient_rings)
+@given(data=st.data())
+def test_combination_is_the_plain_accumulation(ring, data):
+    n = data.draw(st.integers(min_value=0, max_value=4))
+    coefficients = coefficient_rings[ring]
+    pairs = data.draw(st.lists(st.tuples(
+        coefficients.filter(bool),
+        grassmann_elements(n=n, max_terms=6, coefficients=coefficients).map(lambda x: x.terms),
+    ), max_size=6))
+    got, want = grassmann._combination(pairs), plain_combination(pairs)
+    # the same keys in the same order, the same values of the same types
+    assert list(got) == list(want)
+    assert [(v, type(v)) for v in got.values()] == [(v, type(v)) for v in want.values()]
+
+
+def test_combination_of_int_and_float_pairs_takes_the_plain_path():
+    pairs = [(3, {0: 1, 3: Fraction(1, 3)}), (Fraction(1, 2), {3: 0.5, 1: 2}), (1, {0: -3})]
+    got = grassmann._combination(pairs)
+    assert got == plain_combination(pairs) == {3: 1.25, 1: 1}
+    assert list(got) == [3, 1] and type(got[3]) is float and type(got[1]) is int
+
+
 @given(grassmann_elements(n=3), grassmann_elements(n=3), grassmann_elements(n=3))
 def test_mul_associative(x, y, z):
     assert (x * y) * z == x * (y * z)

@@ -306,3 +306,16 @@ def test_a_non_list_item_list_is_a_schema_error_naming_its_container(cls, key, v
     with pytest.raises(SchemaError) as info:
         cls.from_json(dict(dict(VALID)[cls], **{key: value}))
     assert str(info.value).startswith(f"bad {cls.__name__} payload:")
+
+
+@pytest.mark.parametrize("cls, payload", [
+    (GrassmannElement, {"n": 12, "terms": [{"subset": "12", "num": "1", "den": "1"}]}),
+    (Polynomial, {"p": 2, "terms": [{"exp": "12", "num": "1", "den": "1"}]}),
+    (SuperFunction, {"p": 1, "q": 2,
+                     "components": [{"J": "01", "poly": Polynomial.one(1).to_json()}]}),
+], ids=["subset", "exp", "J"])
+def test_a_string_in_place_of_an_integer_list_is_a_schema_error(cls, payload):
+    # each string used to be iterated character by character: "12" read as [1, 2]
+    with pytest.raises(SchemaError) as info:
+        cls.from_json(payload)
+    assert str(info.value) == f"bad {cls.__name__} payload: expected a list, got str"

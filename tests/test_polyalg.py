@@ -13,12 +13,21 @@ from superjet import (
     SchemaError,
     lattice_points,
     poly_compose,
+    sf_eval,
+    sf_substitute,
     taylor_coefficient,
     taylor_shift,
 )
 from superjet.polyalg import iter_multiindices_upto
 
-from conftest import grassmann_elements, polynomials, small_fractions
+from conftest import (
+    grassmann_elements,
+    morphisms,
+    polynomials,
+    small_fractions,
+    superfunctions,
+    superpoints,
+)
 
 points2 = st.lists(small_fractions, min_size=2, max_size=2)
 
@@ -137,13 +146,16 @@ def test_polynomial_results_hold_only_canonical_nonzero_rationals(f, g, c, x0):
 
 
 @given(grassmann_elements(n=3), grassmann_elements(n=3), small_fractions,
-       st.lists(grassmann_elements(n=3, parity=1), min_size=3, max_size=3))
-def test_grassmann_results_hold_only_canonical_nonzero_rationals(x, y, c, images):
+       st.lists(grassmann_elements(n=3, parity=1), min_size=3, max_size=3),
+       superfunctions(p=1, q=1), superpoints(p=1, q=1), morphisms((1, 2), (1, 1)))
+def test_grassmann_results_hold_only_canonical_nonzero_rationals(x, y, c, images, sigma, nu, phi):
     hom = GrassmannHom(3, 3, images)
     for out in (x + y, x - y, -x, x * y, x.scale(c), x * 2, 3 * x, x.scale(Fraction(4, 2)),
-                GrassmannElement.from_json(x.to_json()), hom.apply(x),
+                GrassmannElement.from_json(x.to_json()), hom.apply(x), sf_eval(sigma, nu),
                 GrassmannElement(3, {0: Fraction(6, 3), 1: True, 2: c})):
         assert canonical_nonzero(out.terms)
+    pulled = sf_substitute(sigma, phi)
+    assert all(f.terms and canonical_nonzero(f.terms) for f in pulled.components.values())
 
 
 def test_float_products_that_underflow_are_dropped():

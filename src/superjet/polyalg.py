@@ -173,14 +173,28 @@ class Polynomial:
             c = _coerce(other)
             if not c:
                 return Polynomial.zero(self.p)
+            if type(c) is int and c == 1:
+                return Polynomial._of(self.p, dict(self.terms))
             # a float product can underflow to 0.0, so zeros are still dropped
-            return Polynomial._of(self.p, {e: _coerce(w) for e, v in self.terms.items()
-                                          if (w := v * c)})
+            return Polynomial._of(self.p, {
+                e: w.numerator if type(w) is Fraction and w.denominator == 1 else w
+                for e, v in self.terms.items() if (w := v * c)})
         self._check(other)
+        # one double loop, summing in `_accumulate`'s order: got + ca * cb per key,
+        # an integral Fraction stored as its int, a key whose sum is zero removed
         terms: dict = {}
         right = other.terms.items()
         for ea, ca in self.terms.items():
-            _accumulate(terms, ((mi_add(ea, eb), cb) for eb, cb in right), ca)
+            for eb, cb in right:
+                key = mi_add(ea, eb)
+                v = ca * cb
+                got = terms.get(key)
+                if got is not None:
+                    v = got + v
+                if v:
+                    terms[key] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                else:
+                    terms.pop(key, None)
         return Polynomial._of(self.p, terms)
 
     __rmul__ = __mul__
@@ -369,29 +383,42 @@ def taylor_shift(f: Polynomial, x0, k: int) -> Polynomial:
     powers of each x0_i built once; the x0_i may be scalars or other ring
     elements.  The h^I coefficient is (1/I!) D_I f(x0), the value
     `taylor_coefficient` computes by derivative and evaluation.
+
+    Each power row starts as [1, x0_i], a weight with C(e, j) = 1 is the bare
+    power, and a weight that is the int 1 multiplies nothing: the partial
+    product passes through.  Every product that remains has the operands and
+    grouping of the plain binomial loop, so results, float ones included, and
+    their key order are the same as that loop's.  A negative k raises
+    ValueError, as `jetcalc.taylor_of` does.
     """
     if len(x0) != f.p:
         raise DimensionError(f"{len(x0)} base coordinates for {f.p} variables")
+    if k < 0:
+        raise ValueError("negative truncation order")
     x0 = [_coerce(a) for a in x0]
-    powers = [[1] for _ in x0]
+    powers = [[1, a] for a in x0]
     rows: dict = {}
 
     def row(i: int, e: int) -> list:
-        """The nonzero (j, C(e, j) x0_i^(e-j)) for j <= min(e, k)."""
+        """The (j, w) with w = C(e, j) x0_i^(e-j) nonzero, j <= min(e, k), and
+        w None where it is the int 1."""
         got = rows.get((i, e))
         if got is None:
             pw = powers[i]
             while len(pw) <= e:
                 pw.append(pw[-1] * x0[i])
-            got = rows[i, e] = [(j, w) for j in range(min(e, k) + 1)
-                                if (w := math.comb(e, j) * pw[e - j])]
+            got = rows[i, e] = []
+            for j in range(min(e, k) + 1):
+                w = pw[e - j] if j == 0 or j == e else math.comb(e, j) * pw[e - j]
+                if w:
+                    got.append((j, None if type(w) is int and w == 1 else w))
         return got
 
     out: dict = {}
     for e, c in f.terms.items():
         partial = [((), 0, c)]      # (exponent prefix, its degree, coefficient)
         for i, ei in enumerate(e):
-            partial = [(I + (j,), d + j, v * w)
+            partial = [(I + (j,), d + j, v if w is None else v * w)
                        for I, d, v in partial for j, w in row(i, ei) if d + j <= k]
         _accumulate(out, ((I, v) for I, _, v in partial))
     return Polynomial._of(f.p, out)

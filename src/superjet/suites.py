@@ -59,6 +59,8 @@ from .polyalg import (
     lattice_points,
     mi_factorial,
     poly_compose,
+    taylor_coefficient,
+    taylor_shift,
 )
 from .rng import ALGORITHM, SplitMix64
 from .superfun import SuperFunction, SuperPoint, sf_eval, sf_eval_naive, sf_substitute
@@ -479,6 +481,16 @@ def law_jet_ident(phi, x0, k):
             and trunc_compose(ident_tgt, inner) == inner)
 
 
+def law_shift(phi, x0, k):
+    """Each component's shift holds exactly its derive-based Taylor coefficients of
+    order <= k; evidence: the positions of the components whose shift does not."""
+    bad = [j for j, f in enumerate(phi)
+           if taylor_shift(f, x0, k).terms != {
+               I: c for I in iter_multiindices_upto(len(x0), k)
+               if (c := taylor_coefficient(f, I, x0))}]
+    return not bad, {"mismatched": bad}
+
+
 def law_jet_mul(f, g, x0, k):
     """A product of jets of orders k + 1 and k has order k."""
     return trunc_mul(taylor_of([f], x0, k + 1), taylor_of([g], x0, k)) == taylor_of([f * g], x0, k)
@@ -616,7 +628,7 @@ LAWS = {
     "morphism/etaorder": law_order, "morphism/thetaorder": law_order,
     "morphism/decomp": law_decomp, "morphism/sharp": law_sharp,
     "jetcalc/compose": law_jet_compose, "jetcalc/ident": law_jet_ident,
-    "jetcalc/mul": law_jet_mul, "jetcalc/faa": law_faa,
+    "jetcalc/shift": law_shift, "jetcalc/mul": law_jet_mul, "jetcalc/faa": law_faa,
     "geometry/roundtrip": law_roundtrip, "geometry/isometry": law_isometry,
     "geometry/fd": law_fd, "geometry/fd-exp": law_fd_exp,
     "geometry/chart": law_chart, "geometry/bundle": law_bundle,
@@ -630,6 +642,9 @@ LAWS = {
 # superfun/, morphism/ and mapspace/json read back the payloads of this many cases;
 # each costs about 0.2 ms, and grassmann/json reads back every case
 WIRE_CASES = 5
+# jetcalc/shift checks the shifts of this many cases' phi against the derive-based
+# oracle; each costs about 0.2 ms
+SHIFT_CASES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +736,7 @@ def suite_morphism(rec: Recorder, seed: int, cases: int) -> None:
 
 
 def suite_jetcalc(rec: Recorder, seed: int, cases: int) -> None:
-    """Truncated composition, identity jets, products, and Faa di Bruno."""
+    """Truncated composition, identity jets, the Taylor shift, products, and Faa di Bruno."""
     rng = SplitMix64(seed)
     for i in range(cases):
         dx, dy, dz = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
@@ -731,6 +746,8 @@ def suite_jetcalc(rec: Recorder, seed: int, cases: int) -> None:
         psi = [random_polynomial(rng, dy, degree=3) for _ in range(dz)]
         rec.check(f"jetcalc/compose-{i:04d}", phi=phi, psi=psi, x0=x0, k=k)
         rec.check(f"jetcalc/ident-{i:04d}", phi=phi, x0=x0, k=k)
+        if i < SHIFT_CASES:
+            rec.check(f"jetcalc/shift-{i:04d}", phi=phi, x0=x0, k=k)
         f = random_polynomial(rng, dx, degree=3)
         g = random_polynomial(rng, dx, degree=3)
         rec.check(f"jetcalc/mul-{i:04d}", f=f, g=g, x0=x0, k=k)

@@ -420,7 +420,7 @@ def test_a_law_that_raises_fails_its_case_and_keeps_the_report(capsys, monkeypat
     code, out, err = run(capsys, "verify", "jetcalc", "--cases", "2")
     assert code == 1 and "Traceback" not in err
     report = json.loads(out)
-    assert report["cases"] == 8 and report["failed"] == 4
+    assert report["cases"] == 10 and report["failed"] == 4
     assert {f["id"][:-5] for f in report["failures"]} == {"jetcalc/compose", "jetcalc/ident"}
     for failure in report["failures"]:
         assert failure["witness"]["error"] == "ValueError: base-point mismatch"

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from superjet import (
     DEFAULT_DEGREE_BOUND,
@@ -18,13 +19,14 @@ from superjet import (
     taylor_coefficient,
     taylor_shift,
 )
-from superjet.polyalg import iter_multiindices_upto
+from superjet.polyalg import iter_multiindices_upto, mi_factorial
 
 from conftest import (
     grassmann_elements,
     morphisms,
     polynomials,
     small_fractions,
+    small_ints,
     superfunctions,
     superpoints,
 )
@@ -111,8 +113,14 @@ def test_json_roundtrip(f):
     assert Polynomial.from_json(f.to_json()) == f
 
 
-@given(polynomials(p=2, degree=5, max_terms=5), points2, st.integers(min_value=0, max_value=6))
+@given(polynomials(p=2, degree=5, max_terms=5),
+       st.lists(st.one_of(small_fractions, small_ints), min_size=2, max_size=2),
+       st.integers(min_value=0, max_value=6))
+@example(Polynomial(2, {(2, 1): 3, (0, 3): Fraction(1, 2), (0, 0): -1}), [0, 0], 0)
+@example(Polynomial(2, {(2, 1): 3, (1, 3): Fraction(1, 2), (0, 0): -1}), [0, 2], 2)
+@example(Polynomial(2, {(3, 2): Fraction(-2, 3), (1, 0): 1}), [1, Fraction(1, 2)], 0)
 def test_taylor_shift_coefficients_are_taylor_coefficients(f, x0, k):
+    # the bases mix Fractions and ints, zero coordinates included, and k = 0 is drawn
     shifted = taylor_shift(f, x0, k)
     assert shifted.p == f.p
     assert all(sum(I) <= k for I in shifted.terms)
@@ -126,6 +134,107 @@ def test_taylor_shift_worked_example():
     assert taylor_shift(f, [Fraction(2)], 2) == Polynomial(1, {(0,): 8, (1,): 12, (2,): 6})
     with pytest.raises(DimensionError):
         taylor_shift(f, [Fraction(2), Fraction(0)], 2)
+    # a negative order is refused, as taylor_of refuses it, not answered with 0
+    with pytest.raises(ValueError, match="negative truncation order"):
+        taylor_shift(Polynomial.monomial(1, (2,)), [Fraction(1, 2)], -1)
+
+
+@given(polynomials(p=2, degree=4, max_terms=4),
+       st.lists(polynomials(p=2, degree=2), min_size=2, max_size=2),
+       st.integers(min_value=0, max_value=4))
+def test_taylor_shift_at_polynomial_bases_is_derive_and_compose(f, x0, k):
+    # ring-element bases, as in sf_substitute and lambda_point_map_of
+    shifted = taylor_shift(f, x0, k)
+    assert all(sum(I) <= k for I in shifted.terms)
+    for I in iter_multiindices_upto(2, k):
+        expected = poly_compose(f.derive(I), x0, degree_bound=None) * Fraction(1, mi_factorial(I))
+        assert shifted.terms.get(I, 0) == expected
+        assert (I in shifted.terms) == bool(expected)
+
+
+# plain reference loops: every weight C(e, j) * x0^(e - j), every product taken,
+# sums added term by term; the kernels must match them bit for bit
+
+
+def _canonical(v):
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
+def _add_into(out: dict, key, v) -> None:
+    got = out.get(key)
+    if got is not None:
+        v = got + v
+    if v:
+        out[key] = _canonical(v)
+    else:
+        out.pop(key, None)
+
+
+def reference_shift(f, x0, k) -> dict:
+    out: dict = {}
+    for e, c in f.terms.items():
+        partial = [((), 0, c)]
+        for i, ei in enumerate(e):
+            pw = [1]
+            while len(pw) <= ei:
+                pw.append(pw[-1] * x0[i])
+            weights = [(j, math.comb(ei, j) * pw[ei - j]) for j in range(min(ei, k) + 1)]
+            partial = [(I + (j,), d + j, v * w)
+                       for I, d, v in partial for j, w in weights if w and d + j <= k]
+        for I, _, v in partial:
+            _add_into(out, I, v)
+    return out
+
+
+def reference_product(f, g) -> dict:
+    out: dict = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            _add_into(out, tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+    return out
+
+
+def reference_scale(f, c) -> dict:
+    return {e: _canonical(v * c) for e, v in f.terms.items() if v * c}
+
+
+def same_bits(a, b) -> bool:
+    """Equal types and values, floats by their bits, polynomial terms in key order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return a.hex() == b.hex()
+    if isinstance(a, dict):
+        return (list(a) == list(b)
+                and all(same_bits(a[key], b[key]) for key in a))
+    if isinstance(a, Polynomial):
+        return a.p == b.p and same_bits(a.terms, b.terms)
+    return a == b
+
+
+floats = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
+float_polynomials = polynomials(p=2, degree=4, max_terms=4, coefficients=floats)
+# coefficients in Q[x]: what a shift at polynomial bases returns
+nested_polynomials = polynomials(p=2, degree=3, max_terms=3, coefficients=polynomials(p=2))
+
+
+@given(float_polynomials, float_polynomials, st.lists(floats, min_size=2, max_size=2),
+       st.sampled_from([1, 2.5, -1e-300]), st.integers(min_value=0, max_value=5))
+def test_float_kernels_match_the_reference_loops_bit_for_bit(f, g, x0, c, k):
+    assert same_bits(taylor_shift(f, x0, k).terms, reference_shift(f, x0, k))
+    assert same_bits((f * g).terms, reference_product(f, g))
+    assert same_bits((f * c).terms, reference_scale(f, c))
+
+
+@given(polynomials(p=2, degree=4, max_terms=4), nested_polynomials, nested_polynomials,
+       st.lists(polynomials(p=2, degree=2), min_size=2, max_size=2),
+       st.sampled_from([1, 2, Fraction(-1, 3)]), st.integers(min_value=0, max_value=4))
+def test_ring_kernels_match_the_reference_loops_term_for_term(f, a, b, x0, c, k):
+    assert same_bits(taylor_shift(f, x0, k).terms, reference_shift(f, x0, k))
+    assert same_bits(taylor_shift(a, [Fraction(1, 2), 1], k).terms,
+                     reference_shift(a, [Fraction(1, 2), 1], k))
+    assert same_bits((a * b).terms, reference_product(a, b))
+    assert same_bits((a * c).terms, reference_scale(a, c))
 
 
 def canonical_nonzero(terms):

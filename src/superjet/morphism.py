@@ -208,6 +208,20 @@ def _body_lattice(p: int) -> tuple:
     return tuple(lattice_points(p, radius=1, den=2))
 
 
+@lru_cache(maxsize=256)
+def _trial_plan(p: int, p2: int, q2: int, k: int, seed: int) -> tuple:
+    """(body points, probes, rng state) of order_bound_check's trials, as its
+    two seeded shuffles leave them; pure in its key, so each plan shuffles once."""
+    rng = SplitMix64(seed)
+    lattice = list(_body_lattice(p))
+    rng.shuffle(lattice)
+    probes = default_probes(p2, q2, 2 * k + 2)
+    # cycle through a shuffled copy instead of drawing independently: distinct
+    # probes across trials, so a sharp operator cannot hide behind repeats
+    rng.shuffle(probes)
+    return tuple(lattice), tuple(probes), rng.state
+
+
 @dataclass
 class EtaCoefficient:
     """Coefficient operator D_I of eta^I in a morphism's pullback, held as its symbol.
@@ -349,22 +363,21 @@ def order_bound_check(coef: EtaCoefficient, k: int, trials: int = 8,
     points x0 come from a fixed rational lattice, shuffled by the seed.  PASS
     certifies order <= k on the probe family only; FAIL carries a replayable
     witness.
+
+    The shuffled lattice and probe family are the trial plan: they depend on
+    (p, p', q', k, seed) alone, so `_trial_plan` builds each plan once and
+    caches it with the rng state it leaves, from which the trials draw.
     """
     if k < 0:
         raise ValueError("order must be >= 0")
     phi = coef.phi
     p, _ = phi.source
     p2, q2 = phi.target
-    rng = SplitMix64(seed)
     if p2 == 0:
         # no even target coordinates, so nothing to commute with
         return OrderVerdict(passed=True, k=k, trials=0)
-    lattice = list(_body_lattice(p))
-    rng.shuffle(lattice)
-    probes = default_probes(p2, q2, 2 * k + 2)
-    # cycle through a shuffled copy instead of drawing independently: distinct
-    # probes across trials, so a sharp operator cannot hide behind repeats
-    rng.shuffle(probes)
+    lattice, probes, state = _trial_plan(p, p2, q2, k, seed)
+    rng = SplitMix64(state)
     # a term whose eta-part leaves I can never reach eta^I: keep only the rest
     outside = ((1 << coef.n_eta) - 1) & ~coef.mask
     etas = [SuperFunction(sf.p, sf.q, {mm: f for mm, f in sf.components.items()

@@ -31,7 +31,7 @@ from .geometry import (
     local_detrivialize,
     local_trivialize,
 )
-from .grassmann import GrassmannElement, GrassmannHom, hom_apply, hom_compose
+from .grassmann import GrassmannElement, GrassmannHom, _accumulate, hom_apply, hom_compose
 from .jetcalc import faa_di_bruno, taylor_of, trunc_compose, trunc_mul
 from .mapspace import (
     LambdaPointMap,
@@ -71,7 +71,7 @@ from .superfun import SuperFunction, SuperPoint, sf_eval, sf_eval_naive, sf_subs
 
 
 def random_polynomial(rng: SplitMix64, p: int, degree: int = 3, terms: int = 3) -> Polynomial:
-    out = Polynomial.zero(p)
+    out = {}
     for _ in range(terms):
         exp = [0] * p
         for _ in range(rng.randint(0, degree)):
@@ -79,8 +79,8 @@ def random_polynomial(rng: SplitMix64, p: int, degree: int = 3, terms: int = 3) 
                 exp[rng.randint(0, p - 1)] += 1
         c = rng.fraction()
         if c:
-            out = out + Polynomial(p, {tuple(exp): c})
-    return out
+            _accumulate(out, ((tuple(exp), c),))
+    return Polynomial._of(p, out)
 
 
 def random_superfunction(rng: SplitMix64, p: int, q: int, degree: int = 3,
@@ -99,15 +99,16 @@ def random_superfunction(rng: SplitMix64, p: int, q: int, degree: int = 3,
 
 
 def random_grassmann(rng: SplitMix64, n: int, parity=None, terms: int = 3) -> GrassmannElement:
-    out = GrassmannElement.zero(n)
+    n = GrassmannElement._generator_count(n)
+    out = {}
     for _ in range(terms):
         mask = rng.randint(0, (1 << n) - 1)
         if parity is not None and mask.bit_count() % 2 != parity:
             continue
         c = rng.fraction()
         if c:
-            out = out + GrassmannElement.monomial(n, mask, c)
-    return out
+            _accumulate(out, ((mask, c),))
+    return GrassmannElement._of(n, out)
 
 
 def random_superpoint(rng: SplitMix64, n: int, p: int, q: int) -> SuperPoint:
@@ -257,23 +258,32 @@ def fd_derivative(fn, x0, I, h0: float = 0.12, levels: int = 4) -> list:
 
     Each axis application uses nodes x +- h (spacing 2h, error O(h^2));
     extrapolating over h0, h0/2, h0/4, h0/8 cancels the h^2, h^4, h^6 terms
-    and leaves ~1e-8 relative error on the orders <= 4 used here.  fn is
-    evaluated once per node, and every component is differenced from that one
+    and leaves ~1e-8 relative error on the orders <= 4 used here.  The 2^|I|
+    nodes of a level are built axis by axis, x + h before x - h, and fn is
+    called once per node; each difference then pairs neighbouring values,
+    innermost axis first, so every component is differenced from that one
     value.
     """
     axes = [i for i, e in enumerate(I) for _ in range(e)]
 
-    def nested(x, rest, h):
-        if not rest:
-            return list(fn(x))
-        xp = list(x)
-        xp[rest[0]] += h
-        xm = list(x)
-        xm[rest[0]] -= h
-        return [(a - b) / (2.0 * h)
-                for a, b in zip(nested(xp, rest[1:], h), nested(xm, rest[1:], h))]
+    def level(h):
+        nodes = [list(x0)]
+        for axis in axes:
+            grown = []
+            for x in nodes:
+                xp = list(x)
+                xp[axis] += h
+                xm = list(x)
+                xm[axis] -= h
+                grown += (xp, xm)
+            nodes = grown
+        vals = [list(fn(x)) for x in nodes]
+        for _ in axes:
+            vals = [[(a - b) / (2.0 * h) for a, b in zip(vals[i], vals[i + 1])]
+                    for i in range(0, len(vals), 2)]
+        return vals[0]
 
-    vals = [nested(list(x0), axes, h0 / 2 ** j) for j in range(levels)]
+    vals = [level(h0 / 2 ** j) for j in range(levels)]
     factor = 4.0
     while len(vals) > 1:
         vals = [[(factor * b - a) / (factor - 1.0) for a, b in zip(lo, hi)]
@@ -287,13 +297,23 @@ def jet_fd_defect(jet, fn, max_order: int = 4) -> float:
 
     Compares the Taylor-normalized coefficient c_I = D_I f / I! of each
     component against the Richardson estimate, relative to max(1, |c_I|).
+    The multi-indices share many nodes, so fn is called once per distinct node.
     """
+    seen = {}
+
+    def once(x):
+        key = tuple(x)
+        got = seen.get(key)
+        if got is None:
+            got = seen[key] = fn(x)
+        return got
+
     worst = 0.0
     for I in iter_multiindices_upto(jet.m, min(jet.k, max_order)):
         if sum(I) == 0:
             continue
         fact = mi_factorial(I)
-        for d, val in zip(fd_derivative(fn, jet.base_point, I), jet.coefficient(I)):
+        for d, val in zip(fd_derivative(once, jet.base_point, I), jet.coefficient(I)):
             fd = d / fact
             worst = max(worst, abs(fd - val) / max(1.0, abs(val)))
     return worst

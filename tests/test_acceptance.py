@@ -6,6 +6,7 @@ suite.  Algebraic laws are asserted with exact equality; the curved-geometry
 checks carry the explicit float tolerances they are specified with.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -385,9 +386,14 @@ def _check_sampled_chart_transition(backend, rng):
 # reporting
 
 
+# sha256 of `verify all --seed 42`; a change that moves a draw, a verdict or
+# a float of the report must update it and say why
+REPORT_SEED_42_SHA256 = "0d2637009b4b59391609469da115abc6f1b1fd46bf3b29d42e94f987608facb6"
+
+
 def test_verification_report_is_deterministic(tmp_path):
     """Two full verify runs with the same seed exit clean and emit
-    byte-identical reports."""
+    byte-identical reports, and those bytes are the pinned ones."""
     out1 = tmp_path / "first.json"
     out2 = tmp_path / "second.json"
     assert cli_main(["verify", "all", "--seed", "42", "--out", str(out1)]) == 0
@@ -395,6 +401,7 @@ def test_verification_report_is_deterministic(tmp_path):
     b1 = out1.read_bytes()
     b2 = out2.read_bytes()
     assert b1 == b2
+    assert hashlib.sha256(b1).hexdigest() == REPORT_SEED_42_SHA256
     report = json.loads(b1)
     assert report["failed"] == 0
     assert report["passed"] == report["cases"]

@@ -20,6 +20,7 @@ from superjet import (
     make_backend,
 )
 from superjet.geometry import THETA_OVER_SIN, _frozen_theta_over_sin
+from superjet.polyalg import iter_multiindices_upto, mi_factorial
 from superjet.suites import (
     fd_derivative,
     jet_fd_defect,
@@ -124,6 +125,68 @@ def test_transition_jet_matches_closed_transition():
         for axis in range(3):
             I = tuple(1 if i == axis else 0 for i in range(3))
             assert jet.coefficient(I)[j] == pytest.approx(fds[axis][j], abs=1e-7)
+
+
+def fd_derivative_recursive(fn, x0, I, h0=0.12, levels=4):
+    """fd_derivative as first written: one recursive call per node, no sharing."""
+    axes = [i for i, e in enumerate(I) for _ in range(e)]
+
+    def nested(x, rest, h):
+        if not rest:
+            return list(fn(x))
+        xp = list(x)
+        xp[rest[0]] += h
+        xm = list(x)
+        xm[rest[0]] -= h
+        return [(a - b) / (2.0 * h)
+                for a, b in zip(nested(xp, rest[1:], h), nested(xm, rest[1:], h))]
+
+    vals = [nested(list(x0), axes, h0 / 2 ** j) for j in range(levels)]
+    factor = 4.0
+    while len(vals) > 1:
+        vals = [[(factor * b - a) / (factor - 1.0) for a, b in zip(lo, hi)]
+                for lo, hi in zip(vals, vals[1:])]
+        factor *= 4.0
+    return vals[0]
+
+
+def sphere_jet_cases(count=3, seed=34):
+    """(jet, closed form) pairs for log and exp at drawn sphere points, order 4."""
+    sphere = make_backend("sphere2")
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        x = random_sphere_point(rng)
+        v = random_tangent(rng, x)
+        y0 = list(sphere.exp_closed(x, v))
+        yield sphere.log_jet(x, y0, 4), lambda y, x=x: sphere.log_closed(x, y)
+        yield sphere.exp_jet(x, v, 4), lambda w, x=x: sphere.exp_closed(x, w)
+
+
+def test_fd_derivative_is_the_recursive_differences_bit_for_bit():
+    for jet, fn in sphere_jet_cases():
+        for I in iter_multiindices_upto(3, 4):
+            got = fd_derivative(fn, jet.base_point, I)
+            want = fd_derivative_recursive(fn, jet.base_point, I)
+            assert [d.hex() for d in got] == [d.hex() for d in want], I
+
+
+def test_fd_defect_calls_fn_once_per_distinct_node_and_keeps_every_bit():
+    for jet, fn in sphere_jet_cases():
+        nodes = []
+
+        def counted(x, fn=fn):
+            nodes.append(tuple(x))
+            return fn(x)
+
+        defect = jet_fd_defect(jet, counted)
+        assert len(nodes) == len(set(nodes))
+        unshared = 0.0
+        for I in iter_multiindices_upto(3, 4):
+            if sum(I):
+                for d, val in zip(fd_derivative_recursive(fn, jet.base_point, I),
+                                  jet.coefficient(I)):
+                    unshared = max(unshared, abs(d / mi_factorial(I) - val) / max(1.0, abs(val)))
+        assert defect.hex() == unshared.hex()
 
 
 def chart_side_point(sphere, f_x, bundle_rank=0):

@@ -36,7 +36,7 @@ from superjet import (
     taylor_coefficient,
     taylor_shift,
 )
-from superjet.morphism import _extract_eta, odd_derivative
+from superjet.morphism import _eta_part, _extract_eta, odd_derivative
 from superjet.polyalg import iter_multiindices_upto
 from superjet.suites import (
     random_hom,
@@ -375,6 +375,64 @@ def test_telescoped_order_check_matches_the_expansion_on_failing_cases():
         assert differ == 0
         failed += f
     assert failed > 0   # the agreement covers witnesses, not only passes
+
+
+def order_check_reshuffled(coef, k, trials=8, seed=0):
+    """order_bound_check as it was before its trial plans were cached: both
+    seeded shuffles redone on every call, then the same telescoped trials."""
+    phi = coef.phi
+    p, _ = phi.source
+    p2, q2 = phi.target
+    rng = SplitMix64(seed)
+    if p2 == 0:
+        return OrderVerdict(passed=True, k=k, trials=0)
+    lattice = lattice_points(p, radius=1, den=2)
+    rng.shuffle(lattice)
+    probes = default_probes(p2, q2, 2 * k + 2)
+    rng.shuffle(probes)
+    outside = ((1 << coef.n_eta) - 1) & ~coef.mask
+    etas = [SuperFunction(sf.p, sf.q, {mm: f for mm, f in sf.components.items()
+                                       if not mm & outside})
+            for sf in (_eta_part(sf, coef.n_eta) for sf in phi.even_pb)]
+    for t in range(trials):
+        x0 = lattice[t % len(lattice)]
+        coords = [rng.randint(0, p2 - 1) for _ in range(k + 1)]
+        h = probes[t % len(probes)]
+        product = etas[coords[0]]
+        for j in coords[1:]:
+            product = product * etas[j]
+        if not product:
+            continue
+        pulled = sf_substitute(h, phi, degree_bound=None)
+        value = _extract_eta(product * pulled, coef.n_eta, coef.mask).eval_body(x0)
+        if value:
+            witness = {
+                "x0": [str(v) for v in x0],
+                "y0": [str(f.eval_scalar(x0)) for f in phi.body_map()],
+                "coords": coords,
+                "h": h.to_json(),
+                "value": {str(mm): str(v) for mm, v in sorted(value.items())},
+                "eta_index": list(coef.index),
+                "k": k,
+            }
+            return OrderVerdict(passed=False, k=k, trials=t + 1, witness=witness)
+    return OrderVerdict(passed=True, k=k, trials=trials)
+
+
+def test_a_cached_trial_plan_gives_the_verdicts_of_a_fresh_shuffle():
+    plans = superjet.morphism._trial_plan
+    plans.cache_clear()
+    outcomes = set()
+    for _ in ("cold", "warm"):
+        misses = plans.cache_info().misses
+        for i, (phi, n_eta) in enumerate(seeded_order_sweep()):
+            for coef in eta_decompose(phi, n_eta):
+                for k in range(sum(coef.index) + 1):
+                    verdict = order_bound_check(coef, k, seed=i).to_json()
+                    assert verdict == order_check_reshuffled(coef, k, seed=i).to_json()
+                    outcomes.add(verdict["passed"])
+    assert plans.cache_info().misses == misses      # the second pass built no plan
+    assert outcomes == {True, False}
 
 
 def test_expansion_catches_the_whole_pullback_in_place_of_its_eta_part(monkeypatch):

@@ -8,8 +8,77 @@ import pytest
 
 import superjet.morphism
 import superjet.suites as suites
-from superjet import EtaCoefficient, Sphere2Backend, TruncatedPolyMap
-from superjet.suites import LAWS, SUITES, Recorder, run_suite
+from superjet import (
+    EtaCoefficient,
+    GrassmannElement,
+    Polynomial,
+    SplitMix64,
+    Sphere2Backend,
+    TruncatedPolyMap,
+)
+from superjet.suites import LAWS, SUITES, Recorder, random_grassmann, random_polynomial, run_suite
+
+
+def test_splitmix64_reproduces_the_reference_stream():
+    rng = SplitMix64(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+    rng = SplitMix64(1234567)
+    assert [rng.next_u64() for _ in range(2)] == [6457827717110365317, 3203168211198807973]
+
+
+def polynomial_per_term(rng, p, degree=3, terms=3):
+    """random_polynomial as first written: one sum per drawn term."""
+    out = Polynomial.zero(p)
+    for _ in range(terms):
+        exp = [0] * p
+        for _ in range(rng.randint(0, degree)):
+            if p:
+                exp[rng.randint(0, p - 1)] += 1
+        c = rng.fraction()
+        if c:
+            out = out + Polynomial(p, {tuple(exp): c})
+    return out
+
+
+def grassmann_per_term(rng, n, parity=None, terms=3):
+    """random_grassmann as first written: one sum per drawn term."""
+    out = GrassmannElement.zero(n)
+    for _ in range(terms):
+        mask = rng.randint(0, (1 << n) - 1)
+        if parity is not None and mask.bit_count() % 2 != parity:
+            continue
+        c = rng.fraction()
+        if c:
+            out = out + GrassmannElement.monomial(n, mask, c)
+    return out
+
+
+def same_draw(draw, reference, seed, *args):
+    """Both builders from one seed: equal terms, in one key order, of one type,
+    leaving the stream in one state."""
+    rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+    got, want = draw(rng, *args), reference(ref_rng, *args)
+    assert got == want
+    assert [(k, type(c)) for k, c in got.terms.items()] == [
+        (k, type(c)) for k, c in want.terms.items()]
+    assert rng.state == ref_rng.state
+    return len(got.terms)
+
+
+@pytest.mark.parametrize("p, degree, terms", [(0, 3, 3), (1, 1, 8), (2, 3, 3), (3, 4, 5)])
+def test_random_polynomial_is_the_per_term_sum(p, degree, terms):
+    sizes = {same_draw(random_polynomial, polynomial_per_term, seed, p, degree, terms)
+             for seed in range(200)}
+    assert len(sizes) > 1
+
+
+@pytest.mark.parametrize("n, parity, terms", [(0, None, 3), (1, None, 8), (3, 0, 3),
+                                              (4, 1, 3), (6, None, 5)])
+def test_random_grassmann_is_the_per_term_sum(n, parity, terms):
+    sizes = {same_draw(random_grassmann, grassmann_per_term, seed, n, parity, terms)
+             for seed in range(200)}
+    assert len(sizes) > 1
 
 
 def test_a_law_that_raises_is_a_failed_row_with_its_error(monkeypatch):

@@ -41,14 +41,18 @@ INPUT_ERRORS = (
 
 
 def _load(path: str) -> dict:
-    """Read one JSON document, folding I/O and parse errors into SchemaError."""
+    """Read one JSON document, folding I/O, decoding and parse errors into SchemaError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object at top level")
     return data
@@ -133,7 +137,7 @@ def cmd_chart(args: argparse.Namespace) -> int:
     point = SuperPoint.from_json(_load(args.point))
     try:
         base = json.loads(args.base)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         base = None
     if base is None or not isinstance(base, list):
         base = _load(args.base).get("base")

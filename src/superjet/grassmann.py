@@ -466,6 +466,9 @@ class MonomialTable:
     ascending odd monomial omega^J, so every coordinate contracted against the
     same arguments shares them.  No product takes the unit as an operand, and
     a vanishing factor ends every extension of it without a product.
+    `monomials` yields every surviving one; `superfun._contract` calls
+    `_even`, `_odd` and `_times` itself, for the monomials it has a
+    coefficient for.
     """
 
     __slots__ = ("even_args", "odd_args", "one", "_powers", "_evens", "_odds")

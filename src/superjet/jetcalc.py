@@ -20,9 +20,10 @@ once per table.  Its callers supply the coefficients:
   how the sphere chart applies its scalar profiles to even elements;
 * `superfun._contract`, behind both `sf_eval` (at a Lambda-point) and
   `sf_substitute` (along a morphism, over the ring Q[x]), reads the h^I
-  coefficients of one `taylor_shift` of each sigma_J at the body; the point
-  or morphism owns and caches the table, so every superfunction contracted
-  against it shares one;
+  coefficients of one `taylor_shift` of each sigma_J at the body, and asks
+  the table only for the eps^I omega^J that have one; the point or morphism
+  owns and caches the table, so every superfunction contracted against it
+  shares one;
 * `morphism.eta_decompose` reads the symbol of each eta-coefficient off the
   monomials of the eta-parts;
 * `grassmann.GrassmannHom.apply` substitutes the generator images, the

@@ -127,7 +127,7 @@ class Polynomial:
         """x_k (0-based) among p variables."""
         if not 0 <= k < p:
             raise DimensionError(f"variable {k} outside 0..{p - 1}")
-        return cls(p, {mi_unit(p, k): 1})
+        return cls._of(p, {(0,) * k + (1,) + (0,) * (p - k - 1): 1})
 
     @classmethod
     def monomial(cls, p: int, exp, c=1) -> "Polynomial":
@@ -138,9 +138,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(mi_abs(e) for e in self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)

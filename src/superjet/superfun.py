@@ -20,9 +20,11 @@ Q[x] for `sf_substitute`.  The monomials nu2^I nu1^J come from a
 `grassmann.MonomialTable` that the value owns: `SuperPoint.table` of nu's
 nilpotent coordinates, `SuperMorphism.table` of phi's nilpotent pullbacks.
 Both values are frozen and cache their table, so every superfunction
-contracted against the same nu or phi shares its monomials.  The sums stop
-by themselves once the nilpotent monomials vanish, so there is no
-truncation knob.
+contracted against the same nu or phi shares its monomials, and only the
+monomials that meet a nonzero coefficient are built.  The sums stop by
+themselves once the nilpotent monomials vanish, so there is no truncation
+knob.  A coordinate function x_j or theta_b pulls back to phi's stored
+pullback, with no contraction.
 `sf_eval_naive` is the independent brute-force check: substitute the full
 coordinates into sigma_J and expand.
 """
@@ -141,9 +143,6 @@ class SuperFunction:
         self._check(other)
         return SuperFunction._of(self.p, self.element * other.element)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, c) -> "SuperFunction":
         return SuperFunction._of(self.p, self.element.scale(c))
 
@@ -154,9 +153,6 @@ class SuperFunction:
 
     def __bool__(self):
         return bool(self.element)
-
-    def is_zero(self) -> bool:
-        return self.element.is_zero()
 
     def parity(self):
         return self.element.parity()
@@ -291,24 +287,37 @@ def _contract(comps: dict, bodies, table: MonomialTable, degree_bound) -> dict:
     """Terms of sum_{I,J} c_{I,J} eps^I omega^J over the table's arguments, with
     c_{I,J} the h^I coefficient of sigma_J(bodies + h) and comps = {J: sigma_J}.
 
-    Each sigma_J is shifted once, on first use.  That is at I = 0 (eps^0 is the
-    unit), so `degree_bound` is checked there as `poly_compose` checks it, and
-    never for a sigma_J whose omega^J vanishes.  The pairs (c_{I,J}, eps^I
-    omega^J) are summed once, by `_combination`: on int numerators when every
-    coefficient is rational, as at a rational Lambda-point.
+    Coefficients first: each sigma_J whose omega^J does not vanish is shifted
+    once, in the order of comps, after `degree_bound` is checked on it as
+    `poly_compose` checks it.  Then I runs in `iter_multiindices_upto` order
+    up to the highest |I| any shift holds, and eps^I and eps^I omega^J are
+    built only where c_{I,J} exists.  The pairs (c_{I,J}, eps^I omega^J) are
+    summed once, by `_combination`: on int numerators when every coefficient
+    is rational, as at a rational Lambda-point.
     """
     # every eps_i has degree >= 2 in the table's n generators, so |I| <= n/2
     top = table.one.n // 2
-    shifted = {}                # J -> terms of sigma_J(bodies + h)
+    shifted = []                # (omega^J, terms of sigma_J(bodies + h))
+    for J, f in comps.items():
+        odd = table._odd(J)
+        if odd:
+            check_degree_bound(f, bodies, degree_bound)
+            shifted.append((odd, taylor_shift(f, bodies, top).terms))
+    reach = max((sum(I) for _, coeffs in shifted for I in coeffs), default=-1)
     pairs = []                  # (c_{I,J}, terms of eps^I omega^J)
-    for I, J, mono in table.monomials(iter_multiindices_upto(len(bodies), top), comps):
-        coeffs = shifted.get(J)
-        if coeffs is None:
-            check_degree_bound(comps[J], bodies, degree_bound)
-            coeffs = shifted[J] = taylor_shift(comps[J], bodies, top).terms
-        val = coeffs.get(I)
-        if val is not None:
-            pairs.append((val, mono.terms))
+    for I in iter_multiindices_upto(len(bodies), reach):
+        even = None
+        for odd, coeffs in shifted:
+            val = coeffs.get(I)
+            if val is None:
+                continue
+            if even is None:
+                even = table._even(I)
+                if not even:
+                    break
+            mono = table._times(odd, even)
+            if mono:
+                pairs.append((val, mono.terms))
     return _combination(pairs)
 
 
@@ -346,7 +355,9 @@ def sf_substitute(sigma: SuperFunction, phi, degree_bound=DEFAULT_DEGREE_BOUND) 
     shift at the body polynomials, which terminates because the theta-degree
     is bounded.  Odd coordinate monomials are substituted by the odd pullbacks
     in ascending order; phi's cached `table` holds both kinds of monomial.
-    `degree_bound` is the poly_compose guardrail; None disables it.  The
+    A coordinate function is looked up: x_j pulls back to phi.even_pb[j] and
+    theta_b to phi.odd_pb[b], the objects phi stores, after the same guardrail
+    check.  `degree_bound` is the poly_compose guardrail; None disables it.  The
     pullbacks' parity is not checked again: phi's constructor checked it and
     phi is frozen.
     """
@@ -356,6 +367,18 @@ def sf_substitute(sigma: SuperFunction, phi, degree_bound=DEFAULT_DEGREE_BOUND) 
             f"superfunction on R^({sigma.p}|{sigma.q}) cannot pull back along a "
             f"morphism into R^({p2}|{q2})"
         )
+    bodies = phi.body_map()
+    if len(sigma.components) == 1:
+        (J, f), = sigma.components.items()
+        if len(f.terms) == 1:
+            # x_j is x^e at J = 0 with |e| = 1, theta_b is 1 at J = {b}: their
+            # pullbacks are stored, and `_contract` would rebuild them
+            (e, c), = f.terms.items()
+            if type(c) is int and c == 1 and sum(e) == (J == 0) and not J & (J - 1):
+                pb = phi.odd_pb[J.bit_length() - 1] if J else phi.even_pb[e.index(1)]
+                if pb or not J:     # as `_contract`, which skips a vanishing omega^J
+                    check_degree_bound(f, bodies, degree_bound)
+                return pb
     p, q = phi.source
-    terms = _contract(sigma.components, phi.body_map(), phi.table, degree_bound)
+    terms = _contract(sigma.components, bodies, phi.table, degree_bound)
     return SuperFunction._of(p, GrassmannElement._of(q, terms))

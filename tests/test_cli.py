@@ -147,6 +147,22 @@ def test_missing_file_is_a_usage_error(capsys, point):
     assert "error:" in err
 
 
+def test_a_payload_that_is_not_utf8_is_an_input_error(tmp_path, capsys, point):
+    bad = tmp_path / "m.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    result = run(capsys, "eval", str(bad), point)
+    assert_one_line_input_error(result)
+    assert "not UTF-8" in result[2]
+
+
+def test_a_payload_nested_too_deeply_is_an_input_error(tmp_path, capsys, point):
+    deep = tmp_path / "m.json"
+    deep.write_text('{"n": ' + "[" * 5000 + "]" * 5000 + "}")
+    result = run(capsys, "eval", str(deep), point)
+    assert_one_line_input_error(result)
+    assert "nested too deeply" in result[2]
+
+
 def test_compose_matches_library_composition(tmp_path, capsys, scaling):
     code, out, _ = run(capsys, "compose", scaling, scaling)
     assert code == 0
@@ -222,6 +238,11 @@ def test_chart_even_coordinates_come_in_threes(tmp_path, capsys, even):
 
 def test_chart_base_has_three_coordinates(capsys, chart_point):
     assert_one_line_input_error(run(capsys, "chart", chart_point, "--base", "[0,1]"))
+
+
+def test_an_inline_base_nested_too_deeply_is_an_input_error(capsys, chart_point):
+    # read as JSON it overflows the parser's stack; read as a file name it is no file
+    assert_one_line_input_error(run(capsys, "chart", chart_point, "--base", "[" * 5000))
 
 
 def test_chart_refuses_a_geometry(chart_point):

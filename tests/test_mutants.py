@@ -3,6 +3,8 @@
 The sweep itself (`python mutants/run.py`) runs verify once per mutant and
 seed, so it stays outside the tests; this checks that no entry has gone
 stale in silence, and, with verify stubbed, how the runner judges a kill.
+The contraction kernel's newest entries and the descending-order sign also
+run through the sweep's own copy and verify call, at one seed.
 """
 
 import ast
@@ -58,3 +60,19 @@ def test_a_kill_counts_only_when_every_seed_fails_a_law(monkeypatch):
     assert runner.sweep(entry) == (
         f"{name}: seed {first}: geometry/fd; seed {second}: survived  unexpected ({expect})",
         False)
+
+
+@pytest.mark.parametrize("name, law", [
+    ("contract-reach-one-short", "superfun/oracle"),
+    ("coordinate-pullback-first-odd-slot", "mapspace/shearinv"),
+    ("merge-sign-descending", "grassmann/hom"),
+])
+def test_a_contraction_or_sign_mutant_fails_its_law(monkeypatch, tmp_path, name, law):
+    # the sweep's own copy and verify run, at one seed
+    monkeypatch.setitem(sys.modules, "catalog", catalog)
+    runner = load("run")
+    _, file, old, new, _ = next(e for e in catalog.MUTANTS if e[0] == name)
+    src = runner.copy_src(str(tmp_path))
+    path = src / "superjet" / file
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    assert law in runner.verify(src, runner.SEEDS[0])

@@ -13,10 +13,17 @@ from superjet import (
     SuperMorphism,
     SuperPoint,
     sf_eval,
+    morphism_compose,
     sf_eval_naive,
     sf_substitute,
 )
-from superjet.polyalg import poly_compose
+from superjet.grassmann import MonomialTable, _combination
+from superjet.polyalg import (
+    check_degree_bound,
+    iter_multiindices_upto,
+    poly_compose,
+    taylor_shift,
+)
 
 from conftest import morphisms, small_fractions, superfunctions, superpoints
 
@@ -176,3 +183,92 @@ def test_pullback_of_a_coordinate_increment(phi, j, c):
     assert sf_substitute(increment, phi, degree_bound=None) == (
         phi.even_pb[j] - SuperFunction.constant(1, 3, c)
     )
+
+
+# the contraction kernel against the exhaustive loop it replaced
+
+
+def contract_reference(comps, bodies, table, degree_bound):
+    """Every surviving eps^I omega^J built first, in `table.monomials` order,
+    sigma_J shifted on its first use and c_{I,J} looked up afterwards."""
+    top = table.one.n // 2
+    shifted = {}
+    pairs = []
+    for I, J, mono in table.monomials(iter_multiindices_upto(len(bodies), top), comps):
+        coeffs = shifted.get(J)
+        if coeffs is None:
+            check_degree_bound(comps[J], bodies, degree_bound)
+            coeffs = shifted[J] = taylor_shift(comps[J], bodies, top).terms
+        val = coeffs.get(I)
+        if val is not None:
+            pairs.append((val, mono.terms))
+    return _combination(pairs)
+
+
+def fingerprint(terms):
+    """Keys in order, each coefficient with its exact type and, for a float, its bits."""
+    def coefficient(c):
+        if isinstance(c, Polynomial):
+            return "poly", fingerprint(c.terms)
+        return type(c).__name__, c.hex() if type(c) is float else c
+    return [(key, coefficient(c)) for key, c in terms.items()]
+
+
+def outcome(fn, *args):
+    try:
+        return "terms", fingerprint(fn(*args))
+    except DegreeBoundError as exc:
+        return "refused", str(exc)
+
+
+floats = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+
+
+def eval_reference(sigma, nu):
+    table = MonomialTable(nu.nilpotent_even(), nu.odd, GrassmannElement.one(nu.n))
+    return contract_reference(sigma.components, nu.body(), table, None)
+
+
+def substitute_reference(sigma, phi, bound):
+    p, q = phi.source
+    table = MonomialTable([sf.nilpotent_part().element for sf in phi.even_pb],
+                          [sf.element for sf in phi.odd_pb], SuperFunction.one(p, q).element)
+    return contract_reference(sigma.components, phi.body_map(), table, bound)
+
+
+@given(superfunctions(p=2, q=2), superpoints(n=5, p=2, q=2))
+def test_evaluation_at_a_rational_point_is_the_exhaustive_contraction(sigma, nu):
+    assert fingerprint(sf_eval(sigma, nu).terms) == fingerprint(eval_reference(sigma, nu))
+
+
+@given(superfunctions(p=2, q=2, coefficients=st.one_of(small_fractions, floats)),
+       superpoints(n=5, p=2, q=2, coefficients=floats))
+def test_evaluation_at_a_float_point_is_the_exhaustive_contraction_bit_for_bit(sigma, nu):
+    assert fingerprint(sf_eval(sigma, nu).terms) == fingerprint(eval_reference(sigma, nu))
+
+
+@given(superfunctions(p=2, q=2, degree=4), morphisms((2, 4), (2, 2)), st.integers(0, 8))
+def test_pullback_over_polynomial_bodies_is_the_exhaustive_contraction(sigma, phi, bound):
+    got = outcome(lambda: sf_substitute(sigma, phi, bound).components)
+    assert got == outcome(substitute_reference, sigma, phi, bound)
+
+
+@given(morphisms((1, 3), (2, 2)), st.sampled_from([None, 16, 0, -1]))
+def test_a_coordinate_pulls_back_to_its_stored_pullback_as_the_contraction_does(phi, bound):
+    coordinates = [(SuperFunction.coordinate(2, 2, j), phi.even_pb[j]) for j in range(2)]
+    coordinates += [(SuperFunction.theta(2, 2, b), phi.odd_pb[b]) for b in range(2)]
+    for sigma, stored in coordinates:
+        want = outcome(substitute_reference, sigma, phi, bound)
+        assert outcome(lambda: sf_substitute(sigma, phi, bound).components) == want
+        if want[0] == "terms":
+            assert sf_substitute(sigma, phi, bound) is stored
+
+
+def test_the_identity_after_a_high_degree_morphism_is_still_refused():
+    # the coordinate lookup checks the bound as the contraction did: 1 * 17 > 16
+    high = SuperFunction.from_poly(Polynomial.monomial(1, (17,)), 1)
+    phi = SuperMorphism((1, 1), (1, 1), [high], [SuperFunction.theta(1, 1, 0)])
+    for outer, inner in ((SuperMorphism.identity(1, 1), phi), (phi, SuperMorphism.identity(1, 1))):
+        with pytest.raises(DegreeBoundError, match="17 > bound 16"):
+            morphism_compose(outer, inner)
+    assert morphism_compose(SuperMorphism.identity(1, 1), phi, degree_bound=None) == phi

@@ -7,11 +7,12 @@ src/ to a temporary directory, applies the one replacement, and runs
 
     python -m superjet.cli verify all --seed S --cases 100
 
-in a subprocess for seeds 0 and 42.  It prints one line per mutant: the law
-ids that failed (the case ids without their running number), "survived" when
-every seed passed, or "crashed" when a run exited with neither 0 nor 1, wrote
-no report, or ran past the timeout.  When the seeds fail different laws, the
-line lists them per seed.  A "killed" entry holds only when every seed fails
+in a subprocess for seeds 0 and 42.  It prints one line per mutant: each law
+that failed (the case ids without their running number) with its count of
+failed cases, as `jetcalc/shift:3`, "survived" when every seed passed, or
+"crashed" when a run exited with neither 0 nor 1, wrote no report, or ran past
+the timeout.  When the seeds' failures differ, in laws or in counts, the line
+lists them per seed.  A "killed" entry holds only when every seed fails
 some law, an "equivalent" one only when every seed passes.  A line ends in
 "unexpected" when the outcome contradicts the entry's `expect`; a crash is
 always unexpected, since verify reports a law that raises as a failed case.
@@ -31,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from catalog import MUTANTS
@@ -52,7 +54,7 @@ def copy_src(tmp: str) -> Path:
 
 
 def verify(src: Path, seed: int):
-    """The failed law ids of one run, or None when it crashed or timed out."""
+    """{law id: failed cases} of one run, or None when it crashed or timed out."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
@@ -67,7 +69,7 @@ def verify(src: Path, seed: int):
         report = json.loads(proc.stdout)
     except json.JSONDecodeError:
         return None
-    return {law_id(f["id"]) for f in report["failures"]}
+    return Counter(law_id(f["id"]) for f in report["failures"])
 
 
 def sweep(entry) -> tuple[str, bool]:
@@ -84,7 +86,8 @@ def sweep(entry) -> tuple[str, bool]:
     if any(run is None for run in runs):
         return f"{name}: crashed  unexpected ({expect})", False
     ok = all(runs) if expect == "killed" else not any(runs)
-    named = [" ".join(sorted(run)) or "survived" for run in runs]
+    named = [" ".join(f"{law}:{run[law]}" for law in sorted(run)) or "survived"
+             for run in runs]
     if len(set(named)) == 1:
         outcome = named[0]
     else:
@@ -97,7 +100,7 @@ def main() -> int:
         src = copy_src(tmp)
         for seed in SEEDS:
             failed = verify(src, seed)
-            if failed != set():
+            if failed is None or failed:
                 print(f"unmutated source does not pass at seed {seed}: "
                       f"{'crashed' if failed is None else ' '.join(sorted(failed))}")
                 return 1

@@ -28,9 +28,10 @@ the float geometry backend with binary64 ones).  The wire form of a rational,
 shared by every JSON payload, is defined here too.
 
 `MonomialTable` builds the monomials eps^I omega^J of fixed even (nilpotent)
-and odd arguments once each; it is the contraction kernel that `jetcalc`,
-`superfun` and `morphism` share.  `GrassmannHom` substitutes its generator
-images through one, as the table's odd arguments.
+and odd arguments once each, and `MonomialTable.contract` is the package's one
+truncated-Taylor contraction: `superfun` evaluates and pulls back through it,
+and `jetcalc` evaluates jets.  `GrassmannHom` substitutes its generator images,
+the odd arguments of its table, term by term.
 """
 
 from __future__ import annotations
@@ -466,9 +467,9 @@ class MonomialTable:
     ascending odd monomial omega^J, so every coordinate contracted against the
     same arguments shares them.  No product takes the unit as an operand, and
     a vanishing factor ends every extension of it without a product.
-    `monomials` yields every surviving one; `superfun._contract` calls
-    `_even`, `_odd` and `_times` itself, for the monomials it has a
-    coefficient for.
+    `contract` is the walk that sums a contraction against them;
+    `GrassmannHom.apply` and `morphism.eta_decompose`, which sum nothing
+    over I, read `_odd`, `_even` and `_times` themselves.
     """
 
     __slots__ = ("even_args", "odd_args", "one", "_powers", "_evens", "_odds")
@@ -514,18 +515,33 @@ class MonomialTable:
                                                  self._odd(mask ^ low))
         return got
 
-    def monomials(self, indices, masks):
-        """Yield (I, J, eps^I * omega^J) for every I in indices, J in masks whose
-        monomial does not vanish.  I runs outermost, so a vanishing eps^I skips
-        all of its masks, and each I's masks come in the order given."""
+    def contract(self, indices, shifted) -> dict:
+        """Terms of sum_{I,J} c_{I,J} eps^I omega^J: the package's one
+        truncated-Taylor contraction walk.
+
+        `shifted` holds the pairs (omega^J, {I: c_{I,J}}) of the omega^J that
+        do not vanish, and `indices` the I to visit.  The walk is coefficient
+        first: I runs outermost, in the order given, and within it the pairs
+        in theirs; eps^I is built at the first c_{I,J} that exists, and
+        eps^I omega^J only where one does.  A vanishing eps^I ends its I with
+        no product.  The pairs (c_{I,J}, eps^I omega^J) are summed once, by
+        `_combination`: on int numerators when every coefficient is rational.
+        """
+        pairs = []              # (c_{I,J}, terms of eps^I omega^J)
         for I in indices:
-            even = self._even(I)
-            if not even:
-                continue
-            for J in masks:
-                mono = self._times(self._odd(J), even)
+            even = None
+            for odd, coeffs in shifted:
+                val = coeffs.get(I)
+                if val is None:
+                    continue
+                if even is None:
+                    even = self._even(I)
+                    if not even:
+                        break
+                mono = self._times(odd, even)
                 if mono:
-                    yield I, J, mono
+                    pairs.append((val, mono.terms))
+        return _combination(pairs)
 
 
 @dataclass(frozen=True)
@@ -565,8 +581,8 @@ class GrassmannHom:
         if a.n != self.source:
             raise DimensionError(f"element in Lambda_{a.n}, hom expects Lambda_{self.source}")
         out: dict = {}
-        for _, mask, image in self.table.monomials(((),), a.terms):
-            _accumulate(out, image.terms.items(), a.terms[mask])
+        for mask, c in a.terms.items():
+            _accumulate(out, self.table._odd(mask).terms.items(), c)
         return GrassmannElement._of(self.target, out)
 
     def to_json(self) -> dict:

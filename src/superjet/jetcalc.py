@@ -11,23 +11,13 @@ their inputs' orders, through `trunc_poly`, the package's one truncation.
 `faa_di_bruno` (the higher chain rule) and the sphere's Taylor tables in
 `geometry` are read off `trunc_compose`.
 
-`grassmann.MonomialTable` is the one truncated-Taylor contraction kernel:
-given even (nilpotent) and odd arguments in a Grassmann algebra over any
-coefficient ring, it yields the surviving monomials eps^I omega^J, each built
-once per table.  Its callers supply the coefficients:
-
-* `exp_pair` evaluates jet data on even Grassmann arguments, which is also
-  how the sphere chart applies its scalar profiles to even elements;
-* `superfun._contract`, behind both `sf_eval` (at a Lambda-point) and
-  `sf_substitute` (along a morphism, over the ring Q[x]), reads the h^I
-  coefficients of one `taylor_shift` of each sigma_J at the body, and asks
-  the table only for the eps^I omega^J that have one; the point or morphism
-  owns and caches the table, so every superfunction contracted against it
-  shares one;
-* `morphism.eta_decompose` reads the symbol of each eta-coefficient off the
-  monomials of the eta-parts;
-* `grassmann.GrassmannHom.apply` substitutes the generator images, the
-  table's odd arguments, with no even ones.
+`grassmann.MonomialTable.contract` is the one truncated-Taylor contraction;
+its docstring describes the walk.  `exp_pair` evaluates jet data on even
+Grassmann arguments through it, with the jet's Taylor polynomials as the
+coefficients of the single odd monomial 1; that is also how the sphere chart
+applies its scalar profiles to even elements.  `superfun._contract`, behind
+`sf_eval` and `sf_substitute`, calls it with the Taylor shifts of each
+sigma_J.
 """
 
 from __future__ import annotations
@@ -36,7 +26,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, ParityError
 from .grassmann import GrassmannElement, MonomialTable, _accumulate, _coerce
-from .polyalg import Polynomial, iter_multiindices, mi_abs, mi_factorial, taylor_shift
+from .polyalg import (Polynomial, iter_multiindices, iter_multiindices_upto, mi_abs,
+                      mi_factorial, taylor_shift)
 
 
 @dataclass(frozen=True)
@@ -162,7 +153,8 @@ def exp_pair(data: TruncatedPolyMap, even_args):
 
     even_args fill the jet's variables: even elements, nilpotent in the
     increment reading.  Returns one GrassmannElement per target component:
-    each increment polynomial at eps, sum_I c_I * eps^I.
+    each increment polynomial at eps, sum_I c_I * eps^I over |I| <= k, one
+    `MonomialTable.contract` on a table of even_args.
     """
     even_args = list(even_args)
     if len(even_args) != data.m:
@@ -176,12 +168,7 @@ def exp_pair(data: TruncatedPolyMap, even_args):
         if not a.is_even():
             raise ParityError("even slot received a non-even element")
 
-    indices = dict.fromkeys(I for f in data.polys for I in f.terms)
-    out = [{} for _ in data.polys]
+    indices = list(iter_multiindices_upto(data.m, data.k))
     table = MonomialTable(even_args, [], GrassmannElement.one(n))
-    for I, _, mono in table.monomials(indices, (0,)):
-        for acc, f in zip(out, data.polys):
-            v = f.terms.get(I)
-            if v:
-                _accumulate(acc, mono.terms.items(), v)
-    return [GrassmannElement._of(n, acc) for acc in out]
+    return [GrassmannElement._of(n, table.contract(indices, [(table.one, f.terms)]))
+            for f in data.polys]

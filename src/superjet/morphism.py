@@ -23,12 +23,13 @@ a trial multiplies k+1 fixed b's and at most one pullback instead of expanding
 oracle.
 
 A morphism's pullback phi^* is fixed once phi is, so a `SuperMorphism`
-caches its monomial `table`, shared by every `sf_substitute` along it.
+caches its monomial `table`, shared by every `sf_substitute` along it; the
+pullback is that table's `grassmann.MonomialTable.contract`.
 `EtaCoefficient.apply` reads the symbol, through the psi that `eta_decompose`
 builds once, so a wrong c changes its value.  A `SuperPoint` owns its table
 the same way, for `pushforward`.  `pushforward_general` reads no cached
 table, nor does `eta_decompose`, which builds a table of the eta-parts and
-pulls nothing back.
+reads the symbols off its monomials, with no contraction.
 """
 
 from __future__ import annotations
@@ -308,12 +309,17 @@ def eta_decompose(phi: SuperMorphism, n_eta: int) -> list:
     table = MonomialTable([_eta_part(sf, n_eta).element for sf in phi.even_pb],
                           [_eta_part(sf, n_eta).element for sf in phi.odd_pb],
                           SuperFunction.one(p, qs).element)
-    for beta, K, mono in table.monomials(iter_multiindices_upto(p2, n_eta), range(1 << q2)):
-        by_index = {}
-        for mask, poly in mono.scale(Fraction(1, mi_factorial(beta))).terms.items():
-            by_index.setdefault(mask & eta_all, {})[mask >> n_eta] = poly
-        for eta_mask, comps in by_index.items():
-            symbols[eta_mask][beta, K] = SuperFunction(p, qs - n_eta, comps)
+    for beta in iter_multiindices_upto(p2, n_eta):
+        even = table._even(beta)
+        if not even:
+            continue
+        for K in range(1 << q2):
+            mono = table._times(table._odd(K), even)
+            by_index = {}
+            for mask, poly in mono.scale(Fraction(1, mi_factorial(beta))).terms.items():
+                by_index.setdefault(mask & eta_all, {})[mask >> n_eta] = poly
+            for eta_mask, comps in by_index.items():
+                symbols[eta_mask][beta, K] = SuperFunction(p, qs - n_eta, comps)
     psi = SuperMorphism((p, qs - n_eta), phi.target,
                         [_extract_eta(sf, n_eta, 0) for sf in phi.even_pb],
                         [_extract_eta(sf, n_eta, 0) for sf in phi.odd_pb])

@@ -87,7 +87,7 @@ class Polynomial:
 
     >>> x = Polynomial.variable(1, 0)
     >>> print((x + 1) * (x - 1))
-    x0^2 - 1
+    -1 + x0^2
     """
 
     __slots__ = ("p", "terms")

@@ -429,6 +429,31 @@ def law_mult(sigma, tau, nu):
     return sf_eval(sigma * tau, nu) == sf_eval(sigma, nu) * sf_eval(tau, nu)
 
 
+def _noncanonical(terms: dict, path=()):
+    """The key path to the first coefficient of terms, recursing into Q[x], that
+    is neither a nonzero int nor a Fraction with denominator above 1; None
+    when there is none."""
+    for key, c in terms.items():
+        if type(c) is Polynomial and c:
+            bad = _noncanonical(c.terms, path + (key,))
+            if bad is not None:
+                return bad
+        elif not (type(c) is int and c or type(c) is Fraction and c.denominator > 1):
+            return path + (key,)
+    return None
+
+
+def law_canonical(sigma, tau, nu):
+    """Every coefficient of sigma * tau and of sf_eval(sigma, nu) is in canonical
+    form; evidence: the first offending key, after the result it is in."""
+    for name, terms in (("product", (sigma * tau).components),
+                        ("value", sf_eval(sigma, nu).terms)):
+        bad = _noncanonical(terms)
+        if bad is not None:
+            return False, {"offending": [name, *bad]}
+    return True
+
+
 def law_unit(nu):
     return sf_eval(SuperFunction.one(nu.p, nu.q), nu) == GrassmannElement.one(nu.n)
 
@@ -643,7 +668,7 @@ LAWS = {
     "grassmann/assoc": law_assoc, "grassmann/sign": law_sign, "grassmann/split": law_split,
     "grassmann/json": law_json, "grassmann/hom": law_hom,
     "superfun/oracle": law_oracle, "superfun/mult": law_mult, "superfun/unit": law_unit,
-    "superfun/json": law_json,
+    "superfun/json": law_json, "superfun/canonical": law_canonical,
     "morphism/compose": law_compose, "morphism/natural": law_natural, "morphism/json": law_json,
     "morphism/etaorder": law_order, "morphism/thetaorder": law_order,
     "morphism/decomp": law_decomp, "morphism/sharp": law_sharp,
@@ -659,8 +684,9 @@ LAWS = {
     "mapspace/reject": law_reject, "mapspace/json": law_json,
 }
 
-# superfun/, morphism/ and mapspace/json read back the payloads of this many cases;
-# each costs about 0.2 ms, and grassmann/json reads back every case
+# superfun/, morphism/ and mapspace/json read back the payloads of this many cases,
+# and superfun/canonical checks as many; each costs about 0.2 ms, and
+# grassmann/json reads back every case
 WIRE_CASES = 5
 # jetcalc/shift checks the shifts of this many cases' phi against the derive-based
 # oracle; each costs about 0.2 ms
@@ -695,7 +721,8 @@ def suite_grassmann(rec: Recorder, seed: int, cases: int) -> None:
 
 
 def suite_superfun(rec: Recorder, seed: int, cases: int) -> None:
-    """Evaluation is a unital algebra map and matches the expansion oracle; wire round-trips."""
+    """Evaluation is a unital algebra map and matches the expansion oracle; wire
+    round-trips and canonical coefficients."""
     rng = SplitMix64(seed)
     for i in range(cases):
         p = rng.randint(1, 3)
@@ -709,6 +736,7 @@ def suite_superfun(rec: Recorder, seed: int, cases: int) -> None:
         rec.check(f"superfun/unit-{i:04d}", nu=nu)
         if i < WIRE_CASES:
             rec.check(f"superfun/json-{i:04d}", payloads=(sigma, nu))
+            rec.check(f"superfun/canonical-{i:04d}", sigma=sigma, tau=tau, nu=nu)
 
 
 def suite_morphism(rec: Recorder, seed: int, cases: int) -> None:

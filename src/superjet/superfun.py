@@ -16,15 +16,14 @@ is itself a morphism R^{0|n} -> R^{p|q}):
 
 The coefficients are the h^I coefficients of one `taylor_shift` of each
 sigma_J at the body: body scalars for `sf_eval`, body polynomials over
-Q[x] for `sf_substitute`.  The monomials nu2^I nu1^J come from a
-`grassmann.MonomialTable` that the value owns: `SuperPoint.table` of nu's
-nilpotent coordinates, `SuperMorphism.table` of phi's nilpotent pullbacks.
-Both values are frozen and cache their table, so every superfunction
-contracted against the same nu or phi shares its monomials, and only the
-monomials that meet a nonzero coefficient are built.  The sums stop by
-themselves once the nilpotent monomials vanish, so there is no truncation
-knob.  A coordinate function x_j or theta_b pulls back to phi's stored
-pullback, with no contraction.
+Q[x] for `sf_substitute`.  The monomials nu2^I nu1^J, and the walk that sums
+them, are `grassmann.MonomialTable.contract`'s, on the table the value owns:
+`SuperPoint.table` of nu's nilpotent coordinates, `SuperMorphism.table` of
+phi's nilpotent pullbacks.  Both values are frozen and cache their table, so
+every superfunction contracted against the same nu or phi shares its
+monomials.  The sums stop by themselves once the nilpotent monomials vanish,
+so there is no truncation knob.  A coordinate function x_j or theta_b pulls
+back to phi's stored pullback, with no contraction.
 `sf_eval_naive` is the independent brute-force check: substitute the full
 coordinates into sigma_J and expand.
 """
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import GrassmannElement, MonomialTable, _combination, _nonzero, int_from_json
+from .grassmann import GrassmannElement, MonomialTable, _nonzero, int_from_json
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -287,13 +286,10 @@ def _contract(comps: dict, bodies, table: MonomialTable, degree_bound) -> dict:
     """Terms of sum_{I,J} c_{I,J} eps^I omega^J over the table's arguments, with
     c_{I,J} the h^I coefficient of sigma_J(bodies + h) and comps = {J: sigma_J}.
 
-    Coefficients first: each sigma_J whose omega^J does not vanish is shifted
-    once, in the order of comps, after `degree_bound` is checked on it as
-    `poly_compose` checks it.  Then I runs in `iter_multiindices_upto` order
-    up to the highest |I| any shift holds, and eps^I and eps^I omega^J are
-    built only where c_{I,J} exists.  The pairs (c_{I,J}, eps^I omega^J) are
-    summed once, by `_combination`: on int numerators when every coefficient
-    is rational, as at a rational Lambda-point.
+    Each sigma_J whose omega^J does not vanish is shifted once, in the order
+    of comps, after `degree_bound` is checked on it as `poly_compose` checks
+    it.  `MonomialTable.contract` then sums the contraction, with I in
+    `iter_multiindices_upto` order up to the highest |I| any shift holds.
     """
     # every eps_i has degree >= 2 in the table's n generators, so |I| <= n/2
     top = table.one.n // 2
@@ -304,21 +300,7 @@ def _contract(comps: dict, bodies, table: MonomialTable, degree_bound) -> dict:
             check_degree_bound(f, bodies, degree_bound)
             shifted.append((odd, taylor_shift(f, bodies, top).terms))
     reach = max((sum(I) for _, coeffs in shifted for I in coeffs), default=-1)
-    pairs = []                  # (c_{I,J}, terms of eps^I omega^J)
-    for I in iter_multiindices_upto(len(bodies), reach):
-        even = None
-        for odd, coeffs in shifted:
-            val = coeffs.get(I)
-            if val is None:
-                continue
-            if even is None:
-                even = table._even(I)
-                if not even:
-                    break
-            mono = table._times(odd, even)
-            if mono:
-                pairs.append((val, mono.terms))
-    return _combination(pairs)
+    return table.contract(iter_multiindices_upto(len(bodies), reach), shifted)
 
 
 def sf_eval(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:

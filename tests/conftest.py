@@ -17,6 +17,7 @@ small_fractions = st.sampled_from(sorted(
     key=lambda f: (abs(f), f < 0)))
 nonzero_fractions = small_fractions.filter(bool)
 small_ints = st.integers(min_value=-3, max_value=3)
+floats = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -82,3 +83,47 @@ def morphisms(draw, source, target, coefficients=small_fractions):
 
     return SuperMorphism(source, target, [pullback(0) for _ in range(target[0])],
                          [pullback(1) for _ in range(target[1])])
+
+
+# the contraction written out: monomials by plain products, sums key by key
+
+
+def plain_monomial(I, J, even_args, odd_args, one):
+    """eps^I omega^J by plain products, associated as `MonomialTable` builds it
+    so that float results match bit for bit: each power eps_i^e and then eps^I
+    left to right, omega^J in ascending order right to left, and omega^J * eps^I."""
+    even = one
+    for i, e in enumerate(I):
+        power = one
+        for _ in range(e):
+            power = power * even_args[i]
+        even = even * power
+    odd = one
+    for b in reversed(range(len(odd_args))):
+        if J >> b & 1:
+            odd = odd_args[b] * odd
+    return odd * even
+
+
+def plain_sum(pairs):
+    """The terms of sum c * t over the (c, terms) pairs, added key by key in
+    order: a sum that comes out zero drops its key, an integral Fraction is
+    stored as its int."""
+    out = {}
+    for c, terms in pairs:
+        for key, v in terms.items():
+            v = out[key] + c * v if key in out else c * v
+            if v:
+                out[key] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            else:
+                out.pop(key, None)
+    return out
+
+
+def fingerprint(terms):
+    """Keys in order, each coefficient with its exact type and, for a float, its bits."""
+    def coefficient(c):
+        if isinstance(c, Polynomial):
+            return "poly", fingerprint(c.terms)
+        return type(c).__name__, c.hex() if type(c) is float else c
+    return [(key, coefficient(c)) for key, c in terms.items()]

@@ -30,7 +30,16 @@ from superjet.jetcalc import trunc_poly
 from superjet.polyalg import iter_multiindices, iter_multiindices_upto, mi_factorial
 from superjet.suites import random_polynomial
 
-from conftest import grassmann_elements, polynomials, small_fractions, small_ints
+from conftest import (
+    fingerprint,
+    floats,
+    grassmann_elements,
+    plain_monomial,
+    plain_sum,
+    polynomials,
+    small_fractions,
+    small_ints,
+)
 
 x0_strategy = st.lists(
     st.fractions(min_value=-2, max_value=2, max_denominator=2), min_size=2, max_size=2
@@ -253,31 +262,22 @@ def test_exp_pair_checks_parities():
 
 
 # ---------------------------------------------------------------------------
-# the monomial table
+# the contraction walk and the monomial table
 
 
-def monomials_from_scratch(indices, masks, even_args, odd_args, one):
-    """[(I, J, eps^I omega^J)] over I then J, zeros dropped: one product per factor."""
-    out = []
-    for I in indices:
-        for J in masks:
-            mono = one
-            for i, e in enumerate(I):
-                for _ in range(e):
-                    mono = mono * even_args[i]
-            for b, arg in enumerate(odd_args):
-                if J >> b & 1:
-                    mono = mono * arg
-            if mono:
-                out.append((I, J, mono))
-    return out
+def contract_from_scratch(indices, shifted, even_args, odd_args, one):
+    """sum c_{I,J} eps^I omega^J over I then the (J, {I: c_{I,J}}) pairs, each
+    monomial by plain products and the sum key by key."""
+    pairs = [(coeffs[I], plain_monomial(I, J, even_args, odd_args, one).terms)
+             for I in indices for J, coeffs in shifted if I in coeffs]
+    return plain_sum(pairs)
 
 
 @st.composite
-def table_arguments(draw):
+def contraction_arguments(draw):
     n = draw(st.integers(min_value=1, max_value=5))
-    ring = draw(st.sampled_from(["int", "fraction", "polynomial"]))
-    coefficients = {"int": small_ints, "fraction": small_fractions,
+    ring = draw(st.sampled_from(["int", "fraction", "polynomial", "float"]))
+    coefficients = {"int": small_ints, "fraction": small_fractions, "float": floats,
                     "polynomial": polynomials(p=1, degree=1, max_terms=2)}[ring]
     one = GrassmannElement(n, {0: Polynomial.one(1) if ring == "polynomial" else 1})
     even = [GrassmannElement(n, {m: c for m, c in g.terms.items() if m})
@@ -290,16 +290,36 @@ def table_arguments(draw):
                         max_size=3))
     indices = draw(st.permutations(list(iter_multiindices_upto(len(even), 3))))
     masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << len(odd)) - 1), max_size=6))
-    return indices, masks, even, odd, one
+    shifted = []                # (J, {I: c_{I,J}}) of the omega^J that do not vanish
+    for J in masks:
+        if plain_monomial((), J, [], odd, one):
+            keys = draw(st.lists(st.sampled_from(indices), unique=True, max_size=6))
+            coeffs = {I: draw(coefficients) for I in keys}
+            shifted.append((J, {I: c for I, c in coeffs.items() if c}))
+    return indices, shifted, even, odd, one
 
 
-@given(table_arguments())
-def test_monomial_table_yields_the_monomials_a_plain_loop_builds(args):
-    indices, masks, even, odd, one = args
+@given(contraction_arguments())
+def test_contract_sums_what_plain_products_and_a_plain_sum_give(args):
+    indices, shifted, even, odd, one = args
     table = MonomialTable(even, odd, one)
-    assert list(table.monomials(indices, masks)) == monomials_from_scratch(*args)
-    # a second pass reads the memo and must yield the same list
-    assert list(table.monomials(indices, masks)) == monomials_from_scratch(*args)
+    pairs = [(plain_monomial((), J, [], odd, one), coeffs) for J, coeffs in shifted]
+    want = fingerprint(contract_from_scratch(*args))
+    assert fingerprint(table.contract(indices, pairs)) == want
+    # a second pass reads the memo and must give the same terms in the same order
+    assert fingerprint(table.contract(indices, pairs)) == want
+
+
+@given(st.integers(min_value=2, max_value=3), st.data())
+def test_exp_pair_on_multivariate_rational_jets_is_polynomial_evaluation(m, data):
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    phis = data.draw(st.lists(polynomials(p=m, degree=4), min_size=1, max_size=3))
+    x0 = data.draw(st.lists(small_fractions, min_size=m, max_size=m))
+    eps = [GrassmannElement(n, {mask: c for mask, c in g.terms.items() if mask})
+           for g in (data.draw(grassmann_elements(n=n, parity=0)) for _ in range(m))]
+    jet = taylor_of(phis, x0, k)
+    assert exp_pair(jet, eps) == [poly_eval(f, eps) for f in jet.polys]
 
 
 def _count_products(monkeypatch):

@@ -9,6 +9,8 @@ run through the sweep's own copy and verify call, at one seed.
 
 import ast
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,14 +54,37 @@ def test_a_kill_counts_only_when_every_seed_fails_a_law(monkeypatch):
     runner = load("run")
     name, *_, expect = entry = next(e for e in catalog.MUTANTS if e[-1] == "killed")
     first, second = runner.SEEDS
-    killers = {first: {"geometry/fd"}, second: {"geometry/fd"}}
+    killers = {first: {"geometry/fd": 2, "geometry/chart": 1}, second: {"geometry/fd": 2}}
     monkeypatch.setattr(runner, "verify", lambda src, seed: killers[seed])
-    assert runner.sweep(entry) == (f"{name}: geometry/fd", True)
-
-    killers[second] = set()
+    # each law with its failed-case count, laws sorted, per seed when they differ
     assert runner.sweep(entry) == (
-        f"{name}: seed {first}: geometry/fd; seed {second}: survived  unexpected ({expect})",
+        f"{name}: seed {first}: geometry/chart:1 geometry/fd:2; seed {second}: geometry/fd:2",
+        True)
+
+    killers[first] = {"geometry/fd": 2}
+    assert runner.sweep(entry) == (f"{name}: geometry/fd:2", True)
+
+    killers[second] = {"geometry/fd": 3}
+    assert runner.sweep(entry) == (
+        f"{name}: seed {first}: geometry/fd:2; seed {second}: geometry/fd:3", True)
+
+    killers[second] = {}
+    assert runner.sweep(entry) == (
+        f"{name}: seed {first}: geometry/fd:2; seed {second}: survived  unexpected ({expect})",
         False)
+
+
+def test_verify_counts_the_failed_cases_of_each_law(monkeypatch, tmp_path):
+    monkeypatch.setitem(sys.modules, "catalog", catalog)
+    runner = load("run")
+    report = {"failures": [{"id": "jetcalc/shift-0003"}, {"id": "jetcalc/shift-0007"},
+                           {"id": "superfun/canonical-0000"}, {"id": "morphism/sharp-hi0001"}]}
+    done = subprocess.CompletedProcess([], 1, stdout=json.dumps(report), stderr="")
+    monkeypatch.setattr(runner.subprocess, "run", lambda *args, **kwargs: done)
+    assert runner.verify(tmp_path, 0) == {"jetcalc/shift": 2, "superfun/canonical": 1,
+                                          "morphism/sharp": 1}
+    done.returncode = 2
+    assert runner.verify(tmp_path, 0) is None
 
 
 @pytest.mark.parametrize("name, law", [

@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses or
 imports inside a function, no private function, method or class goes
-unreferenced in the package, and only `jetcalc` calls `trunc_poly`, so jet
-truncation lives in one module.  No test module imports inside a function
+unreferenced in the package, only `jetcalc` calls `trunc_poly`, so jet
+truncation lives in one module, and only `grassmann` calls `_combination`, so
+a contraction is summed in `MonomialTable.contract` alone.  Every docstring
+example of the package runs as written.  No test module imports inside a function
 either: after a harness re-imports `superjet`, such an import returns the new
 modules, and a monkeypatch on them misses the code the test module bound.
 
@@ -9,7 +11,11 @@ modules, and a monkeypatch on them misses the code the test module bound.
 """
 
 import ast
+import doctest
+import importlib
 from pathlib import Path
+
+import pytest
 
 import superjet
 
@@ -144,3 +150,14 @@ def test_the_check_sees_every_caller():
 def test_only_jetcalc_truncates():
     assert callers({path.name: path.read_text(encoding="utf-8") for path in PACKAGE},
                    "trunc_poly") == ["jetcalc.py"]
+
+
+def test_only_grassmann_sums_a_contraction():
+    assert callers({path.name: path.read_text(encoding="utf-8") for path in PACKAGE},
+                   "_combination") == ["grassmann.py"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[path.stem for path in PACKAGE])
+def test_docstring_examples_run(path):
+    name = "superjet" if path.stem == "__init__" else f"superjet.{path.stem}"
+    assert doctest.testmod(importlib.import_module(name)).failed == 0

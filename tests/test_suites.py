@@ -209,6 +209,31 @@ def test_the_mapspace_suite_catches_a_check_that_stops_at_the_first_mask(monkeyp
     assert failed_laws(run_suite("mapspace", seed=0, cases=1)) == ["mapspace/reject"]
 
 
+# -- superfun/canonical sees a coefficient outside its canonical form -----------
+
+
+def test_the_canonical_check_finds_the_first_bad_key_inside_polynomials():
+    good = {0: 3, 1: Fraction(1, 2), 2: Polynomial(2, {(1, 0): -1, (0, 1): Fraction(2, 3)})}
+    assert suites._noncanonical(good) is None
+    unreduced = Polynomial._of(2, {(1, 0): 3, (0, 1): Fraction(6, 3)})
+    assert suites._noncanonical({**good, 3: unreduced, 4: Fraction(4, 2)}) == (3, (0, 1))
+    for bad in (0, True, Fraction(2, 1), 0.5, Polynomial.zero(1)):
+        assert suites._noncanonical({**good, 5: bad}) == (5,)
+
+
+def test_the_superfun_suite_catches_an_unreduced_polynomial_product(monkeypatch):
+    exact = Polynomial.__mul__
+
+    def unreduced(self, other):
+        # every integral coefficient of a product stored as Fraction(n, 1)
+        out = exact(self, other)
+        return Polynomial._of(out.p, {e: Fraction(c) if type(c) is int else c
+                                      for e, c in out.terms.items()})
+
+    monkeypatch.setattr(Polynomial, "__mul__", unreduced)
+    assert failed_laws(run_suite("superfun", seed=0, cases=5)) == ["superfun/canonical"]
+
+
 # -- the exponential's jet is what geometry/fd-exp checks ----------------------
 
 

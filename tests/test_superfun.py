@@ -17,7 +17,6 @@ from superjet import (
     sf_eval_naive,
     sf_substitute,
 )
-from superjet.grassmann import MonomialTable, _combination
 from superjet.polyalg import (
     check_degree_bound,
     iter_multiindices_upto,
@@ -25,7 +24,16 @@ from superjet.polyalg import (
     taylor_shift,
 )
 
-from conftest import morphisms, small_fractions, superfunctions, superpoints
+from conftest import (
+    fingerprint,
+    floats,
+    morphisms,
+    plain_monomial,
+    plain_sum,
+    small_fractions,
+    superfunctions,
+    superpoints,
+)
 
 
 @given(superfunctions(p=1, q=2), superpoints(n=3, p=1, q=2))
@@ -185,33 +193,22 @@ def test_pullback_of_a_coordinate_increment(phi, j, c):
     )
 
 
-# the contraction kernel against the exhaustive loop it replaced
+# the contraction kernel against the exhaustive loop, written with plain products
 
 
-def contract_reference(comps, bodies, table, degree_bound):
-    """Every surviving eps^I omega^J built first, in `table.monomials` order,
-    sigma_J shifted on its first use and c_{I,J} looked up afterwards."""
-    top = table.one.n // 2
+def contract_reference(comps, bodies, even_args, odd_args, one, degree_bound):
+    """sum_{I,J} c_{I,J} eps^I omega^J over every |I| <= n/2, each monomial by
+    plain products: sigma_J shifted to order n/2 where omega^J does not
+    vanish, in the order of comps, and the pairs summed key by key."""
+    top = one.n // 2
     shifted = {}
-    pairs = []
-    for I, J, mono in table.monomials(iter_multiindices_upto(len(bodies), top), comps):
-        coeffs = shifted.get(J)
-        if coeffs is None:
-            check_degree_bound(comps[J], bodies, degree_bound)
-            coeffs = shifted[J] = taylor_shift(comps[J], bodies, top).terms
-        val = coeffs.get(I)
-        if val is not None:
-            pairs.append((val, mono.terms))
-    return _combination(pairs)
-
-
-def fingerprint(terms):
-    """Keys in order, each coefficient with its exact type and, for a float, its bits."""
-    def coefficient(c):
-        if isinstance(c, Polynomial):
-            return "poly", fingerprint(c.terms)
-        return type(c).__name__, c.hex() if type(c) is float else c
-    return [(key, coefficient(c)) for key, c in terms.items()]
+    for J, f in comps.items():
+        if plain_monomial((), J, even_args, odd_args, one):
+            check_degree_bound(f, bodies, degree_bound)
+            shifted[J] = taylor_shift(f, bodies, top).terms
+    return plain_sum((coeffs[I], plain_monomial(I, J, even_args, odd_args, one).terms)
+                     for I in iter_multiindices_upto(len(bodies), top)
+                     for J, coeffs in shifted.items() if I in coeffs)
 
 
 def outcome(fn, *args):
@@ -221,19 +218,17 @@ def outcome(fn, *args):
         return "refused", str(exc)
 
 
-floats = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
-
-
 def eval_reference(sigma, nu):
-    table = MonomialTable(nu.nilpotent_even(), nu.odd, GrassmannElement.one(nu.n))
-    return contract_reference(sigma.components, nu.body(), table, None)
+    return contract_reference(sigma.components, nu.body(), nu.nilpotent_even(), nu.odd,
+                              GrassmannElement.one(nu.n), None)
 
 
 def substitute_reference(sigma, phi, bound):
     p, q = phi.source
-    table = MonomialTable([sf.nilpotent_part().element for sf in phi.even_pb],
-                          [sf.element for sf in phi.odd_pb], SuperFunction.one(p, q).element)
-    return contract_reference(sigma.components, phi.body_map(), table, bound)
+    return contract_reference(sigma.components, phi.body_map(),
+                              [sf.nilpotent_part().element for sf in phi.even_pb],
+                              [sf.element for sf in phi.odd_pb],
+                              SuperFunction.one(p, q).element, bound)
 
 
 @given(superfunctions(p=2, q=2), superpoints(n=5, p=2, q=2))

@@ -348,9 +348,6 @@ class GrassmannElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- structure maps ----------------------------------------------------
 
     def body(self):

@@ -8,7 +8,10 @@ exact polynomial objects.
 
 `LambdaPointMap` is the fully explicit form of a map between Lambda-point
 sets: one exact polynomial per output Grassmann coefficient, in the input
-Grassmann coefficients.  `supersmooth_check` differentiates those polynomials
+Grassmann coefficients.  Its polynomials come from the symbolic point, the
+generic Lambda_n-point whose Grassmann coefficients are polynomial variables:
+`lambda_point_map_of` pushes it forward, and `top_order_cancellation` takes
+its even scalars from it.  `supersmooth_check` differentiates those polynomials
 once and decides, as a polynomial identity over Q, that the differential
 commutes with multiplication by even scalars (the Molotkov-Sachse condition).
 That property separates maps that come from morphisms from those that merely
@@ -123,13 +126,32 @@ def sc_functor_action(rho: GrassmannHom, point: MappingPoint) -> MappingPoint:
 # explicit coefficient maps
 
 
+def _variable_order(n: int, p: int, q: int) -> list:
+    """(kind, slot, mask) of each input coefficient of a Lambda_n-point of R^{p|q}:
+    even slot by even slot (masks ascending), then odd slot by odd slot (odd
+    masks ascending).  Variable i of a LambdaPointMap is coefficient i."""
+    return [("even", j, m) for j in range(p) for m in even_masks(n)] + [
+        ("odd", b, m) for b in range(q) for m in odd_masks(n)
+    ]
+
+
+def _symbolic_point(n: int, p: int, q: int) -> SuperPoint:
+    """The generic Lambda_n-point of R^{p|q}: each Grassmann coefficient is the
+    polynomial variable that _variable_order numbers it with."""
+    order = _variable_order(n, p, q)
+    even, odd = [{} for _ in range(p)], [{} for _ in range(q)]
+    for v, (kind, slot, mask) in enumerate(order):
+        (even if kind == "even" else odd)[slot][mask] = Polynomial.variable(len(order), v)
+    return SuperPoint(n, [GrassmannElement(n, t) for t in even],
+                      [GrassmannElement(n, t) for t in odd])
+
+
 @dataclass
 class LambdaPointMap:
     """Map of Lambda_n-point sets with one polynomial per output coefficient.
 
-    Input coefficient variables are ordered: even slot by even slot (masks
-    ascending), then odd slot by odd slot (odd masks ascending).  evens[j] and
-    odds[b] map output masks to polynomials in those variables.
+    The polynomials' variables are the input coefficients in _variable_order.
+    evens[j] and odds[b] map output masks to polynomials in those variables.
     """
 
     n: int
@@ -139,12 +161,7 @@ class LambdaPointMap:
     odds: list
 
     def __post_init__(self):
-        p, q = self.source
-        self.emasks = even_masks(self.n)
-        self.omasks = odd_masks(self.n)
-        self.var_order = [("even", j, m) for j in range(p) for m in self.emasks] + [
-            ("odd", b, m) for b in range(q) for m in self.omasks
-        ]
+        self.var_order = _variable_order(self.n, *self.source)
         self.var_index = {key: i for i, key in enumerate(self.var_order)}
         self.nvars = len(self.var_order)
 
@@ -179,46 +196,19 @@ class LambdaPointMap:
 def lambda_point_map_of(phi: SuperMorphism, n: int) -> LambdaPointMap:
     """Exact coefficient-level form of the Lambda_n pushforward along phi.
 
-    Runs the evaluator on a symbolic point whose Grassmann coefficients are
-    polynomial variables; the outputs' coefficients are then the wanted
-    polynomials.
+    Pushes the symbolic point forward: the outputs' Grassmann coefficients are
+    then the wanted polynomials, with constants lifted to polynomials.
     """
     p, q = phi.source
-    skeleton = LambdaPointMap(n, (p, q), phi.target, [], [])
-    nvars = skeleton.nvars
-    sym_even = []
-    sym_odd = []
-    for j in range(p):
-        terms = {
-            m: Polynomial.variable(nvars, skeleton.var_index[("even", j, m)])
-            for m in skeleton.emasks
-        }
-        sym_even.append(GrassmannElement(n, terms))
-    for b in range(q):
-        terms = {
-            m: Polynomial.variable(nvars, skeleton.var_index[("odd", b, m)])
-            for m in skeleton.omasks
-        }
-        sym_odd.append(GrassmannElement(n, terms))
-    sym_point = SuperPoint(n, sym_even, sym_odd)
-    image = pushforward(phi, sym_point)
-    pt, qt = phi.target
+    nvars = len(_variable_order(n, p, q))
+    image = pushforward(phi, _symbolic_point(n, p, q))
 
     def collect(element: GrassmannElement) -> dict:
-        out = {}
-        for mask, c in element.terms.items():
-            poly = c if isinstance(c, Polynomial) else Polynomial.constant(nvars, c)
-            if poly:
-                out[mask] = poly
-        return out
+        return {mask: c if isinstance(c, Polynomial) else Polynomial.constant(nvars, c)
+                for mask, c in element.terms.items()}
 
-    return LambdaPointMap(
-        n,
-        (p, q),
-        (pt, qt),
-        [collect(image.even[j]) for j in range(pt)],
-        [collect(image.odd[b]) for b in range(qt)],
-    )
+    return LambdaPointMap(n, (p, q), phi.target, [collect(c) for c in image.even],
+                          [collect(c) for c in image.odd])
 
 
 # ---------------------------------------------------------------------------
@@ -333,27 +323,17 @@ def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
 def top_order_cancellation(n: int, p: int, r: int) -> bool:
     """Identity check: zero-body even scalar times kappa_2^J dies at |J| = r.
 
-    Built with symbolic coefficients, so a True return is a polynomial
-    identity, not a sample.
+    lam and kappa_1..kappa_p are the nilpotent parts of the coordinates of the
+    symbolic point of R^{1+p|0}, so a True return is a polynomial identity, not
+    a sample.
     """
-    nil_masks = [m for m in even_masks(n) if m]
-    nvars = (1 + p) * max(1, len(nil_masks))
-    lam = GrassmannElement(
-        n, {m: Polynomial.variable(nvars, i) for i, m in enumerate(nil_masks)}
-    )
-    kappas = []
-    for j in range(p):
-        terms = {
-            m: Polynomial.variable(nvars, (j + 1) * len(nil_masks) + i)
-            for i, m in enumerate(nil_masks)
-        }
-        kappas.append(GrassmannElement(n, terms))
+    lam, *kappas = (x.split()[1] for x in _symbolic_point(n, 1 + p, 0).even)
     for J in iter_multiindices(p, r):
         mono = lam
-        for i, e in enumerate(J):
+        for kappa, e in zip(kappas, J):
             for _ in range(e):
-                mono = mono * kappas[i]
-        if not mono.is_zero():
+                mono = mono * kappa
+        if mono:
             return False
     return True
 

@@ -170,14 +170,14 @@ def pushforward_general(phi: SuperMorphism, mu: SuperPoint) -> SuperPoint:
                 low = mm & -mm
                 wedge = wedge * mu.odd[low.bit_length() - 1]
                 mm ^= low
-            if wedge.is_zero():
+            if not wedge:
                 continue
             for I in iter_multiindices_upto(sf.p, n // 2):
                 mono = GrassmannElement.one(n)
                 for i, e in enumerate(I):
                     for _ in range(e):
                         mono = mono * nil[i]
-                if mono.is_zero():
+                if not mono:
                     continue
                 val = poly.derive(I).eval_scalar(body) * Fraction(1, mi_factorial(I))
                 if val:

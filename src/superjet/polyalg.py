@@ -319,7 +319,7 @@ def poly_eval(f: Polynomial, args) -> GrassmannElement:
         for i, k in enumerate(e):
             if k:
                 term = term * power(i, k)
-                if term.is_zero():
+                if not term:
                     break
         out = out + term
     return out

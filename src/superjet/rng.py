@@ -50,12 +50,12 @@ class SplitMix64:
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
 
-    def fraction(self, max_num: int = 3, max_den: int = 3) -> Fraction:
-        """Small exact rational, denominator at least 1."""
-        return Fraction(self.randint(-max_num, max_num), self.randint(1, max_den))
+    def fraction(self) -> Fraction:
+        """Small exact rational: numerator in -3..3, then denominator in 1..3."""
+        return Fraction(self.randint(-3, 3), self.randint(1, 3))
 
-    def nonzero_fraction(self, max_num: int = 3, max_den: int = 3) -> Fraction:
+    def nonzero_fraction(self) -> Fraction:
         while True:
-            f = self.fraction(max_num, max_den)
+            f = self.fraction()
             if f:
                 return f

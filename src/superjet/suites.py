@@ -37,6 +37,7 @@ from .mapspace import (
     LambdaPointMap,
     MappingPoint,
     SuperChart,
+    _symbolic_point,
     chart_transition_map,
     lambda_point_map_of,
     sc_functor_action,
@@ -197,21 +198,15 @@ def coefficient_squaring_map(n: int = 2) -> LambdaPointMap:
     """
     if n < 2:
         raise ValueError("needs at least two generators")
-    skeleton = LambdaPointMap(n, (1, 0), (1, 0), [{}], [])
-    top = skeleton.var_index[("even", 0, 3)]
-    body = skeleton.var_index[("even", 0, 0)]
-    evens = [{0: Polynomial.variable(skeleton.nvars, body),
-              3: Polynomial.variable(skeleton.nvars, top) ** 2}]
-    return LambdaPointMap(n, (1, 0), (1, 0), evens, [])
+    (x,) = _symbolic_point(n, 1, 0).even
+    return LambdaPointMap(n, (1, 0), (1, 0), [{0: x.terms[0], 3: x.terms[3] ** 2}], [])
 
 
 def late_failing_map() -> LambdaPointMap:
     """The identity of R^{1|0} at level 4 plus (coefficient of eta3 eta4)^3 on
     the eta1 eta2 eta3 eta4 output: not supersmooth, but supersmooth_check
     first rejects it at lambda = eta3 eta4 (mask 12), not at the first mask."""
-    skeleton = LambdaPointMap(4, (1, 0), (1, 0), [{}], [])
-    evens = {m: Polynomial.variable(skeleton.nvars, skeleton.var_index[("even", 0, m)])
-             for m in skeleton.emasks}
+    evens = dict(_symbolic_point(4, 1, 0).even[0].terms)
     evens[15] = evens[15] + evens[12] ** 3
     return LambdaPointMap(4, (1, 0), (1, 0), [evens], [])
 
@@ -252,15 +247,15 @@ def random_tangent(rng: SplitMix64, x, lo: float = 0.2, hi: float = 1.2):
 # finite-difference oracle for the geometry jets
 
 
-def fd_derivative(fn, x0, I, h0: float = 0.12, levels: int = 4) -> list:
+def fd_derivative(fn, x0, I) -> list:
     """D_I fn at x0, per component of the vector-valued fn, by nested central
     differences plus Richardson.
 
     Each axis application uses nodes x +- h (spacing 2h, error O(h^2));
-    extrapolating over h0, h0/2, h0/4, h0/8 cancels the h^2, h^4, h^6 terms
-    and leaves ~1e-8 relative error on the orders <= 4 used here.  The 2^|I|
-    nodes of a level are built axis by axis, x + h before x - h, and fn is
-    called once per node; each difference then pairs neighbouring values,
+    extrapolating over h = 0.12, 0.06, 0.03, 0.015 cancels the h^2, h^4, h^6
+    terms and leaves ~1e-8 relative error on the orders <= 4 used here.  The
+    2^|I| nodes of a level are built axis by axis, x + h before x - h, and fn
+    is called once per node; each difference then pairs neighbouring values,
     innermost axis first, so every component is differenced from that one
     value.
     """
@@ -283,7 +278,7 @@ def fd_derivative(fn, x0, I, h0: float = 0.12, levels: int = 4) -> list:
                     for i in range(0, len(vals), 2)]
         return vals[0]
 
-    vals = [level(h0 / 2 ** j) for j in range(levels)]
+    vals = [level(0.12 / 2 ** j) for j in range(4)]
     factor = 4.0
     while len(vals) > 1:
         vals = [[(factor * b - a) / (factor - 1.0) for a, b in zip(lo, hi)]
@@ -645,6 +640,10 @@ def law_map_natural(phi, rho, nu):
     return lhs.even == rhs.even and lhs.odd == rhs.odd
 
 
+def law_map_apply(phi, nu):
+    return lambda_point_map_of(phi, nu.n).apply(nu) == pushforward(phi, nu)
+
+
 def law_cancel(n, p, r):
     return top_order_cancellation(n, p, r)
 
@@ -680,8 +679,9 @@ LAWS = {
     "mapspace/pair": law_pair, "mapspace/functident": law_functident,
     "mapspace/functcomp": law_functcomp, "mapspace/shearinv": law_shearinv,
     "mapspace/transition": law_transition, "mapspace/natural": law_map_natural,
-    "mapspace/cancel": law_cancel, "mapspace/cancel-sharp": law_cancel_sharp,
-    "mapspace/reject": law_reject, "mapspace/json": law_json,
+    "mapspace/apply": law_map_apply, "mapspace/cancel": law_cancel,
+    "mapspace/cancel-sharp": law_cancel_sharp, "mapspace/reject": law_reject,
+    "mapspace/json": law_json,
 }
 
 # superfun/, morphism/ and mapspace/json read back the payloads of this many cases,
@@ -895,6 +895,7 @@ def suite_mapspace(rec: Recorder, seed: int, cases: int) -> None:
         rho = random_hom(rng, n, m)
         nu = random_superpoint(rng, n, p, q)
         rec.check(f"mapspace/natural-{i:04d}", phi=phi, rho=rho, nu=nu)
+        rec.check(f"mapspace/apply-{i:04d}", phi=phi, nu=nu)
 
     # the cancellation that makes transitions well defined: lambda kappa_2^J
     # dies identically at |J| = r, even where kappa_2^J itself survives

@@ -61,6 +61,10 @@ class SuperFunction:
 
     `element` is the GrassmannElement over q generators with Polynomial
     coefficients in p variables; `components` is its {mask: Polynomial} dict.
+
+    >>> x = Polynomial.variable(1, 0)
+    >>> print(SuperFunction(1, 2, {0: x + 1, 3: -x * x}))
+    1 + x0 + (-x0^2) theta1 theta2
     """
 
     __slots__ = ("p", "element")

@@ -147,7 +147,7 @@ def test_mul_distributes(x, y, z):
 
 @given(grassmann_elements(n=4, parity=1))
 def test_odd_elements_square_to_zero(x):
-    assert (x * x).is_zero()
+    assert not x * x
 
 
 @given(grassmann_elements(n=4, parity=0), grassmann_elements(n=4))
@@ -167,7 +167,7 @@ def test_split_reassembles_with_parities(x):
     assert even_nil.is_even()
     assert odd.is_odd()
     # the whole soul is nilpotent of index at most n
-    assert ((even_nil + odd) ** (x.n + 1)).is_zero()
+    assert not (even_nil + odd) ** (x.n + 1)
 
 
 def test_generator_product_example():

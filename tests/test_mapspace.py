@@ -29,6 +29,7 @@ from superjet import (
     supersmooth_check,
     top_order_cancellation,
 )
+from superjet.mapspace import _symbolic_point
 from superjet.polyalg import mi_unit
 from superjet.suites import (
     coefficient_squaring_map,
@@ -243,6 +244,14 @@ def test_coefficient_map_agrees_with_pushforward():
         F = lambda_point_map_of(phi, 3)
         mu = random_superpoint(rng, 3, 1, 2)
         assert F.apply(mu) == pushforward(phi, mu)
+
+
+@pytest.mark.parametrize("n, p, q", [(0, 1, 1), (1, 1, 1), (1, 0, 2), (2, 2, 0),
+                                     (3, 0, 1), (3, 2, 1), (4, 1, 2)])
+def test_the_symbolic_point_holds_the_variables_in_the_maps_order(n, p, q):
+    F = lambda_point_map_of(SuperMorphism.identity(p, q), n)
+    assert F.coefficient_vector(_symbolic_point(n, p, q)) == [
+        Polynomial.variable(F.nvars, v) for v in range(F.nvars)]
 
 
 def test_coefficient_map_of_quadratic_shift():

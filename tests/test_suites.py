@@ -209,6 +209,20 @@ def test_the_mapspace_suite_catches_a_check_that_stops_at_the_first_mask(monkeyp
     assert failed_laws(run_suite("mapspace", seed=0, cases=1)) == ["mapspace/reject"]
 
 
+def test_the_mapspace_suite_catches_a_map_that_drops_its_constants(monkeypatch):
+    exact = suites.lambda_point_map_of
+
+    def dropping(phi, n):
+        # both sides of mapspace/natural lose the same constant coefficients
+        F = exact(phi, n)
+        F.evens, F.odds = ([{m: c for m, c in t.items() if c.degree() > 0} for t in tables]
+                           for tables in (F.evens, F.odds))
+        return F
+
+    monkeypatch.setattr(suites, "lambda_point_map_of", dropping)
+    assert failed_laws(run_suite("mapspace", seed=0, cases=100)) == ["mapspace/apply"]
+
+
 # -- superfun/canonical sees a coefficient outside its canonical form -----------
 
 

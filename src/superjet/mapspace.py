@@ -17,11 +17,22 @@ commutes with multiplication by even scalars (the Molotkov-Sachse condition).
 That property separates maps that come from morphisms from those that merely
 permute coefficients, and the identity holds at every base point, so no body
 point is sampled and no Grassmann product is taken.
+
+Four things depend only on the shape (n, p, q) and are built once per shape,
+as `morphism`'s trial plans are: the variable order, its index, the symbolic
+point, whose cached `table` then keeps its monomials for every later
+pushforward, and `_lambda_plan`, supersmooth_check's signs and slot moves.
+Each is an `lru_cache` of at most 64 shapes.  Sharing them is safe because
+they are pure in their key and frozen: nothing writes to the tuples, dicts,
+points or polynomials they return, and `tests/test_mapspace.py` checks the
+cached points against fresh ones after every user of them in the package has
+run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DimensionError, ParityError, payload_errors
 from .grassmann import GrassmannElement, GrassmannHom, _coerce, int_from_json, merge_sign
@@ -126,18 +137,27 @@ def sc_functor_action(rho: GrassmannHom, point: MappingPoint) -> MappingPoint:
 # explicit coefficient maps
 
 
-def _variable_order(n: int, p: int, q: int) -> list:
+@lru_cache(maxsize=64)
+def _variable_order(n: int, p: int, q: int) -> tuple:
     """(kind, slot, mask) of each input coefficient of a Lambda_n-point of R^{p|q}:
     even slot by even slot (masks ascending), then odd slot by odd slot (odd
     masks ascending).  Variable i of a LambdaPointMap is coefficient i."""
-    return [("even", j, m) for j in range(p) for m in even_masks(n)] + [
+    return tuple([("even", j, m) for j in range(p) for m in even_masks(n)] + [
         ("odd", b, m) for b in range(q) for m in odd_masks(n)
-    ]
+    ])
 
 
+@lru_cache(maxsize=64)
+def _variable_index(n: int, p: int, q: int) -> dict:
+    """{(kind, slot, mask): variable} for _variable_order(n, p, q)."""
+    return {key: i for i, key in enumerate(_variable_order(n, p, q))}
+
+
+@lru_cache(maxsize=64)
 def _symbolic_point(n: int, p: int, q: int) -> SuperPoint:
     """The generic Lambda_n-point of R^{p|q}: each Grassmann coefficient is the
-    polynomial variable that _variable_order numbers it with."""
+    polynomial variable that _variable_order numbers it with.  Built once per
+    shape, so its `table` keeps its monomials across every pushforward of it."""
     order = _variable_order(n, p, q)
     even, odd = [{} for _ in range(p)], [{} for _ in range(q)]
     for v, (kind, slot, mask) in enumerate(order):
@@ -162,7 +182,7 @@ class LambdaPointMap:
 
     def __post_init__(self):
         self.var_order = _variable_order(self.n, *self.source)
-        self.var_index = {key: i for i, key in enumerate(self.var_order)}
+        self.var_index = _variable_index(self.n, *self.source)
         self.nvars = len(self.var_order)
 
     def coefficient_vector(self, point: SuperPoint) -> list:
@@ -268,6 +288,29 @@ def _jacobian(F: LambdaPointMap) -> dict:
     return jac
 
 
+@lru_cache(maxsize=64)
+def _lambda_plan(n: int, p: int, q: int) -> tuple:
+    """supersmooth_check's slot moves for a map from R^{p|q} at level n: one
+    (m, out_signs, moves) per lam = eta^m, m in even_masks(n)[1:] order.
+
+    out_signs[b] = merge_sign(m, b) for each mask b that lam moves to b | m;
+    moves[w] = (variable of slot a, merge_sign(m, a)) for each input variable
+    w whose slot c holds m, with a = c ^ m.  Pure in its key, so each shape's
+    signs and indices are worked out once.
+    """
+    order, index = _variable_order(n, p, q), _variable_index(n, p, q)
+    plan = []
+    for m in even_masks(n)[1:]:
+        out_signs = {b: merge_sign(m, b) for b in range(1 << n) if not b & m}
+        moves = {}
+        for w, (kind, slot, c) in enumerate(order):
+            if c & m == m:
+                a = c ^ m
+                moves[w] = (index[(kind, slot, a)], merge_sign(m, a))
+        plan.append((m, out_signs, moves))
+    return tuple(plan)
+
+
 def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
     """Decide that dF is linear over even scalars, as a polynomial identity.
 
@@ -289,21 +332,21 @@ def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
     """
     jac = _jacobian(F)
     checks = 0
-    for m in even_masks(F.n)[1:]:
+    for m, out_signs, moves in _lambda_plan(F.n, *F.source):
         moved_in = {}    # (J M_lam)[out][v] = sign * J[out][v + m]
         moved_out = {}   # (M_lam J)[out + m][v] = sign * J[out][v]
         for out, row in jac.items():
             kind, slot, b = out
-            if not b & m:
-                s = merge_sign(m, b)
+            s = out_signs.get(b)
+            if s is not None:
+                moved = (kind, slot, b | m)
                 for v, d in row.items():
-                    moved_out[((kind, slot, b | m), v)] = d if s > 0 else -d
+                    moved_out[(moved, v)] = d if s > 0 else -d
             for w, d in row.items():
-                wkind, wslot, c = F.var_order[w]
-                if c & m == m:
-                    a = c ^ m
-                    key = (out, F.var_index[(wkind, wslot, a)])
-                    moved_in[key] = d if merge_sign(m, a) > 0 else -d
+                move = moves.get(w)
+                if move is not None:
+                    v, s = move
+                    moved_in[(out, v)] = d if s > 0 else -d
         keys = moved_in.keys() | moved_out.keys()
         checks += len(keys)
         if moved_in != moved_out:

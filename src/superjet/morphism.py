@@ -23,8 +23,9 @@ a trial multiplies k+1 fixed b's and at most one pullback instead of expanding
 oracle.
 
 A morphism's pullback phi^* is fixed once phi is, so a `SuperMorphism`
-caches its monomial `table`, shared by every `sf_substitute` along it; the
-pullback is that table's `grassmann.MonomialTable.contract`.
+caches its monomial `table` and its body polynomials `bodies`, shared by every
+`sf_substitute` along it; the pullback is that table's
+`grassmann.MonomialTable.contract`.
 `EtaCoefficient.apply` reads the symbol, through the psi that `eta_decompose`
 builds once, so a wrong c changes its value.  A `SuperPoint` owns its table
 the same way, for `pushforward`.  `pushforward_general` reads no cached
@@ -102,9 +103,15 @@ class SuperMorphism:
         return MonomialTable([sf.nilpotent_part().element for sf in self.even_pb],
                              [sf.element for sf in self.odd_pb], SuperFunction.one(p, q).element)
 
+    @cached_property
+    def bodies(self) -> tuple:
+        """The theta-free parts of the even pullbacks, shared by every
+        `sf_substitute` along this morphism."""
+        return tuple(sf.body_poly() for sf in self.even_pb)
+
     def body_map(self) -> list:
         """The classical map underneath: theta-free parts of the even pullbacks."""
-        return [sf.body_poly() for sf in self.even_pb]
+        return list(self.bodies)
 
     def to_json(self) -> dict:
         return {

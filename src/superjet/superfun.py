@@ -168,7 +168,8 @@ class SuperFunction:
 
     def body_poly(self) -> Polynomial:
         """The theta-free component."""
-        return self.components.get(0, Polynomial.zero(self.p))
+        body = self.components.get(0)
+        return Polynomial.zero(self.p) if body is None else body
 
     def nilpotent_part(self) -> "SuperFunction":
         return SuperFunction(
@@ -340,7 +341,8 @@ def sf_substitute(sigma: SuperFunction, phi, degree_bound=DEFAULT_DEGREE_BOUND) 
     nilpotent remainder; sigma_J is Taylor-expanded in the remainder, one
     shift at the body polynomials, which terminates because the theta-degree
     is bounded.  Odd coordinate monomials are substituted by the odd pullbacks
-    in ascending order; phi's cached `table` holds both kinds of monomial.
+    in ascending order; phi's cached `table` holds both kinds of monomial,
+    and its cached `bodies` the body polynomials.
     A coordinate function is looked up: x_j pulls back to phi.even_pb[j] and
     theta_b to phi.odd_pb[b], the objects phi stores, after the same guardrail
     check.  `degree_bound` is the poly_compose guardrail; None disables it.  The
@@ -353,7 +355,7 @@ def sf_substitute(sigma: SuperFunction, phi, degree_bound=DEFAULT_DEGREE_BOUND) 
             f"superfunction on R^({sigma.p}|{sigma.q}) cannot pull back along a "
             f"morphism into R^({p2}|{q2})"
         )
-    bodies = phi.body_map()
+    bodies = phi.bodies
     if len(sigma.components) == 1:
         (J, f), = sigma.components.items()
         if len(f.terms) == 1:

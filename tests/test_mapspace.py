@@ -29,7 +29,7 @@ from superjet import (
     supersmooth_check,
     top_order_cancellation,
 )
-from superjet.mapspace import _symbolic_point
+from superjet.mapspace import _lambda_plan, _symbolic_point
 from superjet.polyalg import mi_unit
 from superjet.suites import (
     coefficient_squaring_map,
@@ -291,7 +291,77 @@ def test_the_late_failing_map_is_rejected_only_at_a_late_mask():
     verdict = supersmooth_check(F)
     assert not verdict.passed
     assert verdict.witness["lambda_mask"] == 12
+    # the entries compared at masks 3, 5, 6, 9, 10 and 12, in that order
+    assert verdict.checks == 13
     assert not pointwise_supersmooth(F)
+
+
+def _even_popcount(mask: int) -> bool:
+    return bin(mask).count("1") % 2 == 0
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_the_lambda_plan_matches_grassmann_products(n):
+    # eta^m eta^a by GrassmannElement.__mul__, for every nonzero even m and every a
+    masks = range(1 << n)
+    lams = [m for m in masks if m and _even_popcount(m)]
+    products = {(m, a): (GrassmannElement.monomial(n, m) * GrassmannElement.monomial(n, a)).terms
+                for m in lams for a in masks}
+    for p in range(3):
+        for q in range(3):
+            order = [("even", j, c) for j in range(p) for c in masks if _even_popcount(c)] + [
+                ("odd", b, c) for b in range(q) for c in masks if not _even_popcount(c)]
+            plan = _lambda_plan(n, p, q)
+            assert [m for m, _, _ in plan] == lams
+            for m, out_signs, moves in plan:
+                # output side: tau's slot b lands on the one mask of eta^m eta^b
+                for b in masks:
+                    product = products[m, b]
+                    assert (b in out_signs) == bool(product)
+                    if product:
+                        assert product == {b | m: out_signs[b]}
+                # input side: slot a feeds the variable w whose mask eta^m eta^a hits
+                want = {}
+                for v, (kind, slot, a) in enumerate(order):
+                    for c, sign in products[m, a].items():
+                        want[order.index((kind, slot, c))] = (v, sign)
+                assert moves == want
+
+
+def test_the_memoized_shape_data_is_never_mutated():
+    rng = SplitMix64(51)
+    shapes = set()
+    for n in range(5):
+        for p in (1, 2):
+            for q in range(3):
+                phi = random_morphism(rng, (p, q), (rng.randint(1, 2), rng.randint(0, 2)), degree=2)
+                first = lambda_point_map_of(phi, n)
+                assert lambda_point_map_of(phi, n) == first
+                shapes.add((n, p, q))
+                composed = morphism_compose(phi, SuperMorphism.identity(p, q))
+                for psi in (phi, composed):
+                    assert list(psi.bodies) == [sf.body_poly() for sf in psi.even_pb]
+                    psi.body_map().clear()
+                    assert list(psi.bodies) == [sf.body_poly() for sf in psi.even_pb]
+    for n in range(2, 7):
+        top_order_cancellation(n, 2, n // 2)
+        shapes.add((n, 3, 0))
+    for n in (2, 3, 4):
+        supersmooth_check(coefficient_squaring_map(n))
+        shapes.add((n, 1, 0))
+    supersmooth_check(late_failing_map())
+
+    def terms(point):
+        return [{m: c.terms for m, c in x.terms.items()} for x in point.even + point.odd]
+
+    for shape in sorted(shapes):
+        cached, fresh = _symbolic_point(*shape), _symbolic_point.__wrapped__(*shape)
+        assert cached is _symbolic_point(*shape)
+        assert terms(cached) == terms(fresh)
+        # and the products its table kept are those of a fresh table
+        table = fresh.table
+        assert all(table._even(I) == got for I, got in cached.table._evens.items())
+        assert all(table._odd(J) == got for J, got in cached.table._odds.items())
 
 
 def _derivative_entry(F, kind, slot, mask, var):

@@ -318,10 +318,6 @@ class GrassmannElement:
             return GrassmannElement._of(self.n, _exact_product(self.terms, la, other.terms, lb))
         return GrassmannElement._of(self.n, _product_terms(self.terms.items(), other.terms.items()))
 
-    def __rmul__(self, other):
-        # coefficients are central, so scalar action commutes
-        return self.scale(other)
-
     def scale(self, c) -> "GrassmannElement":
         c = _coerce(c)
         if not c:
@@ -366,13 +362,6 @@ class GrassmannElement:
             else:
                 even[mask] = c
         return self.body(), GrassmannElement._of(self.n, even), GrassmannElement._of(self.n, odd)
-
-    def parity(self):
-        """0 for even, 1 for odd, None for mixed or zero-ambiguous elements."""
-        seen = {m.bit_count() & 1 for m in self.terms}
-        if len(seen) == 1:
-            return seen.pop()
-        return None if seen else 0
 
     def is_even(self) -> bool:
         return all(not (m.bit_count() & 1) for m in self.terms)

@@ -18,15 +18,14 @@ That property separates maps that come from morphisms from those that merely
 permute coefficients, and the identity holds at every base point, so no body
 point is sampled and no Grassmann product is taken.
 
-Four things depend only on the shape (n, p, q) and are built once per shape,
-as `morphism`'s trial plans are: the variable order, its index, the symbolic
-point, whose cached `table` then keeps its monomials for every later
-pushforward, and `_lambda_plan`, supersmooth_check's signs and slot moves.
-Each is an `lru_cache` of at most 64 shapes.  Sharing them is safe because
-they are pure in their key and frozen: nothing writes to the tuples, dicts,
-points or polynomials they return, and `tests/test_mapspace.py` checks the
-cached points against fresh ones after every user of them in the package has
-run.
+Three things depend only on the shape (n, p, q) and are built once per shape,
+as `morphism`'s trial plans are: the coefficient order, the symbolic point,
+whose cached `table` then keeps its monomials for every later pushforward,
+and `_lambda_plan`, how each even monomial moves the coefficients.  Each is
+an `lru_cache` of at most 64 shapes.  Sharing them is safe because they are
+pure in their key and frozen: nothing writes to the tuples, dicts, points or
+polynomials they return, and `tests/test_mapspace.py` checks the cached
+points against fresh ones after every user of them in the package has run.
 """
 
 from __future__ import annotations
@@ -87,10 +86,7 @@ def sc_point_to_pair(point: MappingPoint):
     the nilpotent remainder per tangent direction of the target.
     """
     phi = point.morphism
-    body = phi.body_map()
-    even_sections = [sf.nilpotent_part() for sf in phi.even_pb]
-    odd_sections = list(phi.odd_pb)
-    return body, even_sections, odd_sections
+    return phi.bodies, [sf.nilpotent_part() for sf in phi.even_pb], list(phi.odd_pb)
 
 
 def sc_pair_to_point(n: int, body, even_sections, odd_sections) -> MappingPoint:
@@ -139,18 +135,13 @@ def sc_functor_action(rho: GrassmannHom, point: MappingPoint) -> MappingPoint:
 
 @lru_cache(maxsize=64)
 def _variable_order(n: int, p: int, q: int) -> tuple:
-    """(kind, slot, mask) of each input coefficient of a Lambda_n-point of R^{p|q}:
+    """(kind, slot, mask) of each coefficient of a Lambda_n-point of R^{p|q}:
     even slot by even slot (masks ascending), then odd slot by odd slot (odd
-    masks ascending).  Variable i of a LambdaPointMap is coefficient i."""
+    masks ascending).  Variable i of a LambdaPointMap is coefficient i of its
+    source, and supersmooth_check numbers its outputs by the target's order."""
     return tuple([("even", j, m) for j in range(p) for m in even_masks(n)] + [
         ("odd", b, m) for b in range(q) for m in odd_masks(n)
     ])
-
-
-@lru_cache(maxsize=64)
-def _variable_index(n: int, p: int, q: int) -> dict:
-    """{(kind, slot, mask): variable} for _variable_order(n, p, q)."""
-    return {key: i for i, key in enumerate(_variable_order(n, p, q))}
 
 
 @lru_cache(maxsize=64)
@@ -171,7 +162,8 @@ class LambdaPointMap:
     """Map of Lambda_n-point sets with one polynomial per output coefficient.
 
     The polynomials' variables are the input coefficients in _variable_order.
-    evens[j] and odds[b] map output masks to polynomials in those variables.
+    evens[j] and odds[b] map output masks, even and odd ones respectively, to
+    polynomials in those variables.
     """
 
     n: int
@@ -182,29 +174,23 @@ class LambdaPointMap:
 
     def __post_init__(self):
         self.var_order = _variable_order(self.n, *self.source)
-        self.var_index = _variable_index(self.n, *self.source)
         self.nvars = len(self.var_order)
+        if (len(self.evens), len(self.odds)) != tuple(self.target):
+            raise DimensionError("one output table per target coordinate required")
+        if any(m.bit_count() & 1 != odd for odd, tables in enumerate((self.evens, self.odds))
+               for t in tables for m in t):
+            raise ParityError("output coefficient at a mask of the wrong parity")
 
     def coefficient_vector(self, point: SuperPoint) -> list:
         if (point.p, point.q) != self.source or point.n != self.n:
             raise DimensionError("point does not match this map's source")
-        vec = []
-        for kind, slot, mask in self.var_order:
-            coords = point.even if kind == "even" else point.odd
-            vec.append(coords[slot].terms.get(mask, 0))
-        return vec
+        return [(point.even if kind == "even" else point.odd)[slot].terms.get(mask, 0)
+                for kind, slot, mask in self.var_order]
 
     def apply(self, point: SuperPoint) -> SuperPoint:
         vec = self.coefficient_vector(point)
-        pt, qt = self.target
-        even = []
-        for j in range(pt):
-            terms = {m: poly.eval_scalar(vec) for m, poly in self.evens[j].items()}
-            even.append(GrassmannElement(self.n, terms))
-        odd = []
-        for b in range(qt):
-            terms = {m: poly.eval_scalar(vec) for m, poly in self.odds[b].items()}
-            odd.append(GrassmannElement(self.n, terms))
+        even, odd = ([GrassmannElement(self.n, {m: poly.eval_scalar(vec) for m, poly in t.items()})
+                      for t in tables] for tables in (self.evens, self.odds))
         return SuperPoint(self.n, even, odd)
 
     def to_json(self) -> dict:
@@ -267,48 +253,42 @@ class SmoothVerdict:
         return out
 
 
-def _jacobian(F: LambdaPointMap) -> dict:
-    """{output slot: {input variable: derivative polynomial}}, nonzeros only.
+def _jacobian(F: LambdaPointMap) -> list:
+    """[{input variable: derivative polynomial}] per output coefficient, in
+    _variable_order(n, *target) order; nonzero entries only.
 
     One pass over each output polynomial's terms derives it in every variable
     it contains, where Polynomial.derive per variable would rescan every term
     once per variable.
     """
-    jac = {}
-    for kind, comps in (("even", F.evens), ("odd", F.odds)):
-        for slot, table in enumerate(comps):
-            for mask, poly in table.items():
-                parts = {}
-                for e, c in poly.terms.items():
-                    for v, k in enumerate(e):
-                        if k:
-                            parts.setdefault(v, {})[e[:v] + (k - 1,) + e[v + 1:]] = _coerce(c * k)
-                # c != 0 and k >= 1, and each exponent is e lowered by one in place
-                jac[(kind, slot, mask)] = {v: Polynomial._of(F.nvars, t) for v, t in parts.items()}
+    jac = []
+    for kind, slot, mask in _variable_order(F.n, *F.target):
+        poly = (F.evens if kind == "even" else F.odds)[slot].get(mask)
+        parts = {}
+        for e, c in poly.terms.items() if poly else ():
+            for v, k in enumerate(e):
+                if k:
+                    parts.setdefault(v, {})[e[:v] + (k - 1,) + e[v + 1:]] = _coerce(c * k)
+        # c != 0 and k >= 1, and each exponent is e lowered by one in place
+        jac.append({v: Polynomial._of(F.nvars, t) for v, t in parts.items()})
     return jac
 
 
 @lru_cache(maxsize=64)
 def _lambda_plan(n: int, p: int, q: int) -> tuple:
-    """supersmooth_check's slot moves for a map from R^{p|q} at level n: one
-    (m, out_signs, moves) per lam = eta^m, m in even_masks(n)[1:] order.
+    """How each lam = eta^m moves the coefficients of a Lambda_n-point of
+    R^{p|q}: one (m, moves) per m in even_masks(n)[1:] order.
 
-    out_signs[b] = merge_sign(m, b) for each mask b that lam moves to b | m;
-    moves[w] = (variable of slot a, merge_sign(m, a)) for each input variable
-    w whose slot c holds m, with a = c ^ m.  Pure in its key, so each shape's
-    signs and indices are worked out once.
+    lam eta^a = merge_sign(m, a) eta^(a|m) when a & m == 0, so moves[w] =
+    (coefficient at slot c ^ m, merge_sign(m, c ^ m)) for each coefficient w
+    in _variable_order(n, p, q) whose slot c holds m.  Pure in its key, so
+    each shape's signs and indices are worked out once.
     """
-    order, index = _variable_order(n, p, q), _variable_index(n, p, q)
-    plan = []
-    for m in even_masks(n)[1:]:
-        out_signs = {b: merge_sign(m, b) for b in range(1 << n) if not b & m}
-        moves = {}
-        for w, (kind, slot, c) in enumerate(order):
-            if c & m == m:
-                a = c ^ m
-                moves[w] = (index[(kind, slot, a)], merge_sign(m, a))
-        plan.append((m, out_signs, moves))
-    return tuple(plan)
+    order = _variable_order(n, p, q)
+    index = {key: i for i, key in enumerate(order)}
+    return tuple((m, {w: (index[(kind, slot, c ^ m)], merge_sign(m, c ^ m))
+                      for w, (kind, slot, c) in enumerate(order) if c & m == m})
+                 for m in even_masks(n)[1:])
 
 
 def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
@@ -316,7 +296,8 @@ def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
 
     Multiplying a tangent by the even monomial lam = eta^m moves coefficient
     slot a to slot a|m with sign merge_sign(m, a) when a & m == 0, and drops
-    it otherwise: a signed partial permutation M_lam of coefficient slots.
+    it otherwise: a signed partial permutation M_lam of coefficient slots,
+    which _lambda_plan tabulates for the source and for the target.
     Supersmoothness is J M_lam = M_lam J for the Jacobian J of derivative
     polynomials, and each entry of that identity compares two signed entries
     of J with ==.  The identity is linear in lam, so the nonzero even
@@ -332,21 +313,19 @@ def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
     """
     jac = _jacobian(F)
     checks = 0
-    for m, out_signs, moves in _lambda_plan(F.n, *F.source):
-        moved_in = {}    # (J M_lam)[out][v] = sign * J[out][v + m]
-        moved_out = {}   # (M_lam J)[out + m][v] = sign * J[out][v]
-        for out, row in jac.items():
-            kind, slot, b = out
-            s = out_signs.get(b)
-            if s is not None:
-                moved = (kind, slot, b | m)
-                for v, d in row.items():
-                    moved_out[(moved, v)] = d if s > 0 else -d
+    for (m, moves), (_, out_moves) in zip(_lambda_plan(F.n, *F.source),
+                                          _lambda_plan(F.n, *F.target)):
+        moved_in = {}    # (J M_lam)[out][v] = s * J[out][w], w the slot lam moves v to
+        for out, row in enumerate(jac):
             for w, d in row.items():
                 move = moves.get(w)
                 if move is not None:
                     v, s = move
                     moved_in[(out, v)] = d if s > 0 else -d
+        moved_out = {}   # (M_lam J)[w][v] = s * J[a][v], the same move on the target
+        for w, (a, s) in out_moves.items():
+            for v, d in jac[a].items():
+                moved_out[(w, v)] = d if s > 0 else -d
         keys = moved_in.keys() | moved_out.keys()
         checks += len(keys)
         if moved_in != moved_out:
@@ -354,7 +333,7 @@ def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
             out, v = min(k for k in keys if moved_in.get(k, zero) != moved_out.get(k, zero))
             witness = {
                 "lambda_mask": m,
-                "output": list(out),
+                "output": list(_variable_order(F.n, *F.target)[out]),
                 "input": list(F.var_order[v]),
                 "dF_of_lambda_tau": moved_in.get((out, v), zero).to_json(),
                 "lambda_dF_of_tau": moved_out.get((out, v), zero).to_json(),

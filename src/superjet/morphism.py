@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DimensionError, ParityError, payload_errors
-from .grassmann import GrassmannElement, MonomialTable, int_from_json
+from .grassmann import GrassmannElement, MonomialTable, int_from_json, merge_sign
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -108,10 +108,6 @@ class SuperMorphism:
         """The theta-free parts of the even pullbacks, shared by every
         `sf_substitute` along this morphism."""
         return tuple(sf.body_poly() for sf in self.even_pb)
-
-    def body_map(self) -> list:
-        """The classical map underneath: theta-free parts of the even pullbacks."""
-        return list(self.bodies)
 
     def to_json(self) -> dict:
         return {
@@ -274,13 +270,11 @@ class EtaCoefficient:
 
 
 def odd_derivative(g: SuperFunction, K: int) -> SuperFunction:
-    """Left derivative d_theta^K, with theta^J = +-theta^K theta^(J-K) in ascending masks."""
+    """Left derivative d_theta^K, with theta^J = merge_sign(K, J - K) theta^K theta^(J-K)."""
     comps = {}
     for J, poly in g.components.items():
         if J & K == K:
-            # each coordinate of K moves left past the smaller ones of J - K
-            swaps = sum((J & ~K & ((1 << b) - 1)).bit_count() for b in range(g.q) if K >> b & 1)
-            comps[J ^ K] = -poly if swaps & 1 else poly
+            comps[J ^ K] = poly if merge_sign(K, J ^ K) > 0 else -poly
     return SuperFunction(g.p, g.q, comps)
 
 
@@ -411,7 +405,7 @@ def order_bound_check(coef: EtaCoefficient, k: int, trials: int = 8,
         if value:
             witness = {
                 "x0": [str(v) for v in x0],
-                "y0": [str(f.eval_scalar(x0)) for f in phi.body_map()],
+                "y0": [str(f.eval_scalar(x0)) for f in phi.bodies],
                 "coords": coords,
                 "h": h.to_json(),
                 "value": {str(mm): str(v) for mm, v in sorted(value.items())},

@@ -196,9 +196,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, c):
-        return self * (Fraction(1) / Fraction(c))
-
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative polynomial power")

@@ -644,6 +644,11 @@ def law_map_apply(phi, nu):
     return lambda_point_map_of(phi, nu.n).apply(nu) == pushforward(phi, nu)
 
 
+def law_map_smooth(phi, nu):
+    verdict = supersmooth_check(lambda_point_map_of(phi, nu.n))
+    return verdict.passed, {"verdict": verdict}
+
+
 def law_cancel(n, p, r):
     return top_order_cancellation(n, p, r)
 
@@ -679,9 +684,9 @@ LAWS = {
     "mapspace/pair": law_pair, "mapspace/functident": law_functident,
     "mapspace/functcomp": law_functcomp, "mapspace/shearinv": law_shearinv,
     "mapspace/transition": law_transition, "mapspace/natural": law_map_natural,
-    "mapspace/apply": law_map_apply, "mapspace/cancel": law_cancel,
-    "mapspace/cancel-sharp": law_cancel_sharp, "mapspace/reject": law_reject,
-    "mapspace/json": law_json,
+    "mapspace/apply": law_map_apply, "mapspace/smooth": law_map_smooth,
+    "mapspace/cancel": law_cancel, "mapspace/cancel-sharp": law_cancel_sharp,
+    "mapspace/reject": law_reject, "mapspace/json": law_json,
 }
 
 # superfun/, morphism/ and mapspace/json read back the payloads of this many cases,
@@ -896,6 +901,7 @@ def suite_mapspace(rec: Recorder, seed: int, cases: int) -> None:
         nu = random_superpoint(rng, n, p, q)
         rec.check(f"mapspace/natural-{i:04d}", phi=phi, rho=rho, nu=nu)
         rec.check(f"mapspace/apply-{i:04d}", phi=phi, nu=nu)
+        rec.check(f"mapspace/smooth-{i:04d}", phi=phi, nu=nu)
 
     # the cancellation that makes transitions well defined: lambda kappa_2^J
     # dies identically at |J| = r, even where kappa_2^J itself survives

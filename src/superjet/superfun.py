@@ -157,9 +157,6 @@ class SuperFunction:
     def __bool__(self):
         return bool(self.element)
 
-    def parity(self):
-        return self.element.parity()
-
     def is_even(self) -> bool:
         return self.element.is_even()
 

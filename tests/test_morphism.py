@@ -1,5 +1,6 @@
 """Morphism layer: composition, pushforward, and the coefficient-order checks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -283,7 +284,7 @@ def order_check_expanded(coef, k, trials=8, seed=0):
     phi = coef.phi
     p, _ = phi.source
     p2, q2 = phi.target
-    bodies = phi.body_map()
+    bodies = phi.bodies
     rng = SplitMix64(seed)
     if p2 == 0:
         return OrderVerdict(passed=True, k=k, trials=0)
@@ -408,7 +409,7 @@ def order_check_reshuffled(coef, k, trials=8, seed=0):
         if value:
             witness = {
                 "x0": [str(v) for v in x0],
-                "y0": [str(f.eval_scalar(x0)) for f in phi.body_map()],
+                "y0": [str(f.eval_scalar(x0)) for f in phi.bodies],
                 "coords": coords,
                 "h": h.to_json(),
                 "value": {str(mm): str(v) for mm, v in sorted(value.items())},
@@ -466,6 +467,30 @@ def symbol_pullback(phi: SuperMorphism, n_eta: int, g: SuperFunction) -> SuperFu
             term = sf_substitute(odd_derivative(d_beta, K), psi, degree_bound=None)
             total = total + embed(c, coef.index, phi.source[1]) * term
     return total
+
+
+@pytest.mark.parametrize("q", range(5))
+def test_odd_derivative_signs_count_the_inversions(q):
+    # theta^J = (-1)^inv theta^K theta^(J-K), inv the out-of-order pairs of K then J-K
+    x = Polynomial.variable(1, 0)
+    for J in range(1 << q):
+        g = SuperFunction(1, q, {J: x})
+        for K in range(1 << q):
+            if J & K != K:
+                assert odd_derivative(g, K) == SuperFunction.zero(1, q)
+                continue
+            seq = [i for i in range(q) if K >> i & 1] + [j for j in range(q) if (J ^ K) >> j & 1]
+            inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+            want = -x if inversions % 2 else x
+            assert odd_derivative(g, K) == SuperFunction(1, q, {J ^ K: want})
+
+
+def test_odd_derivative_takes_its_sign_from_merge_sign(monkeypatch):
+    # theta_0 theta_1 = -theta_1 theta_0, so d_theta_1 of it is -theta_0
+    g = SuperFunction(1, 2, {0b11: Polynomial.one(1)})
+    assert odd_derivative(g, 0b10) == SuperFunction(1, 2, {0b01: -Polynomial.one(1)})
+    monkeypatch.setattr(superjet.morphism, "merge_sign", lambda a, b: 1)
+    assert odd_derivative(g, 0b10) == SuperFunction(1, 2, {0b01: Polynomial.one(1)})
 
 
 def order_failures(phi: SuperMorphism, n_eta: int, seed: int) -> list:

@@ -246,7 +246,7 @@ def canonical_nonzero(terms):
 
 @given(polynomials(p=2), polynomials(p=2), small_fractions, points2)
 def test_polynomial_results_hold_only_canonical_nonzero_rationals(f, g, c, x0):
-    for out in (f + g, f - g, -f, f * g, f * c, c * f, f * 2, f / 3,
+    for out in (f + g, f - g, -f, f * g, f * c, c * f, f * 2,
                 f.derive((1, 0)), f.derive((1, 2)),
                 Polynomial.from_json(f.to_json()), taylor_shift(f, x0, 3),
                 poly_compose(f, [g, g * c]),
@@ -259,7 +259,7 @@ def test_polynomial_results_hold_only_canonical_nonzero_rationals(f, g, c, x0):
        superfunctions(p=1, q=1), superpoints(p=1, q=1), morphisms((1, 2), (1, 1)))
 def test_grassmann_results_hold_only_canonical_nonzero_rationals(x, y, c, images, sigma, nu, phi):
     hom = GrassmannHom(3, 3, images)
-    for out in (x + y, x - y, -x, x * y, x.scale(c), x * 2, 3 * x, x.scale(Fraction(4, 2)),
+    for out in (x + y, x - y, -x, x * y, x.scale(c), x * 2, x.scale(Fraction(4, 2)),
                 GrassmannElement.from_json(x.to_json()), hom.apply(x), sf_eval(sigma, nu),
                 GrassmannElement(3, {0: Fraction(6, 3), 1: True, 2: c})):
         assert canonical_nonzero(out.terms)

@@ -75,9 +75,9 @@ def test_nilpotent_taylor_worked_example():
 
 @given(superfunctions(p=1, q=2))
 def test_parity_of_theta_monomials(sigma):
-    par = sigma.parity()
-    if par is not None and sigma.components:
-        assert all(m.bit_count() & 1 == par for m in sigma.components)
+    parities = {m.bit_count() & 1 for m in sigma.components}
+    assert sigma.is_even() == (parities <= {0})
+    assert sigma.is_odd() == (parities <= {1})
 
 
 def test_theta_coordinates_anticommute():
@@ -158,7 +158,7 @@ def first_guardrail_refusal(sigma, phi, bound):
         if not omega:
             continue
         try:
-            poly_compose(poly, phi.body_map(), bound)
+            poly_compose(poly, phi.bodies, bound)
         except DegreeBoundError as exc:
             return str(exc)
     return None
@@ -225,7 +225,7 @@ def eval_reference(sigma, nu):
 
 def substitute_reference(sigma, phi, bound):
     p, q = phi.source
-    return contract_reference(sigma.components, phi.body_map(),
+    return contract_reference(sigma.components, phi.bodies,
                               [sf.nilpotent_part().element for sf in phi.even_pb],
                               [sf.element for sf in phi.odd_pb],
                               SuperFunction.one(p, q).element, bound)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, ParityError
 from .grassmann import GrassmannElement, MonomialTable, _accumulate, _coerce
-from .polyalg import (Polynomial, iter_multiindices, iter_multiindices_upto, mi_abs,
-                      mi_factorial, taylor_shift)
+from .polyalg import (Polynomial, iter_multiindices, iter_multiindices_upto, mi_factorial,
+                      taylor_shift)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def taylor_of(phis, x0, k: int) -> TruncatedPolyMap:
 
 def trunc_poly(f: Polynomial, k: int) -> Polynomial:
     """Drop every term of total degree above k."""
-    return Polynomial._of(f.p, {e: c for e, c in f.terms.items() if mi_abs(e) <= k})
+    return Polynomial._of(f.p, {e: c for e, c in f.terms.items() if sum(e) <= k})
 
 
 def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap) -> TruncatedPolyMap:

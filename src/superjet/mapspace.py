@@ -8,20 +8,23 @@ exact polynomial objects.
 
 `LambdaPointMap` is the fully explicit form of a map between Lambda-point
 sets: one exact polynomial per output Grassmann coefficient, in the input
-Grassmann coefficients.  Its polynomials come from the symbolic point, the
+Grassmann coefficients.  Inputs and outputs share one layout, a vector in
+`_variable_order`, which only `_point_of` and `_coefficients` translate to
+and from a `SuperPoint`.  Its polynomials come from the symbolic point, the
 generic Lambda_n-point whose Grassmann coefficients are polynomial variables:
 `lambda_point_map_of` pushes it forward, and `top_order_cancellation` takes
 its even scalars from it.  `supersmooth_check` differentiates those polynomials
 once and decides, as a polynomial identity over Q, that the differential
-commutes with multiplication by even scalars (the Molotkov-Sachse condition).
-That property separates maps that come from morphisms from those that merely
-permute coefficients, and the identity holds at every base point, so no body
-point is sampled and no Grassmann product is taken.
+commutes with multiplication by even scalars (the Molotkov-Sachse condition),
+checked on the n(n-1)/2 generator pairs that generate them.  That property
+separates maps that come from morphisms from those that merely permute
+coefficients, and the identity holds at every base point, so no body point
+is sampled and no Grassmann product is taken.
 
 Three things depend only on the shape (n, p, q) and are built once per shape,
 as `morphism`'s trial plans are: the coefficient order, the symbolic point,
 whose cached `table` then keeps its monomials for every later pushforward,
-and `_lambda_plan`, how each even monomial moves the coefficients.  Each is
+and `_lambda_plan`, how each generator pair moves the coefficients.  Each is
 an `lru_cache` of at most 64 shapes.  Sharing them is safe because they are
 pure in their key and frozen: nothing writes to the tuples, dicts, points or
 polynomials they return, and `tests/test_mapspace.py` checks the cached
@@ -137,11 +140,28 @@ def sc_functor_action(rho: GrassmannHom, point: MappingPoint) -> MappingPoint:
 def _variable_order(n: int, p: int, q: int) -> tuple:
     """(kind, slot, mask) of each coefficient of a Lambda_n-point of R^{p|q}:
     even slot by even slot (masks ascending), then odd slot by odd slot (odd
-    masks ascending).  Variable i of a LambdaPointMap is coefficient i of its
-    source, and supersmooth_check numbers its outputs by the target's order."""
+    masks ascending).  A LambdaPointMap's variable i is coefficient i of its
+    source and its outputs[i] is coefficient i of its target; only _point_of
+    and _coefficients turn this layout into a SuperPoint and back."""
     return tuple([("even", j, m) for j in range(p) for m in even_masks(n)] + [
         ("odd", b, m) for b in range(q) for m in odd_masks(n)
     ])
+
+
+def _point_of(n: int, p: int, q: int, values) -> SuperPoint:
+    """The Lambda_n-point of R^{p|q} whose coefficients, in _variable_order,
+    are values."""
+    even, odd = [{} for _ in range(p)], [{} for _ in range(q)]
+    for (kind, slot, mask), c in zip(_variable_order(n, p, q), values):
+        (even if kind == "even" else odd)[slot][mask] = c
+    return SuperPoint(n, [GrassmannElement(n, t) for t in even],
+                      [GrassmannElement(n, t) for t in odd])
+
+
+def _coefficients(point: SuperPoint) -> list:
+    """The coefficients of point in _variable_order, 0 where a term is absent."""
+    return [(point.even if kind == "even" else point.odd)[slot].terms.get(mask, 0)
+            for kind, slot, mask in _variable_order(point.n, point.p, point.q)]
 
 
 @lru_cache(maxsize=64)
@@ -149,72 +169,57 @@ def _symbolic_point(n: int, p: int, q: int) -> SuperPoint:
     """The generic Lambda_n-point of R^{p|q}: each Grassmann coefficient is the
     polynomial variable that _variable_order numbers it with.  Built once per
     shape, so its `table` keeps its monomials across every pushforward of it."""
-    order = _variable_order(n, p, q)
-    even, odd = [{} for _ in range(p)], [{} for _ in range(q)]
-    for v, (kind, slot, mask) in enumerate(order):
-        (even if kind == "even" else odd)[slot][mask] = Polynomial.variable(len(order), v)
-    return SuperPoint(n, [GrassmannElement(n, t) for t in even],
-                      [GrassmannElement(n, t) for t in odd])
+    nvars = len(_variable_order(n, p, q))
+    return _point_of(n, p, q, [Polynomial.variable(nvars, v) for v in range(nvars)])
 
 
 @dataclass
 class LambdaPointMap:
     """Map of Lambda_n-point sets with one polynomial per output coefficient.
 
-    The polynomials' variables are the input coefficients in _variable_order.
-    evens[j] and odds[b] map output masks, even and odd ones respectively, to
-    polynomials in those variables.
+    The polynomials' variables are the source's coefficients, and outputs[i]
+    is the target's coefficient i, both in _variable_order; an output with no
+    term is the zero polynomial.
     """
 
     n: int
     source: tuple
     target: tuple
-    evens: list
-    odds: list
+    outputs: tuple
 
     def __post_init__(self):
+        self.outputs = tuple(self.outputs)
         self.var_order = _variable_order(self.n, *self.source)
         self.nvars = len(self.var_order)
-        if (len(self.evens), len(self.odds)) != tuple(self.target):
-            raise DimensionError("one output table per target coordinate required")
-        if any(m.bit_count() & 1 != odd for odd, tables in enumerate((self.evens, self.odds))
-               for t in tables for m in t):
-            raise ParityError("output coefficient at a mask of the wrong parity")
+        if len(self.outputs) != len(_variable_order(self.n, *self.target)):
+            raise DimensionError("one output polynomial per target coefficient required")
 
     def coefficient_vector(self, point: SuperPoint) -> list:
         if (point.p, point.q) != self.source or point.n != self.n:
             raise DimensionError("point does not match this map's source")
-        return [(point.even if kind == "even" else point.odd)[slot].terms.get(mask, 0)
-                for kind, slot, mask in self.var_order]
+        return _coefficients(point)
 
     def apply(self, point: SuperPoint) -> SuperPoint:
         vec = self.coefficient_vector(point)
-        even, odd = ([GrassmannElement(self.n, {m: poly.eval_scalar(vec) for m, poly in t.items()})
-                      for t in tables] for tables in (self.evens, self.odds))
-        return SuperPoint(self.n, even, odd)
+        return _point_of(self.n, *self.target, [f.eval_scalar(vec) for f in self.outputs])
 
     def to_json(self) -> dict:
         return {"n": self.n, "source": list(self.source), "target": list(self.target),
-                **{key: [{str(m): poly.to_json() for m, poly in t.items()} for t in tables]
-                   for key, tables in (("evens", self.evens), ("odds", self.odds))}}
+                "outputs": [f.to_json() for f in self.outputs]}
 
 
 def lambda_point_map_of(phi: SuperMorphism, n: int) -> LambdaPointMap:
     """Exact coefficient-level form of the Lambda_n pushforward along phi.
 
-    Pushes the symbolic point forward: the outputs' Grassmann coefficients are
+    Pushes the symbolic point forward: the image's Grassmann coefficients are
     then the wanted polynomials, with constants lifted to polynomials.
     """
     p, q = phi.source
     nvars = len(_variable_order(n, p, q))
     image = pushforward(phi, _symbolic_point(n, p, q))
-
-    def collect(element: GrassmannElement) -> dict:
-        return {mask: c if isinstance(c, Polynomial) else Polynomial.constant(nvars, c)
-                for mask, c in element.terms.items()}
-
-    return LambdaPointMap(n, (p, q), phi.target, [collect(c) for c in image.even],
-                          [collect(c) for c in image.odd])
+    return LambdaPointMap(n, (p, q), phi.target, [
+        c if isinstance(c, Polynomial) else Polynomial.constant(nvars, c)
+        for c in _coefficients(image)])
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +260,16 @@ class SmoothVerdict:
 
 def _jacobian(F: LambdaPointMap) -> list:
     """[{input variable: derivative polynomial}] per output coefficient, in
-    _variable_order(n, *target) order; nonzero entries only.
+    F.outputs order; nonzero entries only.
 
     One pass over each output polynomial's terms derives it in every variable
     it contains, where Polynomial.derive per variable would rescan every term
     once per variable.
     """
     jac = []
-    for kind, slot, mask in _variable_order(F.n, *F.target):
-        poly = (F.evens if kind == "even" else F.odds)[slot].get(mask)
+    for poly in F.outputs:
         parts = {}
-        for e, c in poly.terms.items() if poly else ():
+        for e, c in poly.terms.items():
             for v, k in enumerate(e):
                 if k:
                     parts.setdefault(v, {})[e[:v] + (k - 1,) + e[v + 1:]] = _coerce(c * k)
@@ -276,8 +280,9 @@ def _jacobian(F: LambdaPointMap) -> list:
 
 @lru_cache(maxsize=64)
 def _lambda_plan(n: int, p: int, q: int) -> tuple:
-    """How each lam = eta^m moves the coefficients of a Lambda_n-point of
-    R^{p|q}: one (m, moves) per m in even_masks(n)[1:] order.
+    """How each generator pair lam = eta_i eta_j = eta^m moves the
+    coefficients of a Lambda_n-point of R^{p|q}: one (m, moves) per pair
+    mask m, ascending.
 
     lam eta^a = merge_sign(m, a) eta^(a|m) when a & m == 0, so moves[w] =
     (coefficient at slot c ^ m, merge_sign(m, c ^ m)) for each coefficient w
@@ -288,7 +293,7 @@ def _lambda_plan(n: int, p: int, q: int) -> tuple:
     index = {key: i for i, key in enumerate(order)}
     return tuple((m, {w: (index[(kind, slot, c ^ m)], merge_sign(m, c ^ m))
                       for w, (kind, slot, c) in enumerate(order) if c & m == m})
-                 for m in even_masks(n)[1:])
+                 for m in even_masks(n) if m.bit_count() == 2)
 
 
 def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
@@ -300,9 +305,12 @@ def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
     which _lambda_plan tabulates for the source and for the target.
     Supersmoothness is J M_lam = M_lam J for the Jacobian J of derivative
     polynomials, and each entry of that identity compares two signed entries
-    of J with ==.  The identity is linear in lam, so the nonzero even
-    monomials decide it for every even scalar (body monomial 1 is trivial);
-    it holds over Q, so for every base point kappa, not only sampled ones.
+    of J with ==.  Left multiplications compose, M_{lam mu} = M_lam M_mu, and
+    each nonzero even monomial is, up to sign, the product of generator pairs
+    eta_i eta_j that split it; so if J commutes with the n(n-1)/2 pair moves
+    it commutes with every M_lam, and by linearity with every even scalar
+    (body monomial 1 is trivial).  The identity holds over Q, so for every
+    base point kappa, not only sampled ones.
     Zero-body scalars are where the top-order terms only cancel because a
     nilpotent even scalar times a maximal nilpotent monomial dies -- the
     cancellation that makes these maps well defined at all.

@@ -6,8 +6,8 @@ rationals in `grassmann`'s canonical form, a plain int when integral and a
 coefficient that supports +, *, - and truthiness works, which the float jets
 of the geometry backend rely on).  An int coefficient divides to a float under
 `/`, so exact code divides by multiplying with `Fraction(1, b)`.  Multi-indices
-are plain tuples throughout, with the small helpers below for |I|, I! and
-enumeration.
+are plain tuples throughout (|I| is sum(I)), with the small helpers below for
+I!, unit vectors and enumeration.
 """
 
 from __future__ import annotations
@@ -36,22 +36,10 @@ DEFAULT_DEGREE_BOUND = 16
 # multi-index helpers
 
 
-def mi_abs(I) -> int:
-    return sum(I)
-
 def mi_factorial(I) -> int:
     out = 1
     for i in I:
         out *= math.factorial(i)
-    return out
-
-def mi_add(I, J):
-    return tuple(map(operator.add, I, J))
-
-def mi_sub(I, J):
-    out = tuple(a - b for a, b in zip(I, J))
-    if any(a < 0 for a in out):
-        raise ValueError("multi-index subtraction went negative")
     return out
 
 def mi_unit(p: int, k: int):
@@ -137,7 +125,7 @@ class Polynomial:
         """Total degree; zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(mi_abs(e) for e in self.terms)
+        return max(sum(e) for e in self.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -183,7 +171,7 @@ class Polynomial:
         right = other.terms.items()
         for ea, ca in self.terms.items():
             for eb, cb in right:
-                key = mi_add(ea, eb)
+                key = tuple(map(operator.add, ea, eb))
                 v = ca * cb
                 got = terms.get(key)
                 if got is not None:
@@ -226,7 +214,7 @@ class Polynomial:
             for ei, ii in zip(e, I):
                 for t in range(ii):
                     c = c * (ei - t)
-            terms[mi_sub(e, I)] = _coerce(c)
+            terms[tuple(ei - ii for ei, ii in zip(e, I))] = _coerce(c)
         return Polynomial._of(self.p, terms)
 
     def eval_scalar(self, args):
@@ -247,7 +235,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=lambda e: (mi_abs(e), e)):
+        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
             c = self.terms[e]
             mono = " ".join(
                 f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k

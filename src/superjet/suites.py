@@ -37,8 +37,10 @@ from .mapspace import (
     LambdaPointMap,
     MappingPoint,
     SuperChart,
+    _coefficients,
     _symbolic_point,
     chart_transition_map,
+    even_masks,
     lambda_point_map_of,
     sc_functor_action,
     sc_pair_to_point,
@@ -147,8 +149,7 @@ def _shear_pair(rng: SplitMix64, p: int, q: int, degree: int = 2):
             if p > 1:
                 l = rng.randint(0, p - 2)
                 exp[l if l < j else l + 1] += 1
-        masks = [m for m in range(1 << q) if not (m.bit_count() & 1)]
-        g = SuperFunction(p, q, {rng.choice(masks): Polynomial.monomial(p, tuple(exp), c)})
+        g = SuperFunction(p, q, {rng.choice(even_masks(q)): Polynomial.monomial(p, tuple(exp), c)})
         fwd_even[j] = fwd_even[j] + g
         inv_even[j] = inv_even[j] - g
     elif kind == 1 and q >= 2:
@@ -198,17 +199,17 @@ def coefficient_squaring_map(n: int = 2) -> LambdaPointMap:
     """
     if n < 2:
         raise ValueError("needs at least two generators")
-    (x,) = _symbolic_point(n, 1, 0).even
-    return LambdaPointMap(n, (1, 0), (1, 0), [{0: x.terms[0], 3: x.terms[3] ** 2}], [])
+    x = _coefficients(_symbolic_point(n, 1, 0))   # masks 0, 3, ... ascending
+    return LambdaPointMap(n, (1, 0), (1, 0),
+                          [x[0], x[1] ** 2] + [Polynomial.zero(len(x))] * (len(x) - 2))
 
 
 def late_failing_map() -> LambdaPointMap:
     """The identity of R^{1|0} at level 4 plus (coefficient of eta3 eta4)^3 on
     the eta1 eta2 eta3 eta4 output: not supersmooth, but supersmooth_check
     first rejects it at lambda = eta3 eta4 (mask 12), not at the first mask."""
-    evens = dict(_symbolic_point(4, 1, 0).even[0].terms)
-    evens[15] = evens[15] + evens[12] ** 3
-    return LambdaPointMap(4, (1, 0), (1, 0), [evens], [])
+    x = _coefficients(_symbolic_point(4, 1, 0))   # masks 0, 3, 5, 6, 9, 10, 12, 15
+    return LambdaPointMap(4, (1, 0), (1, 0), x[:7] + [x[7] + x[6] ** 3])
 
 
 # float helpers for the geometry corpus ------------------------------------

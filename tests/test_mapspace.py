@@ -12,7 +12,6 @@ from superjet import (
     GrassmannHom,
     LambdaPointMap,
     MappingPoint,
-    ParityError,
     Polynomial,
     SplitMix64,
     SuperFunction,
@@ -30,7 +29,7 @@ from superjet import (
     supersmooth_check,
     top_order_cancellation,
 )
-from superjet.mapspace import _lambda_plan, _symbolic_point
+from superjet.mapspace import _lambda_plan, _point_of, _symbolic_point, _variable_order
 from superjet.polyalg import mi_unit
 from superjet.suites import (
     coefficient_squaring_map,
@@ -53,48 +52,18 @@ def random_mapping_point(rng, n, p=1, q=1):
 # slot permutation with the identity that supersmooth_check decides.
 
 
-def point_from_vector(F, vec) -> SuperPoint:
-    p, q = F.source
-    even = [dict() for _ in range(p)]
-    odd = [dict() for _ in range(q)]
-    for (kind, slot, mask), v in zip(F.var_order, vec):
-        if v:
-            (even if kind == "even" else odd)[slot][mask] = v
-    return SuperPoint(
-        F.n,
-        [GrassmannElement(F.n, t) for t in even],
-        [GrassmannElement(F.n, t) for t in odd],
-    )
-
-
 def differential_at(F, kappa: SuperPoint):
     """Jacobian of F at kappa, as a function on tangent points."""
     vec = F.coefficient_vector(kappa)
-    rows = []   # (kind, slot, mask, {in_var: value})
-    for kind, comps in (("even", F.evens), ("odd", F.odds)):
-        for slot, table in enumerate(comps):
-            for mask, poly in table.items():
-                entries = {}
-                for v in range(F.nvars):
-                    val = poly.derive(mi_unit(F.nvars, v)).eval_scalar(vec)
-                    if val:
-                        entries[v] = val
-                rows.append((kind, slot, mask, entries))
-    pt, qt = F.target
+    rows = []   # {in_var: value} per output, nonzero entries only
+    for poly in F.outputs:
+        row = {v: poly.derive(mi_unit(F.nvars, v)).eval_scalar(vec) for v in range(F.nvars)}
+        rows.append({v: val for v, val in row.items() if val})
 
     def apply_tangent(tau: SuperPoint) -> SuperPoint:
         tvec = F.coefficient_vector(tau)
-        even = [dict() for _ in range(pt)]
-        odd = [dict() for _ in range(qt)]
-        for kind, slot, mask, entries in rows:
-            val = sum((j * tvec[v] for v, j in entries.items()), Fraction(0))
-            if val:
-                (even if kind == "even" else odd)[slot][mask] = val
-        return SuperPoint(
-            F.n,
-            [GrassmannElement(F.n, t) for t in even],
-            [GrassmannElement(F.n, t) for t in odd],
-        )
+        return _point_of(F.n, *F.target, [sum((j * tvec[v] for v, j in row.items()), Fraction(0))
+                                          for row in rows])
 
     return apply_tangent
 
@@ -114,8 +83,8 @@ def pointwise_supersmooth(F) -> bool:
     for i in range(F.nvars):
         vec = [Fraction(0)] * F.nvars
         vec[i] = Fraction(1)
-        tangents.append(point_from_vector(F, vec))
-    tangents.append(point_from_vector(F, [Fraction(1)] * F.nvars))
+        tangents.append(_point_of(F.n, *F.source, vec))
+    tangents.append(_point_of(F.n, *F.source, [Fraction(1)] * F.nvars))
     cycles = [
         [Fraction(1, 2), Fraction(-1, 3), Fraction(1), Fraction(0), Fraction(2, 5)],
         [Fraction(-1), Fraction(1, 4), Fraction(0), Fraction(1, 3), Fraction(-2)],
@@ -126,8 +95,8 @@ def pointwise_supersmooth(F) -> bool:
         return SuperPoint(point.n, [lam * c for c in point.even], [lam * c for c in point.odd])
 
     for cycle in cycles:
-        dF = differential_at(F, point_from_vector(
-            F, [cycle[i % len(cycle)] for i in range(F.nvars)]))
+        dF = differential_at(F, _point_of(
+            F.n, *F.source, [cycle[i % len(cycle)] for i in range(F.nvars)]))
         for tau in tangents:
             dtau = dF(tau)
             for lam in scalars:
@@ -250,13 +219,9 @@ def test_coefficient_map_agrees_with_pushforward():
 def test_output_tables_that_do_not_fit_the_target_are_refused():
     # supersmooth_check numbers outputs by the target's order, which has no such slot
     x = Polynomial.variable(2, 0)
-    for evens in ([], [{0: x}, {0: x}]):
+    for outputs in ([], [x], [x, x, x]):
         with pytest.raises(DimensionError):
-            LambdaPointMap(2, (1, 0), (1, 0), evens, [])
-    with pytest.raises(ParityError):
-        LambdaPointMap(2, (1, 0), (1, 0), [{0: x, 1: x}], [])
-    with pytest.raises(ParityError):
-        LambdaPointMap(2, (1, 0), (0, 1), [], [{3: x}])
+            LambdaPointMap(2, (1, 0), (1, 0), outputs)
 
 
 @pytest.mark.parametrize("n, p, q", [(0, 1, 1), (1, 1, 1), (1, 0, 2), (2, 2, 0),
@@ -278,8 +243,7 @@ def test_coefficient_map_of_quadratic_shift():
     )
     F = lambda_point_map_of(phi, 2)
     assert F.nvars == 2  # body coefficient and the eta1 eta2 coefficient
-    body = F.evens[0][0]
-    top = F.evens[0][3]
+    body, top = F.outputs   # masks 0 and 3
     assert body == Polynomial(2, {(1, 0): Fraction(1), (2, 0): Fraction(1)})
     assert top == Polynomial(2, {(0, 1): Fraction(1), (1, 1): Fraction(2)})
 
@@ -325,9 +289,9 @@ def _even_popcount(mask: int) -> bool:
 
 @pytest.mark.parametrize("n", range(7))
 def test_the_lambda_plan_matches_grassmann_products(n):
-    # eta^m eta^a by GrassmannElement.__mul__, for every nonzero even m and every a
+    # eta^m eta^a by GrassmannElement.__mul__, for every generator pair m and every a
     masks = range(1 << n)
-    lams = [m for m in masks if m and _even_popcount(m)]
+    lams = sorted((1 << i) | (1 << j) for j in range(n) for i in range(j))
     products = {(m, a): (GrassmannElement.monomial(n, m) * GrassmannElement.monomial(n, a)).terms
                 for m in lams for a in masks}
     for p in range(3):
@@ -381,10 +345,9 @@ def test_the_memoized_shape_data_is_never_mutated():
 
 
 def _derivative_entry(F, kind, slot, mask, var):
-    table = (F.evens if kind == "even" else F.odds)[slot]
-    poly = table.get(mask, Polynomial.zero(F.nvars))
-    index = {key: v for v, key in enumerate(F.var_order)}
-    return poly.derive(mi_unit(F.nvars, index[var]))
+    outputs = _variable_order(F.n, *F.target)
+    poly = F.outputs[outputs.index((kind, slot, mask))]
+    return poly.derive(mi_unit(F.nvars, F.var_order.index(var)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -410,12 +373,12 @@ def _cubic_mutants(F):
     """F with x_v^3 added to the top even-mask coefficient of the first even
     output, once for each input variable v on a nilpotent even slot."""
     top = max(m for m in range(1 << F.n) if not m.bit_count() & 1)
+    out = _variable_order(F.n, *F.target).index(("even", 0, top))
     for v, (kind, _, mask) in enumerate(F.var_order):
         if kind == "even" and mask:
-            evens = [dict(table) for table in F.evens]
-            cubic = Polynomial.variable(F.nvars, v) ** 3
-            evens[0][top] = evens[0].get(top, Polynomial.zero(F.nvars)) + cubic
-            yield LambdaPointMap(F.n, F.source, F.target, evens, [dict(t) for t in F.odds])
+            outputs = list(F.outputs)
+            outputs[out] = outputs[out] + Polynomial.variable(F.nvars, v) ** 3
+            yield LambdaPointMap(F.n, F.source, F.target, outputs)
 
 
 def test_cubic_mutants_fail_both_checks():
@@ -435,6 +398,53 @@ def test_cubic_mutants_fail_both_checks():
             assert not verdict.passed and verdict.witness is not None
             assert not pointwise_supersmooth(mutant)
     assert mutants == 2 * (1 + 3 + 7)
+
+
+def _moves(n, order, m):
+    """{i: (j, sign)}: eta^m eta^a = sign eta^c, for coefficient i at mask a
+    and j at mask c, by Grassmann products."""
+    index = {key: j for j, key in enumerate(order)}
+    lam = GrassmannElement.monomial(n, m)
+    return {i: (index[(kind, slot, c)], sign) for i, (kind, slot, a) in enumerate(order)
+            for c, sign in (lam * GrassmannElement.monomial(n, a)).terms.items()}
+
+
+def every_even_monomial_commutes(F) -> bool:
+    """J M_lam == M_lam J, entry by entry, for every nonzero even monomial lam:
+    J by Polynomial.derive and M_lam by Grassmann products, so it shares
+    neither the Jacobian nor the lambda-plan with supersmooth_check."""
+    zero = Polynomial.zero(F.nvars)
+    jac = [[f.derive(mi_unit(F.nvars, v)) for v in range(F.nvars)] for f in F.outputs]
+    for m in range(3, 1 << F.n):
+        if m.bit_count() & 1:
+            continue
+        forward = _moves(F.n, F.var_order, m)
+        back = {j: (i, s) for i, (j, s) in _moves(F.n, _variable_order(F.n, *F.target), m).items()}
+        for out, row in enumerate(jac):
+            a, t = back.get(out, (None, 0))
+            for v in range(F.nvars):
+                w, s = forward.get(v, (None, 0))
+                # (J M_lam)[out][v] = s J[out][w], (M_lam J)[out][v] = t J[a][v]
+                lhs = row[w] * s if w is not None else zero
+                rhs = jac[a][v] * t if a is not None else zero
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def test_the_generator_pairs_decide_what_every_even_monomial_decides():
+    rng = SplitMix64(53)
+    morphisms = [lambda_point_map_of(random_morphism(rng, (1, 1), (1, 1), degree=2), n)
+                 for n in (2, 3, 4)]
+    transitions = [chart_transition_map(random_shear_chart(rng, 1, 1, layers=1),
+                                        random_shear_chart(rng, 1, 1, layers=1), n)
+                   for n in (4, 5, 6)]
+    failing = [mutant for F in morphisms + transitions[:1] for mutant in _cubic_mutants(F)]
+    failing += [coefficient_squaring_map(n) for n in (2, 3, 4)] + [late_failing_map()]
+    for F in morphisms + transitions:
+        assert supersmooth_check(F).passed and every_even_monomial_commutes(F)
+    for F in failing:
+        assert not supersmooth_check(F).passed and not every_even_monomial_commutes(F)
 
 
 def test_shear_charts_invert_exactly():

@@ -20,7 +20,7 @@ series; A's do so near 0 and elsewhere follow from the closed-form identity
 (2u - u^2) A' + (1 - u) A = 1, seeded with A's value.  The Taylor tables
 are `jetcalc` compositions: each profile's jet after the `taylor_of` jet of
 its argument, u(Y) = 1 - <x, Y> or s(V) = <V, V>, times the vector factor's
-jet; the frozen u-series is arcsin(z)/z after z^2 = 2u - u^2, composed
+jet; the frozen u-series solves that identity at u = 0 order by order,
 exactly.  The superchart evaluates the closed forms on a Lambda-point's own
 Grassmann coordinates: each profile (and 1/(2 - u) for transport) acts on an
 even element through its Taylor coefficients at the body, contracted against
@@ -58,12 +58,11 @@ def _profile_of(coeffs, arg: TruncatedPolyMap) -> TruncatedPolyMap:
 
 
 def _frozen_theta_over_sin(order: int):
-    # arcsin(z)/z = sum_j binom(2j,j)/(4^j (2j+1)) w^j at w = z^2 = 2u - u^2, composed exactly
-    arcsin_over = _profile_jet([Fraction(math.comb(2 * j, j), 4**j * (2 * j + 1))
-                                for j in range(order + 1)], 0, order)
-    u = Polynomial.variable(1, 0)
-    series = trunc_compose(arcsin_over, taylor_of([2 * u - u * u], [0], order))
-    return [series.coefficient((j,))[0] for j in range(order + 1)]
+    # (2u - u^2) A' + (1 - u) A = 1 at u = 0, order by order: (2j + 1) a_j = j a_{j-1}
+    series = [Fraction(1)]
+    for j in range(1, order + 1):
+        series.append(series[-1] * Fraction(j, 2 * j + 1))
+    return series
 
 
 # rounded to binary64 once, here: the series are only ever summed in floats
@@ -293,18 +292,11 @@ class BundlePoint:
     base: tuple
     fibre: tuple       # bundle_rank many ambient vectors tangent at base
 
-    def to_json(self) -> dict:
-        return {"base": list(self.base), "fibre": [list(w) for w in self.fibre]}
-
 
 @dataclass
 class BundleTangent:
     horizontal: tuple  # tangent vector at the base point
     vertical: tuple    # bundle_rank many fibre increments
-
-    def to_json(self) -> dict:
-        return {"horizontal": list(self.horizontal),
-                "vertical": [list(w) for w in self.vertical]}
 
 
 def bundle_exp(backend, a: BundlePoint, xi: BundleTangent) -> BundlePoint:

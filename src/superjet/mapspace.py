@@ -203,10 +203,6 @@ class LambdaPointMap:
         vec = self.coefficient_vector(point)
         return _point_of(self.n, *self.target, [f.eval_scalar(vec) for f in self.outputs])
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "source": list(self.source), "target": list(self.target),
-                "outputs": [f.to_json() for f in self.outputs]}
-
 
 def lambda_point_map_of(phi: SuperMorphism, n: int) -> LambdaPointMap:
     """Exact coefficient-level form of the Lambda_n pushforward along phi.
@@ -232,9 +228,6 @@ class SuperChart:
 
     to_model: SuperMorphism
     from_model: SuperMorphism
-
-    def to_json(self) -> dict:
-        return {"to_model": self.to_model.to_json(), "from_model": self.from_model.to_json()}
 
 
 def chart_transition_map(chart1: SuperChart, chart2: SuperChart, n: int) -> LambdaPointMap:

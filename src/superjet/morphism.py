@@ -206,18 +206,12 @@ def _probe_family(p: int, q: int, max_degree: int) -> tuple:
                  for mask in range(1 << q) for I in iter_multiindices_upto(p, max_degree))
 
 
-@lru_cache(maxsize=16)
-def _body_lattice(p: int) -> tuple:
-    """The body points order_bound_check draws from, in canonical order."""
-    return tuple(lattice_points(p, radius=1, den=2))
-
-
 @lru_cache(maxsize=256)
 def _trial_plan(p: int, p2: int, q2: int, k: int, seed: int) -> tuple:
     """(body points, probes, rng state) of order_bound_check's trials, as its
     two seeded shuffles leave them; pure in its key, so each plan shuffles once."""
     rng = SplitMix64(seed)
-    lattice = list(_body_lattice(p))
+    lattice = lattice_points(p, radius=1, den=2)
     rng.shuffle(lattice)
     probes = default_probes(p2, q2, 2 * k + 2)
     # cycle through a shuffled copy instead of drawing independently: distinct

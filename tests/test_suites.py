@@ -9,14 +9,29 @@ import pytest
 import superjet.morphism
 import superjet.suites as suites
 from superjet import (
+    BundlePoint,
+    BundleTangent,
     EtaCoefficient,
     GrassmannElement,
     Polynomial,
+    SmoothVerdict,
     SplitMix64,
     Sphere2Backend,
+    SuperChart,
+    SuperMorphism,
+    SuperPoint,
     TruncatedPolyMap,
 )
-from superjet.suites import LAWS, SUITES, Recorder, random_grassmann, random_polynomial, run_suite
+from superjet.suites import (
+    LAWS,
+    SUITES,
+    Recorder,
+    _wire,
+    coefficient_squaring_map,
+    random_grassmann,
+    random_polynomial,
+    run_suite,
+)
 
 
 def test_splitmix64_reproduces_the_reference_stream():
@@ -108,6 +123,54 @@ def test_evidence_that_names_an_input_fails_the_row(monkeypatch):
     assert rec.check("jetcalc/mul-0001", f=1, g=2, x0=[5], k=(1, 2)) is False
     assert rec.report()["failures"][0]["witness"] == {
         "f": 1, "g": 2, "x0": [5], "k": [1, 2], "error": "evidence shadows the inputs ['k']"}
+
+
+@pytest.mark.parametrize("record, wired", [
+    (SuperChart(SuperMorphism.identity(1, 0), SuperMorphism.identity(0, 1)),
+     {"to_model": {"source": [1, 0], "target": [1, 0], "even": [
+         {"p": 1, "q": 0, "components": [{"J": [], "poly": {
+             "p": 1, "terms": [{"exp": [1], "num": "1", "den": "1"}]}}]}], "odd": []},
+      "from_model": {"source": [0, 1], "target": [0, 1], "even": [], "odd": [
+          {"p": 0, "q": 1, "components": [{"J": [1], "poly": {
+              "p": 0, "terms": [{"exp": [], "num": "1", "den": "1"}]}}]}]}}),
+    (coefficient_squaring_map(),
+     {"n": 2, "source": [1, 0], "target": [1, 0], "outputs": [
+         {"p": 2, "terms": [{"exp": [1, 0], "num": "1", "den": "1"}]},
+         {"p": 2, "terms": [{"exp": [0, 2], "num": "1", "den": "1"}]}]}),
+    (BundlePoint((0.0, 0.0, 1.0), ((1.0, 0.0, 0.0),)),
+     {"base": [0.0, 0.0, 1.0], "fibre": [[1.0, 0.0, 0.0]]}),
+    (BundleTangent((0.0, 0.5, 0.0), ((0.25, 0.0, 0.0),)),
+     {"horizontal": [0.0, 0.5, 0.0], "vertical": [[0.25, 0.0, 0.0]]}),
+], ids=["chart", "lambda-map", "bundle-point", "bundle-tangent"])
+def test_a_plain_record_wires_as_its_fields(record, wired):
+    assert not hasattr(record, "to_json")
+    assert _wire(record) == wired
+    assert list(_wire(record)) == list(wired)
+
+
+def test_a_value_with_its_own_wire_form_keeps_it():
+    point = SuperPoint(2, [GrassmannElement.one(2)], [])
+    assert _wire(point) == point.to_json()
+    # the field form would carry "witness": None
+    assert _wire(SmoothVerdict(True, 3)) == {"passed": True, "checks": 3}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_every_rows_inputs_and_evidence_have_a_wire_form(monkeypatch, seed):
+    # only failing rows are wired in a report, so a type with no wire form
+    # would surface exactly when its law fails; wire every row here instead
+    def wired(law):
+        def run(**inputs):
+            verdict = law(**inputs)
+            evidence = verdict[1] if isinstance(verdict, tuple) else {}
+            json.dumps({k: _wire(v) for k, v in {**inputs, **evidence}.items()})
+            return verdict
+        return run
+
+    for key, law in list(LAWS.items()):
+        monkeypatch.setitem(LAWS, key, wired(law))
+    report = run_suite("all", seed=seed, cases=3)
+    assert report["failed"] == 0, report["failures"]
 
 
 def test_a_failed_cancel_sharp_witness_keeps_its_inputs(monkeypatch):

@@ -82,66 +82,3 @@ from .superfun import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGORITHM",
-    "BundlePoint",
-    "BundleTangent",
-    "DEFAULT_DEGREE_BOUND",
-    "DegreeBoundError",
-    "DimensionError",
-    "DomainError",
-    "EtaCoefficient",
-    "GrassmannElement",
-    "GrassmannHom",
-    "LambdaPointMap",
-    "MappingPoint",
-    "OrderVerdict",
-    "ParityError",
-    "Polynomial",
-    "SUITES",
-    "SchemaError",
-    "SmoothVerdict",
-    "Sphere2Backend",
-    "SplitMix64",
-    "SuperChart",
-    "SuperFunction",
-    "SuperMorphism",
-    "SuperPoint",
-    "TruncatedPolyMap",
-    "bundle_exp",
-    "chart_transition_map",
-    "default_probes",
-    "eta_decompose",
-    "exp_pair",
-    "faa_di_bruno",
-    "hom_apply",
-    "hom_compose",
-    "lambda_point_map_of",
-    "lattice_points",
-    "local_detrivialize",
-    "local_trivialize",
-    "make_backend",
-    "mapping_chart",
-    "merge_sign",
-    "morphism_compose",
-    "order_bound_check",
-    "poly_compose",
-    "poly_eval",
-    "pushforward",
-    "pushforward_general",
-    "run_suite",
-    "sc_functor_action",
-    "sc_pair_to_point",
-    "sc_point_to_pair",
-    "sf_eval",
-    "sf_eval_naive",
-    "sf_substitute",
-    "supersmooth_check",
-    "taylor_coefficient",
-    "taylor_of",
-    "taylor_shift",
-    "top_order_cancellation",
-    "trunc_compose",
-    "trunc_mul",
-]

@@ -25,7 +25,10 @@ arithmetic only assumes a commutative coefficient ring with +, *, - and
 truthiness-as-nonzero, which is what lets superfunctions and the symbolic
 Lambda-point machinery reuse these classes with polynomial coefficients (and
 the float geometry backend with binary64 ones).  The wire form of a rational,
-shared by every JSON payload, is defined here too.
+shared by every JSON payload, is defined here too, and so is the package's one
+wire rule, `_wire`: a record (a dataclass, such as a Lambda-point, a hom or a
+verdict) is its fields by name, a field that is None left out, and each record
+class binds its `to_json` to that rule instead of restating its fields.
 
 `MonomialTable` builds the monomials eps^I omega^J of fixed even (nilpotent)
 and odd arguments once each, and `MonomialTable.contract` is the package's one
@@ -37,7 +40,7 @@ the odd arguments of its table, term by term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -201,6 +204,22 @@ def rational_to_json(c) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
+def _wire(value):
+    """The package's one JSON form of a value: its own to_json() where it has
+    one; a record (a dataclass) as its fields by name, in field order, leaving
+    out a field that is None; a list or a tuple item by item; a Fraction as
+    its str; anything else as it is.  A record class binds `to_json = _wire`,
+    so the rule, not a method restating the fields, writes it."""
+    if getattr(type(value), "to_json", _wire) is not _wire:
+        return value.to_json()
+    if is_dataclass(value):
+        return {f.name: _wire(v) for f in fields(value)
+                if (v := getattr(value, f.name)) is not None}
+    if isinstance(value, (list, tuple)):
+        return [_wire(v) for v in value]
+    return str(value) if isinstance(value, Fraction) else value
+
+
 def int_from_json(value) -> int:
     """Parse a wire integer, an int or the decimal string of one, inside
     `payload_errors`; a bool or a float is a SchemaError, never truncated."""
@@ -230,6 +249,23 @@ def float_from_json(value) -> float:
     if not math.isfinite(out):
         raise SchemaError(f"non-finite number {value!r}")
     return out
+
+
+def _sum_text(terms) -> str:
+    """A sum of (coefficient, monomial name) terms as text, in the order given:
+    a constant bare where the name is empty, a coefficient of 1 or -1 left
+    out, "+ -" written "- ", and an empty sum "0"."""
+    parts = []
+    for c, mono in terms:
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c} {mono}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 class GrassmannElement:
@@ -372,22 +408,9 @@ class GrassmannElement:
     # -- presentation ------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mask in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
-            c = self.terms[mask]
-            gens = " ".join(f"eta{i + 1}" for i in range(self.n) if mask >> i & 1)
-            if mask == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(gens)
-            elif c == -1:
-                parts.append(f"-{gens}")
-            else:
-                parts.append(f"{c} {gens}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return _sum_text((self.terms[m], " ".join(f"eta{i + 1}" for i in range(self.n)
+                                                  if m >> i & 1))
+                         for m in sorted(self.terms, key=lambda m: (m.bit_count(), m)))
 
     __repr__ = __str__
 
@@ -571,12 +594,7 @@ class GrassmannHom:
             _accumulate(out, self.table._odd(mask).terms.items(), c)
         return GrassmannElement._of(self.target, out)
 
-    def to_json(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "images": [im.to_json() for im in self.images],
-        }
+    to_json = _wire
 
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannHom":

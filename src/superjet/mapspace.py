@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionError, ParityError, payload_errors
-from .grassmann import GrassmannElement, GrassmannHom, _coerce, int_from_json, merge_sign
+from .grassmann import GrassmannElement, GrassmannHom, _coerce, _wire, int_from_json, merge_sign
 from .morphism import SuperMorphism, morphism_compose, pushforward
 from .polyalg import Polynomial, iter_multiindices
 from .superfun import SuperFunction, SuperPoint
@@ -244,11 +244,7 @@ class SmoothVerdict:
     checks: int
     witness: dict | None = None
 
-    def to_json(self) -> dict:
-        out = {"passed": self.passed, "checks": self.checks}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+    to_json = _wire
 
 
 def _jacobian(F: LambdaPointMap) -> list:

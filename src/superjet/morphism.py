@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DimensionError, ParityError, payload_errors
-from .grassmann import GrassmannElement, MonomialTable, int_from_json, merge_sign
+from .grassmann import GrassmannElement, MonomialTable, _wire, int_from_json, merge_sign
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -330,11 +330,7 @@ class OrderVerdict:
     trials: int
     witness: dict | None = None
 
-    def to_json(self) -> dict:
-        out = {"passed": self.passed, "k": self.k, "trials": self.trials}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+    to_json = _wire
 
 
 def order_bound_check(coef: EtaCoefficient, k: int, trials: int = 8,

@@ -23,6 +23,7 @@ from .grassmann import (
     _accumulate,
     _coerce,
     _nonzero,
+    _sum_text,
     int_from_json,
     rational_from_json,
     rational_to_json,
@@ -232,23 +233,9 @@ class Polynomial:
         return 0 if out is None else _coerce(out)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[e]
-            mono = " ".join(
-                f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c} {mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _sum_text((self.terms[e], " ".join(f"x{i}" if k == 1 else f"x{i}^{k}"
+                                                  for i, k in enumerate(e) if k))
+                         for e in sorted(self.terms, key=lambda e: (sum(e), e)))
 
     __repr__ = __str__
 

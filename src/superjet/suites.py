@@ -9,9 +9,10 @@ of the inputs alone, and no law draws.  Reports are plain dicts::
 
 with failures sorted by case id.  A failure's witness is the law's inputs in
 wire form plus the evidence the law returned; a law that raises is a failed
-law whose witness carries ``error``.  The wire form is a value's own
-``to_json()`` where it has one; a plain record (a dataclass without one, such
-as a shear chart or a bundle point) is its fields by name.  Wall time
+law whose witness carries ``error``.  The wire form is the package's one
+rule, `grassmann._wire`: a value's own ``to_json()`` where its format is not
+its fields, and a plain record (a dataclass such as a shear chart, a
+Lambda-point or a verdict) as its fields by name.  Wall time
 deliberately never enters the report body -- the CLI prints it to stderr --
 so reports stay byte-comparable across runs.
 
@@ -20,7 +21,6 @@ The random object generators at the top are shared with the test suite.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -34,7 +34,7 @@ from .geometry import (
     local_detrivialize,
     local_trivialize,
 )
-from .grassmann import GrassmannElement, GrassmannHom, _accumulate, hom_apply, hom_compose
+from .grassmann import GrassmannElement, GrassmannHom, _accumulate, _wire, hom_apply, hom_compose
 from .jetcalc import faa_di_bruno, taylor_of, trunc_compose, trunc_mul
 from .mapspace import (
     LambdaPointMap,
@@ -53,6 +53,7 @@ from .mapspace import (
 )
 from .morphism import (
     SuperMorphism,
+    _trial_plan,
     default_probes,
     eta_decompose,
     morphism_compose,
@@ -62,7 +63,6 @@ from .morphism import (
 from .polyalg import (
     Polynomial,
     iter_multiindices_upto,
-    lattice_points,
     mi_factorial,
     poly_compose,
     taylor_coefficient,
@@ -323,18 +323,6 @@ def jet_fd_defect(jet, fn) -> float:
 # report plumbing
 
 
-def _wire(value):
-    """JSON form of a law input or evidence: its own to_json() where it has one,
-    else a dataclass's fields by name, lists, and str of a Fraction."""
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    if dataclasses.is_dataclass(value):
-        return {f.name: _wire(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [_wire(v) for v in value]
-    return str(value) if isinstance(value, Fraction) else value
-
-
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -502,11 +490,10 @@ def law_sharp(phi, n_eta, index, seed):
     """The coefficient at index has order and bound 1, and the check finds both."""
     coef = next(c for c in eta_decompose(phi, n_eta) if c.index == index)
     at_one = order_bound_check(coef, 1, seed=seed)
-    # the order-0 search cycles through the probes and the body points; for the suite's
-    # phi the counts are coprime, so this many trials try every probe at every point
-    every_pair = (len(default_probes(*phi.target, 2))
-                  * len(lattice_points(phi.source[0], radius=1, den=2)))
-    at_zero = order_bound_check(coef, 0, trials=every_pair, seed=seed)
+    # the order-0 search cycles through its plan's body points and probes; for the
+    # suite's phi the counts are coprime, so this many trials try every probe at every point
+    lattice, probes, _ = _trial_plan(phi.source[0], *phi.target, 0, seed)
+    at_zero = order_bound_check(coef, 0, trials=len(lattice) * len(probes), seed=seed)
     return (coef.order() == 1 == coef.order_bound() and at_one.passed and not at_zero.passed,
             {"order": coef.order(), "order_bound": coef.order_bound(),
              "k1": at_one, "k0": at_zero})

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
-from .grassmann import GrassmannElement, MonomialTable, _nonzero, int_from_json
+from .grassmann import GrassmannElement, MonomialTable, _nonzero, _wire, int_from_json
 from .polyalg import (
     DEFAULT_DEGREE_BOUND,
     Polynomial,
@@ -268,12 +268,7 @@ class SuperPoint:
         by every `sf_eval` at this point."""
         return MonomialTable(self.nilpotent_even(), self.odd, GrassmannElement.one(self.n))
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "even": [c.to_json() for c in self.even],
-            "odd": [c.to_json() for c in self.odd],
-        }
+    to_json = _wire
 
     @classmethod
     def from_json(cls, data: dict) -> "SuperPoint":

@@ -1,11 +1,13 @@
 """Source hygiene: no module of the package imports a name it never uses or
 imports inside a function, no private function, method or class goes
 unreferenced in the package, only `jetcalc` calls `trunc_poly`, so jet
-truncation lives in one module, and only `grassmann` calls `_combination`, so
-a contraction is summed in `MonomialTable.contract` alone.  Every docstring
-example of the package runs as written.  No test module imports inside a function
-either: after a harness re-imports `superjet`, such an import returns the new
-modules, and a monkeypatch on them misses the code the test module bound.
+truncation lives in one module, only `grassmann` calls `_combination`, so a
+contraction is summed in `MonomialTable.contract` alone, and only `grassmann`
+calls `fields`, so a record's wire form is written by its one rule, `_wire`.
+Every docstring example of the package runs as written.  No test module
+imports inside a function either: after a harness re-imports `superjet`, such
+an import returns the new modules, and a monkeypatch on them misses the code
+the test module bound.
 
 `__init__` is exempt from the import check: it imports names to re-export them.
 """
@@ -155,6 +157,11 @@ def test_only_jetcalc_truncates():
 def test_only_grassmann_sums_a_contraction():
     assert callers({path.name: path.read_text(encoding="utf-8") for path in PACKAGE},
                    "_combination") == ["grassmann.py"]
+
+
+def test_only_grassmann_wires_a_record():
+    assert callers({path.name: path.read_text(encoding="utf-8") for path in PACKAGE},
+                   "fields") == ["grassmann.py"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=[path.stem for path in PACKAGE])

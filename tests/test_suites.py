@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,9 @@ from superjet import (
     BundleTangent,
     EtaCoefficient,
     GrassmannElement,
+    GrassmannHom,
+    MappingPoint,
+    OrderVerdict,
     Polynomial,
     SmoothVerdict,
     SplitMix64,
@@ -125,6 +129,10 @@ def test_evidence_that_names_an_input_fails_the_row(monkeypatch):
         "f": 1, "g": 2, "x0": [5], "k": [1, 2], "error": "evidence shadows the inputs ['k']"}
 
 
+ONE = {"subset": [], "num": "1", "den": "1"}
+ETA1 = {"subset": [1], "num": "1", "den": "1"}
+
+
 @pytest.mark.parametrize("record, wired", [
     (SuperChart(SuperMorphism.identity(1, 0), SuperMorphism.identity(0, 1)),
      {"to_model": {"source": [1, 0], "target": [1, 0], "even": [
@@ -141,18 +149,48 @@ def test_evidence_that_names_an_input_fails_the_row(monkeypatch):
      {"base": [0.0, 0.0, 1.0], "fibre": [[1.0, 0.0, 0.0]]}),
     (BundleTangent((0.0, 0.5, 0.0), ((0.25, 0.0, 0.0),)),
      {"horizontal": [0.0, 0.5, 0.0], "vertical": [[0.25, 0.0, 0.0]]}),
-], ids=["chart", "lambda-map", "bundle-point", "bundle-tangent"])
+    (SuperPoint(2, [GrassmannElement(2, {0: 1, 3: Fraction(-1, 2)})], []),
+     {"n": 2, "even": [{"n": 2, "terms": [
+         ONE, {"subset": [1, 2], "num": "-1", "den": "2"}]}], "odd": []}),
+    (GrassmannHom(1, 2, [GrassmannElement(2, {1: 1, 2: 3})]),
+     {"source": 1, "target": 2, "images": [{"n": 2, "terms": [
+         ETA1, {"subset": [2], "num": "3", "den": "1"}]}]}),
+    (SmoothVerdict(True, 3), {"passed": True, "checks": 3}),
+    (SmoothVerdict(False, 0, {"lambda_mask": 3, "output": [0, 0]}),
+     {"passed": False, "checks": 0, "witness": {"lambda_mask": 3, "output": [0, 0]}}),
+    (OrderVerdict(True, 1, 8), {"passed": True, "k": 1, "trials": 8}),
+    (OrderVerdict(False, 0, 4, {"x0": ["1/2"], "k": 0}),
+     {"passed": False, "k": 0, "trials": 4, "witness": {"x0": ["1/2"], "k": 0}}),
+], ids=["chart", "lambda-map", "bundle-point", "bundle-tangent", "point", "hom",
+        "smooth-passed", "smooth-failed", "order-passed", "order-failed"])
 def test_a_plain_record_wires_as_its_fields(record, wired):
-    assert not hasattr(record, "to_json")
+    # a record's to_json, where it has one, is the shared rule itself
+    assert getattr(type(record), "to_json", _wire) is _wire
     assert _wire(record) == wired
     assert list(_wire(record)) == list(wired)
 
 
+@dataclass
+class Note:
+    text: str
+    remark: str | None = None
+    count: int = 0
+    items: tuple = ()
+
+
 def test_a_value_with_its_own_wire_form_keeps_it():
-    point = SuperPoint(2, [GrassmannElement.one(2)], [])
-    assert _wire(point) == point.to_json()
-    # the field form would carry "witness": None
-    assert _wire(SmoothVerdict(True, 3)) == {"passed": True, "checks": 3}
+    # a field that is None is left out; every other falsy field stays
+    assert _wire(Note("a")) == {"text": "a", "count": 0, "items": []}
+    assert _wire([Note("b", "c", 2, (Fraction(1, 3),))]) == [
+        {"text": "b", "remark": "c", "count": 2, "items": ["1/3"]}]
+    # a morphism wires its pullbacks as "even" and "odd", and a mapping point
+    # as its morphism's form with its level added, not as their fields
+    phi = SuperMorphism.identity(1, 0)
+    assert list(_wire(phi)) == ["source", "target", "even", "odd"]
+    assert _wire(MappingPoint(0, phi)) == {
+        "source": [1, 0], "target": [1, 0], "even": [{"p": 1, "q": 0, "components": [
+            {"J": [], "poly": {"p": 1, "terms": [{"exp": [1], "num": "1", "den": "1"}]}}]}],
+        "odd": [], "n": 0}
 
 
 @pytest.mark.parametrize("seed", [0, 42])

@@ -10,6 +10,7 @@ from .errors import (
     DegreeBoundError,
     DimensionError,
     DomainError,
+    InputError,
     ParityError,
     SchemaError,
 )

@@ -7,7 +7,8 @@ keys sorted, two-space indent, trailing newline -- so reports for identical
 goes to stderr only.
 
 Exit codes: 0 success / all checks passed, 1 verification failures,
-2 usage or input errors (bad schema, parity, dimension, domain).
+2 usage errors and every `InputError` (bad schema, parity, dimension, domain,
+degree bound).
 """
 
 from __future__ import annotations
@@ -18,27 +19,12 @@ import math
 import sys
 import time
 
-from .errors import (
-    DegreeBoundError,
-    DimensionError,
-    DomainError,
-    ParityError,
-    SchemaError,
-)
+from .errors import DimensionError, DomainError, InputError, SchemaError
 from .geometry import Sphere2Backend
 from .grassmann import float_from_json
 from .morphism import SuperMorphism, eta_decompose, morphism_compose, pushforward
 from .suites import SUITES, run_suite
 from .superfun import SuperPoint
-
-INPUT_ERRORS = (
-    SchemaError,
-    ParityError,
-    DimensionError,
-    DomainError,
-    DegreeBoundError,
-)
-
 
 def _load(path: str) -> dict:
     """Read one JSON document, folding I/O, decoding and parse errors into SchemaError."""
@@ -229,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,23 +1,29 @@
-"""Shared exception types, and the one policy that folds payload errors into SchemaError."""
+"""Shared exception types.  Every one is an `InputError`, the one type the CLI
+maps to exit 2, and `payload_errors` folds every other payload error into a
+SchemaError."""
 
 
-class DimensionError(ValueError):
+class InputError(ValueError):
+    """The input cannot be worked on; the CLI exits 2 with one line."""
+
+
+class DimensionError(InputError):
     """Operands live over different generator counts / variable counts."""
 
 
-class ParityError(ValueError):
+class ParityError(InputError):
     """An element violates a required even/odd parity constraint."""
 
 
-class DegreeBoundError(ValueError):
+class DegreeBoundError(InputError):
     """An expanded composition would exceed the configured total-degree bound."""
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """A geometric operation was requested outside its domain (e.g. antipodal log)."""
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """A JSON payload does not match the documented schema."""
 
 
@@ -25,16 +31,14 @@ class payload_errors:
     """``with payload_errors(kind):`` reports a missing key or bad value met
     while parsing a `kind` payload as ``SchemaError("bad <kind> payload: ...")``.
 
-    A SchemaError raised inside the block passes through unchanged, and so
+    An InputError raised inside the block passes through unchanged, and so
     does every exception other than KeyError, TypeError, ValueError and
-    OverflowError (JSON's Infinity overflows int()).  Each from_json checks the
-    shape of what it parsed (generator counts, exponent lengths, parities)
-    after this block, so those DimensionErrors and ParityErrors keep their
-    type.  A container payload likewise only takes its nested lists in the
-    block, through `nested`, and parses their items after it, so a nested
-    shape error reads as it does when that payload is parsed alone.  A list
-    of integers (a subset, an exponent, an odd multi-index) is taken through
-    `nested` too, so a string in its place is refused rather than iterated.
+    OverflowError (JSON's Infinity overflows int()).  So each from_json parses
+    its nested payloads and checks shapes (generator counts, exponent lengths,
+    parities) inside its block, and a nested shape error reads as it does when
+    that payload is parsed alone.  Nested lists are taken through `nested`,
+    and so is a list of integers (a subset, an exponent, an odd multi-index),
+    so a string in its place is refused rather than iterated.
     A plain class rather than a generator context manager: parsers open one
     block per payload node, and this costs two method calls each.
     """
@@ -54,7 +58,7 @@ class payload_errors:
         return value
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is None or issubclass(exc_type, SchemaError):
+        if exc_type is None or issubclass(exc_type, InputError):
             return False
         if issubclass(exc_type, (KeyError, TypeError, ValueError, OverflowError)):
             raise SchemaError(f"bad {self.kind} payload: {exc}") from exc

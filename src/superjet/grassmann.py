@@ -463,8 +463,8 @@ class GrassmannElement:
                 if mask in terms:
                     raise SchemaError("repeated subset")
                 terms[mask] = c
-        # every mask is below 2^n and every coefficient canonical; zeros are dropped
-        return cls._of(cls._generator_count(n), _nonzero(terms))
+            # every mask is below 2^n and every coefficient canonical; zeros are dropped
+            return cls._of(cls._generator_count(n), _nonzero(terms))
 
 
 class MonomialTable:
@@ -599,10 +599,8 @@ class GrassmannHom:
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannHom":
         with payload_errors("GrassmannHom") as wire:
-            source = int_from_json(data["source"])
-            target = int_from_json(data["target"])
-            images = wire.nested(data["images"])
-        return cls(source, target, [GrassmannElement.from_json(d) for d in images])
+            return cls(int_from_json(data["source"]), int_from_json(data["target"]),
+                       [GrassmannElement.from_json(d) for d in wire.nested(data["images"])])
 
 
 def hom_apply(rho: GrassmannHom, a: GrassmannElement) -> GrassmannElement:

@@ -78,8 +78,7 @@ class MappingPoint:
     @classmethod
     def from_json(cls, data: dict) -> "MappingPoint":
         with payload_errors("MappingPoint"):
-            n = int_from_json(data["n"])
-        return cls(n, SuperMorphism.from_json(data))
+            return cls(int_from_json(data["n"]), SuperMorphism.from_json(data))
 
 
 def sc_point_to_pair(point: MappingPoint):
@@ -92,22 +91,18 @@ def sc_point_to_pair(point: MappingPoint):
     return phi.bodies, [sf.nilpotent_part() for sf in phi.even_pb], list(phi.odd_pb)
 
 
-def sc_pair_to_point(n: int, body, even_sections, odd_sections) -> MappingPoint:
-    """Inverse of sc_point_to_pair."""
+def sc_pair_to_point(n: int, source, body, even_sections, odd_sections) -> MappingPoint:
+    """Inverse of sc_point_to_pair, for the morphism's source R^{p|qs}."""
     body = list(body)
     even_sections = list(even_sections)
     odd_sections = list(odd_sections)
-    if not even_sections and not odd_sections:
-        raise DimensionError("cannot infer dimensions from empty section data")
     if len(body) != len(even_sections):
         raise DimensionError("one body polynomial per even target direction required")
-    probe = (even_sections + odd_sections)[0]
-    p, qs = probe.p, probe.q
-    even_pb = [SuperFunction.from_poly(b, qs) + s for b, s in zip(body, even_sections)]
+    even_pb = [SuperFunction.from_poly(b, source[1]) + s for b, s in zip(body, even_sections)]
     for s in even_sections:
         if s.components.get(0):
             raise ParityError("even section must be nilpotent (no theta-free part)")
-    morphism = SuperMorphism((p, qs), (len(body), len(odd_sections)), even_pb, odd_sections)
+    morphism = SuperMorphism(source, (len(body), len(odd_sections)), even_pb, odd_sections)
     return MappingPoint(n, morphism)
 
 

@@ -120,11 +120,10 @@ class SuperMorphism:
     @classmethod
     def from_json(cls, data: dict) -> "SuperMorphism":
         with payload_errors("SuperMorphism") as wire:
-            source = [int_from_json(v) for v in data["source"]]
-            target = [int_from_json(v) for v in data["target"]]
-            even, odd = wire.nested(data["even"]), wire.nested(data["odd"])
-        return cls(source, target, [SuperFunction.from_json(d) for d in even],
-                   [SuperFunction.from_json(d) for d in odd])
+            return cls([int_from_json(v) for v in data["source"]],
+                       [int_from_json(v) for v in data["target"]],
+                       [SuperFunction.from_json(d) for d in wire.nested(data["even"])],
+                       [SuperFunction.from_json(d) for d in wire.nested(data["odd"])])
 
 
 def morphism_compose(psi: SuperMorphism, phi: SuperMorphism,

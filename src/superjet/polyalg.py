@@ -252,16 +252,15 @@ class Polynomial:
             for item in data["terms"]:
                 e = tuple([v if type(v) is int else int_from_json(v)
                            for v in wire.nested(item["exp"])])
+                _check_exponent(e, p)
                 if e in terms:
                     raise SchemaError("repeated exponent")
                 terms[e] = rational_from_json(item)
-        for e in terms:
-            _check_exponent(e, p)
-        return cls._of(p, _nonzero(terms))
+            return cls._of(p, _nonzero(terms))
 
 
-def poly_eval(f: Polynomial, args) -> GrassmannElement:
-    """Substitute even Grassmann elements and expand exactly.
+def poly_eval(f: Polynomial, args, n: int) -> GrassmannElement:
+    """Substitute even elements of Lambda_n and expand exactly.
 
     This is the brute-force evaluation the truncated-Taylor route is checked
     against: nilpotency makes every power series finite, so plain substitution
@@ -269,10 +268,9 @@ def poly_eval(f: Polynomial, args) -> GrassmannElement:
     """
     if len(args) != f.p:
         raise DimensionError(f"{len(args)} arguments for {f.p} variables")
-    n = args[0].n if args else 0
     for a in args:
         if a.n != n:
-            raise DimensionError("arguments live over different generator counts")
+            raise DimensionError(f"argument in Lambda_{a.n}, expected Lambda_{n}")
         if not a.is_even():
             raise ParityError("poly_eval arguments must be even")
     out = GrassmannElement.zero(n)

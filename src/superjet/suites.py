@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionError
 from .geometry import (
     BundlePoint,
     BundleTangent,
@@ -602,11 +601,7 @@ def law_bundle(a, xi):
 
 
 def law_pair(point):
-    body, ev, od = sc_point_to_pair(point)
-    try:
-        return sc_pair_to_point(point.n, body, ev, od) == point
-    except DimensionError:
-        return not od and not ev
+    return sc_pair_to_point(point.n, point.morphism.source, *sc_point_to_pair(point)) == point
 
 
 def law_functident(point):

@@ -217,12 +217,11 @@ class SuperFunction:
                 mask = sum(map(operator.lshift, J, range(q)))   # J[b] << b is bit b
                 if mask in polys:
                     raise SchemaError("repeated odd multi-index")
-                polys[mask] = item["poly"]
-        comps = {mask: Polynomial.from_json(d) for mask, d in polys.items()}
-        _check_components(comps, p)
-        # each mask has q bits, and each Polynomial is already checked
-        q = GrassmannElement._generator_count(q)
-        return cls._of(p, GrassmannElement._of(q, _nonzero(comps)))
+                polys[mask] = Polynomial.from_json(item["poly"])
+            _check_components(polys, p)
+            # each mask has q bits, and each Polynomial is already checked
+            return cls._of(p, GrassmannElement._of(GrassmannElement._generator_count(q),
+                                                   _nonzero(polys)))
 
 
 @dataclass(frozen=True)
@@ -273,10 +272,9 @@ class SuperPoint:
     @classmethod
     def from_json(cls, data: dict) -> "SuperPoint":
         with payload_errors("SuperPoint") as wire:
-            n = int_from_json(data["n"])
-            even, odd = wire.nested(data["even"]), wire.nested(data["odd"])
-        return cls(n, [GrassmannElement.from_json(d) for d in even],
-                   [GrassmannElement.from_json(d) for d in odd])
+            return cls(int_from_json(data["n"]),
+                       [GrassmannElement.from_json(d) for d in wire.nested(data["even"])],
+                       [GrassmannElement.from_json(d) for d in wire.nested(data["odd"])])
 
 
 def _contract(comps: dict, bodies, table: MonomialTable, degree_bound) -> dict:
@@ -316,7 +314,7 @@ def sf_eval_naive(sigma: SuperFunction, nu: SuperPoint) -> GrassmannElement:
     n = nu.n
     out = GrassmannElement.zero(n)
     for mask, poly in sigma.components.items():
-        term = poly_eval(poly, nu.even)
+        term = poly_eval(poly, nu.even, n)
         m = mask
         while m:
             low = m & -m

@@ -204,7 +204,7 @@ def test_mapping_space_charts_and_functor_laws():
         point = MappingPoint(
             n, random_morphism(rng, (p, q), (rng.randint(1, 2), rng.randint(0, 2))))
         body, ev, od = sc_point_to_pair(point)
-        assert sc_pair_to_point(n, body, ev, od) == point
+        assert sc_pair_to_point(n, point.morphism.source, body, ev, od) == point
 
     for _ in range(25):
         p, q = rng.randint(1, 2), rng.randint(0, 1)

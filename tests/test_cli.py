@@ -390,6 +390,15 @@ def test_chart_roundtrip_through_files(tmp_path, capsys):
             assert abs(a.terms.get(mask, 0.0) - b.terms.get(mask, 0.0)) < 1e-9
 
 
+def test_chart_reads_its_base_from_a_file(tmp_path, capsys, chart_point):
+    inline = run(capsys, "chart", chart_point, "--base", "[0,0,1]", "--inverse")
+    assert inline[0] == 0
+    base = write(tmp_path / "b.json", {"base": [0, 0, 1]})
+    assert run(capsys, "chart", chart_point, "--base", base, "--inverse") == inline
+    short = write(tmp_path / "short.json", {"base": [0, 0]})
+    assert_one_line_input_error(run(capsys, "chart", chart_point, "--base", short, "--inverse"))
+
+
 def test_chart_rejects_nonunit_base(capsys, tmp_path):
     xi = SuperPoint(1, [GrassmannElement(1, {0: 0.1})] * 3, [])
     src = write(tmp_path / "xi.json", xi.to_json())

@@ -119,9 +119,16 @@ def test_pair_encoding_roundtrip():
     for _ in range(20):
         point = random_mapping_point(rng, rng.randint(0, 3))
         body, even_sections, odd_sections = sc_point_to_pair(point)
-        back = sc_pair_to_point(point.n, body, even_sections, odd_sections)
+        back = sc_pair_to_point(point.n, point.morphism.source, body, even_sections,
+                                odd_sections)
         assert back.n == point.n
         assert back.morphism == point.morphism
+
+
+def test_pair_encoding_roundtrips_a_map_into_a_point():
+    # R^{0|0} has no directions, so no section carries the source
+    point = MappingPoint(1, SuperMorphism((1, 1), (0, 0), [], []))
+    assert sc_pair_to_point(1, (1, 1), *sc_point_to_pair(point)) == point
 
 
 def test_functor_action_identity_law():
@@ -504,11 +511,11 @@ def test_cancellation_laws_fail_with_replayable_witnesses(monkeypatch):
 
 def test_pair_law_lets_unexpected_errors_through(monkeypatch):
     def broken(*args):
-        raise ValueError("not a missing-section error")
+        raise ValueError("raised by the round trip")
 
     monkeypatch.setattr(suites, "sc_pair_to_point", broken)
     report = suites.run_suite("mapspace", 0, 1)
-    # the error is not taken for a missing section: the pair case fails with it
+    # the pair case fails with the error, which no law takes for a pass
     pair = [f for f in report["failures"] if f["id"].startswith("mapspace/pair-")]
-    assert [f["witness"]["error"] for f in pair] == ["ValueError: not a missing-section error"]
+    assert [f["witness"]["error"] for f in pair] == ["ValueError: raised by the round trip"]
     assert report["failed"] == 1

@@ -2,8 +2,8 @@
 
 Each example starts from a valid payload of one wire type and damages it at
 one node (replaces the node by an arbitrary JSON value, or drops a key or a
-list item); the loader must then return an object or raise one of the errors
-the CLI maps to exit 2, never anything else.
+list item); the loader must then return an object or raise an InputError,
+which the CLI maps to exit 2, never anything else.
 """
 
 import json
@@ -17,6 +17,7 @@ from superjet import (
     DimensionError,
     GrassmannElement,
     GrassmannHom,
+    InputError,
     MappingPoint,
     ParityError,
     Polynomial,
@@ -25,7 +26,6 @@ from superjet import (
     SuperMorphism,
     SuperPoint,
 )
-from superjet.cli import INPUT_ERRORS
 from superjet.errors import payload_errors
 from superjet.grassmann import MAX_GENERATORS
 
@@ -95,7 +95,7 @@ def test_every_damaged_payload_loads_or_is_an_input_error(data):
     bad = data.draw(damaged(payload))
     try:
         cls.from_json(bad)
-    except INPUT_ERRORS:
+    except InputError:
         pass
 
 
@@ -251,7 +251,7 @@ def test_every_wire_type_reads_back_what_it_wrote(x):
 
 
 @pytest.mark.parametrize("exc", [KeyError("n"), TypeError("t"), ValueError("v"),
-                                 OverflowError("o"), DimensionError("raised inside")])
+                                 OverflowError("o")])
 def test_a_malformed_value_is_a_schema_error_naming_the_payload(exc):
     with pytest.raises(SchemaError) as info:
         with payload_errors("Thing"):
@@ -261,7 +261,8 @@ def test_a_malformed_value_is_a_schema_error_naming_the_payload(exc):
 
 
 def test_a_schema_error_and_other_errors_pass_through_unchanged():
-    for exc in (SchemaError("as raised"), ZeroDivisionError("kept")):
+    for exc in (SchemaError("as raised"), DimensionError("raised inside"),
+                ZeroDivisionError("kept")):
         with pytest.raises(type(exc)) as info:
             with payload_errors("Thing"):
                 raise exc
@@ -290,8 +291,8 @@ BAD_MORPHISM = {"source": [1, 0], "target": [1, 0], "even": [BAD_COMPONENT], "od
     (MappingPoint, dict(BAD_MORPHISM, n=0), DimensionError),
 ])
 def test_a_well_formed_payload_of_the_wrong_shape_keeps_its_error_type(cls, payload, error):
-    # these are raised after the payload_errors block, so they are not SchemaErrors;
-    # a container parses its nested payloads after its own block too
+    # an InputError passes through the payload_errors block, so these are not
+    # SchemaErrors, and one payload down they pass through the container's block too
     with pytest.raises(error) as info:
         cls.from_json(payload)
     assert not isinstance(info.value, SchemaError)

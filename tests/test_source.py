@@ -4,6 +4,9 @@ unreferenced in the package, only `jetcalc` calls `trunc_poly`, so jet
 truncation lives in one module, only `grassmann` calls `_combination`, so a
 contraction is summed in `MonomialTable.contract` alone, and only `grassmann`
 calls `fields`, so a record's wire form is written by its one rule, `_wire`.
+Every exception class of `errors` is an `InputError`, the one type the CLI
+maps to exit 2, and every `from_json` returns from inside its
+`payload_errors` block, so no parser depends on which errors the block folds.
 Every docstring example of the package runs as written.  No test module
 imports inside a function either: after a harness re-imports `superjet`, such
 an import returns the new modules, and a monkeypatch on them misses the code
@@ -15,11 +18,13 @@ the test module bound.
 import ast
 import doctest
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import superjet
+from superjet import errors
 
 PACKAGE = sorted(Path(superjet.__file__).parent.glob("*.py"))
 MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
@@ -162,6 +167,48 @@ def test_only_grassmann_sums_a_contraction():
 def test_only_grassmann_wires_a_record():
     assert callers({path.name: path.read_text(encoding="utf-8") for path in PACKAGE},
                    "fields") == ["grassmann.py"]
+
+
+def test_every_error_is_an_input_error():
+    raised = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+              if issubclass(cls, BaseException) and cls.__module__ == errors.__name__]
+    assert len(raised) > 1
+    assert [cls for cls in raised if not issubclass(cls, errors.InputError)] == []
+
+
+def parsers_outside_their_block(source: str) -> list:
+    """(line, class) of each from_json in source whose body does not end in a
+    `with payload_errors(...)` block that itself ends in a return."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for method in node.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name == "from_json"):
+                continue
+            last = method.body[-1]
+            if not (isinstance(last, ast.With)
+                    and any(getattr(item.context_expr.func, "id", None) == "payload_errors"
+                            for item in last.items if isinstance(item.context_expr, ast.Call))
+                    and isinstance(last.body[-1], ast.Return)):
+                found.append((method.lineno, node.name))
+    return found
+
+
+def test_the_check_sees_a_parser_outside_its_block():
+    source = ("class A:\n    def from_json(cls, d):\n        with payload_errors(\"A\"):\n"
+              "            return cls(d[\"n\"])\n\n"
+              "class B:\n    def from_json(cls, d):\n        with payload_errors(\"B\"):\n"
+              "            n = d[\"n\"]\n        return cls(n)\n\n"
+              "class C:\n    def from_json(cls, d):\n        with open(d):\n"
+              "            return cls()\n")
+    assert parsers_outside_their_block(source) == [(7, "B"), (13, "C")]
+
+
+def test_every_parser_returns_from_inside_its_block():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert any("def from_json" in source for source in sources)
+    assert [found for source in sources for found in parsers_outside_their_block(source)] == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=[path.stem for path in PACKAGE])

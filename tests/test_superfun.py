@@ -23,6 +23,7 @@ from superjet.polyalg import (
     poly_compose,
     taylor_shift,
 )
+from superjet.suites import law_oracle
 
 from conftest import (
     fingerprint,
@@ -39,6 +40,12 @@ from conftest import (
 @given(superfunctions(p=1, q=2), superpoints(n=3, p=1, q=2))
 def test_taylor_evaluation_matches_expand_oracle(sigma, nu):
     assert sf_eval(sigma, nu) == sf_eval_naive(sigma, nu)
+
+
+@given(superfunctions(p=0, q=2), superpoints(n=3, p=0, q=2))
+def test_the_oracle_law_holds_on_a_point_with_no_even_coordinates(sigma, nu):
+    # no even coordinate carries the generator count; the point does
+    assert law_oracle(sigma, nu)
 
 
 @given(superfunctions(p=2, q=1), superfunctions(p=2, q=1), superpoints(n=2, p=2, q=1))

@@ -250,8 +250,9 @@ def test_every_wire_type_reads_back_what_it_wrote(x):
 # -- payload_errors: which errors become SchemaErrors -------------------------
 
 
+# UnicodeError is a ValueError that is not an InputError, so it is folded
 @pytest.mark.parametrize("exc", [KeyError("n"), TypeError("t"), ValueError("v"),
-                                 OverflowError("o")])
+                                 OverflowError("o"), UnicodeError("u")])
 def test_a_malformed_value_is_a_schema_error_naming_the_payload(exc):
     with pytest.raises(SchemaError) as info:
         with payload_errors("Thing"):

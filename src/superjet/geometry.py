@@ -135,7 +135,7 @@ def _profiles(x: GrassmannElement, *series) -> list:
     body, nil, _ = x.split()
     k = x.n // 2
     polys = tuple(_profile_jet(coeffs(body, k), body, k).polys[0] for coeffs in series)
-    return exp_pair(TruncatedPolyMap(k, (body,), polys), [nil])
+    return exp_pair(TruncatedPolyMap(k, (body,), polys), [nil], x.n)
 
 
 def _transport(fibres, b, y, f_x, inv) -> list:

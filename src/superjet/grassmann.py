@@ -13,7 +13,11 @@ Coefficients are exact rationals by default, each in one canonical form: a
 plain int when its denominator is 1, a `fractions.Fraction` with denominator
 above 1 otherwise.  `_coerce` canonicalizes what enters and `_accumulate` what
 a sum stores.  One product loop, `_product_terms`, serves every coefficient
-ring, and `merge_sign` gives the sign of each pair of terms it keeps.  When
+ring, and `merge_sign` gives the sign of each pair of terms it keeps: it reads
+the parity prefix of a mask below 2^TABLE_BITS (2^12) from a table built once
+at import and computes it by shift-xors above, and it is still called once per
+surviving pair, so every product sign has that one source.  `to_json` joins
+the subset of a mask in the same range from two tables of half-masks.  When
 both operands' coefficients are all ints and Fractions they enter that loop as
 int numerators over the lcm of each operand's denominators, and each output
 coefficient is reduced once, so Fraction's gcds are paid per output term, not
@@ -40,6 +44,7 @@ the odd arguments of its table, term by term.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,21 +52,61 @@ from functools import cached_property
 from .errors import DimensionError, ParityError, SchemaError, payload_errors
 
 MAX_GENERATORS = 62
+TABLE_BITS = 12    # masks below 2^TABLE_BITS read their sign prefix and subset from tables
+_TABLE_END = 1 << TABLE_BITS
+
+
+def _sign_prefix_table() -> array:
+    """Entry a holds in bit j the parity of a's bits above j, for every a below
+    _TABLE_END; built by doubling, since setting a new top bit k flips bits
+    0..k-1 of the prefix.  An array("H") holds it in 8 KiB, without one int
+    object per entry."""
+    table = array("H", [0])
+    for k in range(TABLE_BITS):
+        table.extend([x ^ ((1 << k) - 1) for x in table])
+    return table
+
+
+_SIGN_PREFIX = _sign_prefix_table()
+
+
+def _subset_of(mask: int) -> list:
+    """The 1-based indices of mask's generators, ascending."""
+    subset = []
+    while mask:
+        low = mask & -mask
+        subset.append(low.bit_length())
+        mask ^= low
+    return subset
+
+
+# The subsets of the low and of the high TABLE_BITS // 2 bits of a mask below
+# _TABLE_END, as tuples: 2 * 64 small tuples, built once.
+_HALF = TABLE_BITS // 2
+_LOW_HALF = (1 << _HALF) - 1
+_LOW_SUBSETS = tuple(tuple(_subset_of(m)) for m in range(1 << _HALF))
+_HIGH_SUBSETS = tuple(tuple(i + _HALF for i in low) for low in _LOW_SUBSETS)
 
 
 def merge_sign(a: int, b: int) -> int:
     """Sign of concatenating ascending monomials with masks a and b (disjoint).
 
-    The six shift-xors leave in bit j of x the parity of a's bits above j, so
-    popcount(b & x) counts the inversions (i in a, j in b, i > j) mod 2.
+    x holds in bit j the parity of a's bits above j, read from _SIGN_PREFIX
+    for a below 2^TABLE_BITS and left by six shift-xors above it, so
+    popcount(b & x) counts the inversions (i in a, j in b, i > j) mod 2.  Every
+    product sign comes from a call of this function, so the sign has one
+    source.
     """
-    x = a >> 1
-    x ^= x >> 1
-    x ^= x >> 2
-    x ^= x >> 4
-    x ^= x >> 8
-    x ^= x >> 16
-    x ^= x >> 32
+    if a < _TABLE_END:
+        x = _SIGN_PREFIX[a]
+    else:
+        x = a >> 1
+        x ^= x >> 1
+        x ^= x >> 2
+        x ^= x >> 4
+        x ^= x >> 8
+        x ^= x >> 16
+        x ^= x >> 32
     return -1 if (b & x).bit_count() & 1 else 1
 
 
@@ -417,15 +462,18 @@ class GrassmannElement:
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:
+        """{"n", "terms"}: one item per term in ascending mask order, its
+        "subset" a fresh list of 1-based generators, joined from the tables of
+        its two halves for a mask below 2^TABLE_BITS, and its rational or float
+        wire form."""
         items = []
         terms = self.terms
         for mask in sorted(terms):
             c = terms[mask]
-            subset = []
-            while mask:
-                low = mask & -mask
-                subset.append(low.bit_length())
-                mask ^= low
+            if mask < _TABLE_END:
+                subset = [*_LOW_SUBSETS[mask & _LOW_HALF], *_HIGH_SUBSETS[mask >> _HALF]]
+            else:
+                subset = _subset_of(mask)
             kind = type(c)
             if kind is int:
                 items.append({"subset": subset, "num": str(c), "den": "1"})

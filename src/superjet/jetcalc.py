@@ -148,23 +148,21 @@ def faa_di_bruno(b, phi, x0, m: int) -> dict:
 # Grassmann contraction
 
 
-def exp_pair(data: TruncatedPolyMap, even_args):
-    """Evaluate jet data on Grassmann arguments.
+def exp_pair(data: TruncatedPolyMap, even_args, n: int):
+    """Evaluate jet data on Grassmann arguments in Lambda_n.
 
-    even_args fill the jet's variables: even elements, nilpotent in the
-    increment reading.  Returns one GrassmannElement per target component:
-    each increment polynomial at eps, sum_I c_I * eps^I over |I| <= k, one
-    `MonomialTable.contract` on a table of even_args.
+    even_args fill the jet's variables: even elements of Lambda_n, nilpotent
+    in the increment reading.  Returns one GrassmannElement per target
+    component: each increment polynomial at eps, sum_I c_I * eps^I over
+    |I| <= k, one `MonomialTable.contract` on a table of even_args.  The
+    caller gives n, so a jet of zero variables evaluates to its constants.
     """
     even_args = list(even_args)
     if len(even_args) != data.m:
         raise DimensionError(f"expected {data.m} even arguments, got {len(even_args)}")
-    if not even_args:
-        raise DimensionError("cannot infer generator count from empty arguments")
-    n = even_args[0].n
     for a in even_args:
         if a.n != n:
-            raise DimensionError("mixed generator counts in arguments")
+            raise DimensionError(f"mixed generator counts {a.n} and {n}")
         if not a.is_even():
             raise ParityError("even slot received a non-even element")
 

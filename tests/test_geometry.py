@@ -250,7 +250,7 @@ def test_superchart_matches_the_jet_oracle(inverse, body):
     else:
         got = sphere.superchart_pointwise(f_x, mu)
         jet = sphere.log_jet(f_x, body, 2)
-    want = exp_pair(jet, [c.split()[1] for c in mu.even])
+    want = exp_pair(jet, [c.split()[1] for c in mu.even], mu.n)
     for a, b in zip(got.even, want):
         for m in set(a.terms) | set(b.terms):
             assert a.terms.get(m, 0.0) == pytest.approx(b.terms.get(m, 0.0), abs=1e-12)

@@ -35,9 +35,23 @@ masks = st.integers(min_value=0, max_value=(1 << grassmann.MAX_GENERATORS) - 1)
 
 @given(masks, masks)
 @example(1 << (grassmann.MAX_GENERATORS - 1), 1)
+# the last mask of the sign table, the first above it, and the widest mask
+@example((1 << grassmann.TABLE_BITS) - 1, 1 << grassmann.TABLE_BITS)
+@example(1 << grassmann.TABLE_BITS, (1 << grassmann.TABLE_BITS) - 1)
+@example((1 << grassmann.MAX_GENERATORS) - 1, 0)
+@example((1 << grassmann.MAX_GENERATORS) - 2, 1)
 def test_merge_sign_matches_inversion_count(a, b):
     b &= ~a     # a shared generator kills the product, so only disjoint masks have a sign
     assert merge_sign(a, b) == brute_merge_sign(a, b)
+
+
+def test_merge_sign_matches_inversion_count_on_every_table_mask():
+    # a sign is a product over b's bits, so single generators b pin every entry
+    for a in range(1 << grassmann.TABLE_BITS):
+        for j in range(grassmann.TABLE_BITS + 1):
+            b = 1 << j
+            if not a & b:
+                assert merge_sign(a, b) == brute_merge_sign(a, b), (a, b)
 
 
 def gens_of(mask: int) -> tuple:
@@ -180,6 +194,23 @@ def test_generator_product_example():
 @given(grassmann_elements())
 def test_json_roundtrip(x):
     assert GrassmannElement.from_json(x.to_json()) == x
+
+
+def test_json_roundtrip_on_both_sides_of_the_subset_tables():
+    top = grassmann.TABLE_BITS + 1
+    masks = [0, 0b101, (1 << grassmann.TABLE_BITS) - 1, 1 << grassmann.TABLE_BITS,
+             (1 << top) - 2, (1 << top) - 1]
+    x = GrassmannElement(top, {m: Fraction(i + 1, 3) for i, m in enumerate(masks)})
+    wire = x.to_json()
+    assert [item["subset"] for item in wire["terms"]] == [
+        [], [1, 3], list(range(1, top)), [top], list(range(2, top + 1)), list(range(1, top + 1))]
+    assert GrassmannElement.from_json(wire) == x
+
+
+def test_json_subsets_are_fresh_lists():
+    x = GrassmannElement(3, {0b101: 1})
+    x.to_json()["terms"][0]["subset"].append(2)
+    assert x.to_json()["terms"][0]["subset"] == [1, 3]
 
 
 def test_json_roundtrip_float_coefficients():

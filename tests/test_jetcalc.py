@@ -244,7 +244,7 @@ def test_exp_pair_evaluates_on_nilpotents():
         nil = GrassmannElement(3, {3: Fraction(1, 2), 5: Fraction(rng.randint(-2, 2))})
         jet = taylor_of([f], [x0], 3)
         direct = poly_eval(f, [GrassmannElement.scalar(3, x0) + nil], 3)
-        (via_jet,) = exp_pair(jet, [nil])
+        (via_jet,) = exp_pair(jet, [nil], 3)
         assert via_jet == direct
 
 
@@ -252,13 +252,18 @@ def test_exp_pair_checks_parities():
     jet = taylor_of([Polynomial.variable(1, 0)], [Fraction(0)], 1)
     odd = GrassmannElement.gen(2, 1)
     with pytest.raises(ParityError):
-        exp_pair(jet, [odd])
-    # the generator count is read off the arguments, so there must be one to read
-    with pytest.raises(DimensionError, match="cannot infer"):
-        exp_pair(taylor_of([], [], 1), [])
+        exp_pair(jet, [odd], 2)
     plane = taylor_of([Polynomial.variable(2, 0)], [Fraction(0)] * 2, 1)
     with pytest.raises(DimensionError, match="mixed generator counts"):
-        exp_pair(plane, [GrassmannElement.zero(2), GrassmannElement.zero(4)])
+        exp_pair(plane, [GrassmannElement.zero(2), GrassmannElement.zero(4)], 2)
+
+
+def test_exp_pair_of_a_jet_of_zero_variables_is_its_constants():
+    # the caller gives the generator count, so no argument is needed to read it off
+    constants = [Polynomial.constant(0, 5), Polynomial.constant(0, Fraction(-2, 3))]
+    assert exp_pair(taylor_of(constants, [], 2), [], 3) == [
+        GrassmannElement.scalar(3, 5), GrassmannElement.scalar(3, Fraction(-2, 3))]
+    assert exp_pair(taylor_of([], [], 1), [], 0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +324,7 @@ def test_exp_pair_on_multivariate_rational_jets_is_polynomial_evaluation(m, data
     eps = [GrassmannElement(n, {mask: c for mask, c in g.terms.items() if mask})
            for g in (data.draw(grassmann_elements(n=n, parity=0)) for _ in range(m))]
     jet = taylor_of(phis, x0, k)
-    assert exp_pair(jet, eps) == [poly_eval(f, eps, n) for f in jet.polys]
+    assert exp_pair(jet, eps, n) == [poly_eval(f, eps, n) for f in jet.polys]
 
 
 def _count_products(monkeypatch):

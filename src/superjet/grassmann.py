@@ -37,8 +37,10 @@ class binds its `to_json` to that rule instead of restating its fields.
 `MonomialTable` builds the monomials eps^I omega^J of fixed even (nilpotent)
 and odd arguments once each, and `MonomialTable.contract` is the package's one
 truncated-Taylor contraction: `superfun` evaluates and pulls back through it,
-and `jetcalc` evaluates jets.  `GrassmannHom` substitutes its generator images,
-the odd arguments of its table, term by term.
+and `jetcalc` evaluates jets on Grassmann arguments and composes jets, the
+latter with the inner jet's increments as eps in the ring of order-k jets.
+`GrassmannHom` substitutes its generator images, the odd arguments of its
+table, term by term.
 """
 
 from __future__ import annotations
@@ -401,8 +403,6 @@ class GrassmannElement:
 
     def scale(self, c) -> "GrassmannElement":
         c = _coerce(c)
-        if not c:
-            return GrassmannElement.zero(self.n)
         # a float product can underflow to 0.0, so zeros are still dropped
         return GrassmannElement._of(self.n, {m: _coerce(w) for m, v in self.terms.items()
                                              if (w := c * v)})
@@ -519,12 +519,14 @@ class MonomialTable:
     """The surviving monomials eps^I omega^J of fixed Grassmann arguments.
 
     eps are the even (nilpotent) arguments and omega the odd ones, all in one
-    Grassmann algebra over any coefficient ring; `one` is its unit.  A table
+    ring with unit `one`: a Grassmann algebra over any coefficient ring, or,
+    for `jetcalc.trunc_compose`, the ring of order-k jets.  A table
     memoizes, for its lifetime, the powers eps_i^e, each eps^I and each
     ascending odd monomial omega^J, so every coordinate contracted against the
     same arguments shares them.  No product takes the unit as an operand, and
     a vanishing factor ends every extension of it without a product.
-    `contract` is the walk that sums a contraction against them;
+    `contract` is the walk that sums a contraction against them, for
+    evaluation, pullback, jet evaluation and jet composition;
     `GrassmannHom.apply` and `morphism.eta_decompose`, which sum nothing
     over I, read `_odd`, `_even` and `_times` themselves.
     """

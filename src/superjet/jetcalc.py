@@ -12,12 +12,13 @@ their inputs' orders, through `trunc_poly`, the package's one truncation.
 `geometry` are read off `trunc_compose`.
 
 `grassmann.MonomialTable.contract` is the one truncated-Taylor contraction;
-its docstring describes the walk.  `exp_pair` evaluates jet data on even
-Grassmann arguments through it, with the jet's Taylor polynomials as the
-coefficients of the single odd monomial 1; that is also how the sphere chart
-applies its scalar profiles to even elements.  `superfun._contract`, behind
-`sf_eval` and `sf_substitute`, calls it with the Taylor shifts of each
-sigma_J.
+its docstring describes the walk.  `_read_at` reads a jet at nilpotent
+increments eps through it, sum_{|I|<=k} c_I eps^I with the Taylor polynomials
+as the coefficients of the single odd monomial 1: `exp_pair` at even Grassmann
+arguments (how the sphere chart applies its scalar profiles), `trunc_compose`
+at the inner jet's increments, as `_Jet`s in the ring of order-k jets.
+`superfun._contract`, behind `sf_eval` and `sf_substitute`, calls it with the
+Taylor shifts of each sigma_J.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement, MonomialTable, _accumulate, _coerce
+from .grassmann import GrassmannElement, MonomialTable, _coerce
 from .polyalg import (Polynomial, iter_multiindices, iter_multiindices_upto, mi_factorial,
                       taylor_shift)
 
@@ -86,38 +87,41 @@ def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap) -> TruncatedPolyMap:
     return TruncatedPolyMap(k, a.base_point, tuple(trunc_poly(a.polys[0] * g, k) for g in b.polys))
 
 
+class _Jet(Polynomial):
+    """f cut at k in the ring of order-k jets: every product is cut at k by
+    `trunc_poly`, so no product in a table of jets holds a term above k."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, f: Polynomial, k: int):
+        self.p, self.terms, self.k = f.p, trunc_poly(f, k).terms, k
+
+    def __mul__(self, other):
+        return _Jet(Polynomial.__mul__(self, other), self.k)
+
+
+def _read_at(table: MonomialTable, data: TruncatedPolyMap, k: int) -> list:
+    """The terms of sum_{|I|<=k} c_I eps^I for each of data's Taylor
+    polynomials, eps the table's even arguments: one `contract` each."""
+    indices = list(iter_multiindices_upto(data.m, k))
+    return [table.contract(indices, [(table.one, f.terms)]) for f in data.polys]
+
+
 def trunc_compose(outer: TruncatedPolyMap, inner: TruncatedPolyMap) -> TruncatedPolyMap:
-    """outer after inner at the lower order; outer is expanded at inner's base value."""
+    """outer after inner at the lower order k, outer expanded at inner's base
+    value: outer read by `_read_at` at inner's constant-free increments, each
+    monomial of them built once for all of outer's components."""
     if outer.m != inner.mt:
         raise DimensionError("outer source dimension != inner target dimension")
     if tuple(outer.base_point) != inner.base_value:
         raise ValueError("base-point mismatch: outer jet not based at inner's value")
     m = inner.m
     k = min(outer.k, inner.k)
-    increments = [Polynomial._of(m, {e: c for e, c in f.terms.items() if any(e)})
+    increments = [_Jet(Polynomial._of(m, {e: c for e, c in f.terms.items() if any(e)}), k)
                   for f in inner.polys]
-    powcache: list[dict[int, Polynomial]] = [dict() for _ in increments]
-
-    def power(i: int, e: int) -> Polynomial:
-        cache = powcache[i]
-        got = cache.get(e)
-        if got is None:
-            got = (Polynomial.one(m) if e == 0
-                   else trunc_poly(power(i, e - 1) * increments[i], k))
-            cache[e] = got
-        return got
-
-    out_polys = []
-    for g in outer.polys:
-        acc: dict = {}
-        for I, c in g.terms.items():
-            term = Polynomial.constant(m, c)
-            for i, e in enumerate(I):
-                if e:
-                    term = trunc_poly(term * power(i, e), k)
-            _accumulate(acc, term.terms.items())
-        out_polys.append(Polynomial._of(m, acc))
-    return TruncatedPolyMap(k, inner.base_point, tuple(out_polys))
+    table = MonomialTable(increments, [], _Jet(Polynomial.one(m), k))
+    return TruncatedPolyMap(k, inner.base_point,
+                            tuple(Polynomial._of(m, t) for t in _read_at(table, outer, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +158,8 @@ def exp_pair(data: TruncatedPolyMap, even_args, n: int):
     even_args fill the jet's variables: even elements of Lambda_n, nilpotent
     in the increment reading.  Returns one GrassmannElement per target
     component: each increment polynomial at eps, sum_I c_I * eps^I over
-    |I| <= k, one `MonomialTable.contract` on a table of even_args.  The
-    caller gives n, so a jet of zero variables evaluates to its constants.
+    |I| <= k, read by `_read_at` from a table of even_args.  The caller
+    gives n, so a jet of zero variables evaluates to its constants.
     """
     even_args = list(even_args)
     if len(even_args) != data.m:
@@ -166,7 +170,5 @@ def exp_pair(data: TruncatedPolyMap, even_args, n: int):
         if not a.is_even():
             raise ParityError("even slot received a non-even element")
 
-    indices = list(iter_multiindices_upto(data.m, data.k))
     table = MonomialTable(even_args, [], GrassmannElement.one(n))
-    return [GrassmannElement._of(n, table.contract(indices, [(table.one, f.terms)]))
-            for f in data.polys]
+    return [GrassmannElement._of(n, terms) for terms in _read_at(table, data, data.k)]

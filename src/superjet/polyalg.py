@@ -157,8 +157,6 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = _coerce(other)
-            if not c:
-                return Polynomial.zero(self.p)
             if type(c) is int and c == 1:
                 return Polynomial._of(self.p, dict(self.terms))
             # a float product can underflow to 0.0, so zeros are still dropped
@@ -184,19 +182,6 @@ class Polynomial:
         return Polynomial._of(self.p, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial.one(self.p)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):

@@ -203,7 +203,7 @@ def coefficient_squaring_map(n: int = 2) -> LambdaPointMap:
         raise ValueError("needs at least two generators")
     x = _coefficients(_symbolic_point(n, 1, 0))   # masks 0, 3, ... ascending
     return LambdaPointMap(n, (1, 0), (1, 0),
-                          [x[0], x[1] ** 2] + [Polynomial.zero(len(x))] * (len(x) - 2))
+                          [x[0], x[1] * x[1]] + [Polynomial.zero(len(x))] * (len(x) - 2))
 
 
 def late_failing_map() -> LambdaPointMap:
@@ -211,7 +211,7 @@ def late_failing_map() -> LambdaPointMap:
     the eta1 eta2 eta3 eta4 output: not supersmooth, but supersmooth_check
     first rejects it at lambda = eta3 eta4 (mask 12), not at the first mask."""
     x = _coefficients(_symbolic_point(4, 1, 0))   # masks 0, 3, 5, 6, 9, 10, 12, 15
-    return LambdaPointMap(4, (1, 0), (1, 0), x[:7] + [x[7] + x[6] ** 3])
+    return LambdaPointMap(4, (1, 0), (1, 0), x[:7] + [x[7] + x[6] * x[6] * x[6]])
 
 
 # float helpers for the geometry corpus ------------------------------------

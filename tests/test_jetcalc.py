@@ -137,6 +137,25 @@ def test_order_one_jets_compose_to_an_order_one_jet():
     assert product == taylor_of([inner * composite], x0, 1)
 
 
+def test_jets_of_zero_variables_or_zero_components_compose_as_their_polynomials():
+    constants = [Polynomial.constant(0, 2), Polynomial.constant(0, Fraction(1, 3))]
+    y = [Polynomial.variable(2, i) for i in range(2)]
+    outer = [y[0] * y[1] + 3, y[1] * y[1] * y[1] - y[0]]
+    x0 = [Fraction(1), Fraction(-1, 2)]
+    square = [x0_i + y_i * y_i for x0_i, y_i in zip(x0, y)]
+    cases = [
+        (outer, constants, []),     # an inner jet of zero variables
+        ([], square, x0),           # an outer jet of zero components
+        ([Polynomial.constant(0, 5)], [], []),      # an inner jet of zero components
+    ]
+    for b, phi, base in cases:
+        for ka, kb in ((2, 2), (1, 3), (3, 0)):
+            inner = taylor_of(phi, base, kb)
+            composed = trunc_compose(taylor_of(b, inner.base_value, ka), inner)
+            composite = [poly_compose(f, phi, degree_bound=None) for f in b]
+            assert composed == taylor_of(composite, base, min(ka, kb))
+
+
 def test_trunc_mul_refuses_factors_that_do_not_match():
     x0 = [Fraction(0), Fraction(1)]
     scalar = taylor_of([Polynomial.variable(2, 0)], x0, 2)
@@ -409,3 +428,43 @@ def test_one_compose_builds_each_power_once_and_never_multiplies_by_the_unit(mon
     # the inner morphism owns its table, so a repeat along it builds no power again
     assert morphism_compose(psi, cold) == expected
     _assert_no_power_built(products, powers)
+
+
+def test_one_jet_compose_builds_each_increment_monomial_once_and_never_multiplies_by_the_unit(
+        monkeypatch):
+    k = 3
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    phi = [1 + x + y * y + x * y, 2 - y + x * x]
+    inner = taylor_of(phi, [Fraction(0)] * 2, k)
+    eps = [f - f.terms[(0, 0)] for f in phi]
+    # every outer component reads every I with |I| <= k
+    outer = taylor_of([sum((Polynomial.monomial(2, I, s + sum(I))
+                            for I in iter_multiindices_upto(2, k)), Polynomial.zero(2))
+                       for s in (1, -2)], inner.base_value, k)
+    monomials = []              # eps^I for 2 <= |I| <= k, taken before products are counted
+    for I in iter_multiindices_upto(2, k):
+        if sum(I) >= 2:
+            mono = Polynomial.one(2)
+            for f, e in zip(eps, I):
+                for _ in range(e):
+                    mono = trunc_poly(mono * f, k)
+            monomials.append(mono)
+    assert all(monomials) and len(set(map(str, monomials))) == len(monomials)
+    expected = trunc_compose(outer, inner)
+    products = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        out = mul(a, b)
+        if isinstance(b, Polynomial):
+            products.append((a, b, trunc_poly(out, k)))
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    assert trunc_compose(outer, inner) == expected
+    # one product per monomial, shared by both outer components
+    assert len(products) == len(monomials)
+    for a, b, _ in products:
+        assert a != Polynomial.one(2) and b != Polynomial.one(2)
+    for mono in monomials:
+        assert sum(out == mono for _, _, out in products) == 1

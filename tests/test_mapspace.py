@@ -384,7 +384,8 @@ def _cubic_mutants(F):
     for v, (kind, _, mask) in enumerate(F.var_order):
         if kind == "even" and mask:
             outputs = list(F.outputs)
-            outputs[out] = outputs[out] + Polynomial.variable(F.nvars, v) ** 3
+            cube = Polynomial.monomial(F.nvars, [3 * e for e in mi_unit(F.nvars, v)])
+            outputs[out] = outputs[out] + cube
             yield LambdaPointMap(F.n, F.source, F.target, outputs)
 
 

@@ -20,7 +20,10 @@ The exit code is then 1.
 
 Stdlib only.  Run from anywhere:
 
-    python mutants/run.py
+    python mutants/run.py [NAME ...]
+
+With names, only those entries are swept, in catalog order, after the same
+control run; a name the catalog lacks exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -95,7 +98,11 @@ def sweep(entry) -> tuple[str, bool]:
     return f"{name}: {outcome}" + ("" if ok else f"  unexpected ({expect})"), ok
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {entry[0] for entry in MUTANTS})
+    if unknown:
+        print(f"unknown mutant: {' '.join(unknown)}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="superjet-control-") as tmp:
         src = copy_src(tmp)
         for seed in SEEDS:
@@ -106,6 +113,8 @@ def main() -> int:
                 return 1
     all_ok = True
     for entry in MUTANTS:
+        if names and entry[0] not in names:
+            continue
         line, ok = sweep(entry)
         print(line, flush=True)
         all_ok &= ok
@@ -113,4 +122,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

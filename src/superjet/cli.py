@@ -45,10 +45,15 @@ def _load(path: str) -> dict:
 
 
 def _emit(data: dict, out: str | None) -> None:
+    """Write data to the file out, or to stdout; a file that cannot be written
+    is an InputError, as a file that cannot be read is in _load."""
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -148,8 +153,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     elapsed = time.perf_counter() - start
-    print(f"suite {args.suite}: {elapsed:.3f}s", file=sys.stderr)
     _emit(report, args.out)
+    # after the report, so an --out that cannot be written leaves one stderr line
+    print(f"suite {args.suite}: {elapsed:.3f}s", file=sys.stderr)
     return 0 if report["failed"] == 0 else 1
 
 

@@ -19,7 +19,10 @@ commutes with multiplication by even scalars (the Molotkov-Sachse condition),
 checked on the n(n-1)/2 generator pairs that generate them.  That property
 separates maps that come from morphisms from those that merely permute
 coefficients, and the identity holds at every base point, so no body point
-is sampled and no Grassmann product is taken.
+is sampled and no Grassmann product is taken.  Its derivative rows are keyed
+by each monomial's (variable, exponent) pairs, not by exponent tuples nvars
+long; each side of the identity holds a row with the sign its move gives it,
+and two signed rows are compared by their signs, so no polynomial is negated.
 
 Three things depend only on the shape (n, p, q) and are built once per shape,
 as `morphism`'s trial plans are: the coefficient order, the symbolic point,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .errors import DimensionError, ParityError, payload_errors
 from .grassmann import GrassmannElement, GrassmannHom, _coerce, _wire, int_from_json, merge_sign
@@ -242,24 +246,57 @@ class SmoothVerdict:
     to_json = _wire
 
 
-def _jacobian(F: LambdaPointMap) -> list:
-    """[{input variable: derivative polynomial}] per output coefficient, in
-    F.outputs order; nonzero entries only.
+def _derivative_rows(F: LambdaPointMap) -> list:
+    """[{input variable: derivative row}] per output coefficient, in F.outputs
+    order; nonzero rows only.
 
-    One pass over each output polynomial's terms derives it in every variable
-    it contains, where Polynomial.derive per variable would rescan every term
-    once per variable.
+    A row is a derivative polynomial on sparse keys: the monomial x^e is the
+    tuple of its (variable, exponent) pairs with exponent above 0, so a key
+    is as long as the monomial has variables, not F.nvars.  One scan of each
+    term's exponent tuple gives its pairs, and its derivative in each
+    variable v it holds is keyed by those pairs with v's exponent lowered by
+    one, or v dropped where that leaves 0.  _dense turns a row back.
     """
-    jac = []
+    every = range(F.nvars)
+    rows = []
     for poly in F.outputs:
         parts = {}
         for e, c in poly.terms.items():
-            for v, k in enumerate(e):
-                if k:
-                    parts.setdefault(v, {})[e[:v] + (k - 1,) + e[v + 1:]] = _coerce(c * k)
-        # c != 0 and k >= 1, and each exponent is e lowered by one in place
-        jac.append({v: Polynomial._of(F.nvars, t) for v, t in parts.items()})
-    return jac
+            held = list(compress(every, e))      # the variables x^e holds
+            key = tuple(zip(held, map(e.__getitem__, held)))
+            for i, (v, k) in enumerate(key):
+                # d/dx_v (c x^e) = c k x^e / x_v; c != 0 and k >= 1, and
+                # distinct terms keep distinct keys
+                low = key[:i] + ((v, k - 1),) * (k > 1) + key[i + 1:]
+                parts.setdefault(v, {})[low] = c if k == 1 else _coerce(c * k)
+        rows.append(parts)
+    return rows
+
+
+def _dense(nvars: int, entry) -> Polynomial:
+    """The Polynomial s * row of a signed entry (s, row) of _derivative_rows;
+    None is the zero polynomial."""
+    terms = {}
+    if entry is not None:
+        s, row = entry
+        for key, c in row.items():
+            e = [0] * nvars
+            for v, k in key:
+                e[v] = k
+            terms[tuple(e)] = c if s > 0 else -c
+    return Polynomial._of(nvars, terms)
+
+
+def _same_entry(a, b) -> bool:
+    """Whether the signed entries a = (s, x) and b = (t, y) are one polynomial:
+    the rows are equal where the signs agree and each other's negation where
+    they differ.  None is the zero entry, which no nonzero row equals."""
+    if a is None or b is None:
+        return False
+    (s, x), (t, y) = a, b
+    if s == t:
+        return x == y
+    return len(x) == len(y) and all(y.get(key) == -c for key, c in x.items())
 
 
 @lru_cache(maxsize=64)
@@ -289,46 +326,49 @@ def supersmooth_check(F: LambdaPointMap) -> SmoothVerdict:
     which _lambda_plan tabulates for the source and for the target.
     Supersmoothness is J M_lam = M_lam J for the Jacobian J of derivative
     polynomials, and each entry of that identity compares two signed entries
-    of J with ==.  Left multiplications compose, M_{lam mu} = M_lam M_mu, and
-    each nonzero even monomial is, up to sign, the product of generator pairs
-    eta_i eta_j that split it; so if J commutes with the n(n-1)/2 pair moves
-    it commutes with every M_lam, and by linearity with every even scalar
-    (body monomial 1 is trivial).  The identity holds over Q, so for every
-    base point kappa, not only sampled ones.
+    (s, row) of J, its rows from _derivative_rows: the rows must be equal
+    where the signs agree and each other's negation where they differ.  Left
+    multiplications compose, M_{lam mu} = M_lam M_mu, and each nonzero even
+    monomial is, up to sign, the product of generator pairs eta_i eta_j that
+    split it; so if J commutes with the n(n-1)/2 pair moves it commutes with
+    every M_lam, and by linearity with every even scalar (body monomial 1 is
+    trivial).  The identity holds over Q, so for every base point kappa, not
+    only sampled ones.
     Zero-body scalars are where the top-order terms only cancel because a
     nilpotent even scalar times a maximal nilpotent monomial dies -- the
     cancellation that makes these maps well defined at all.
 
     A failure's witness names the monomial mask, the output slot and the
-    input slot [kind, slot, mask] of the differing entry, with the entry of
-    dF(lam tau) and of lam dF(tau) for tau the unit tangent on that input.
+    input slot [kind, slot, mask] of the first differing entry, with the
+    entry of dF(lam tau) and of lam dF(tau) for tau the unit tangent on that
+    input, each turned back into a Polynomial by _dense.
     """
-    jac = _jacobian(F)
+    rows = _derivative_rows(F)
     checks = 0
     for (m, moves), (_, out_moves) in zip(_lambda_plan(F.n, *F.source),
                                           _lambda_plan(F.n, *F.target)):
         moved_in = {}    # (J M_lam)[out][v] = s * J[out][w], w the slot lam moves v to
-        for out, row in enumerate(jac):
+        for out, row in enumerate(rows):
             for w, d in row.items():
                 move = moves.get(w)
                 if move is not None:
                     v, s = move
-                    moved_in[(out, v)] = d if s > 0 else -d
+                    moved_in[(out, v)] = (s, d)
         moved_out = {}   # (M_lam J)[w][v] = s * J[a][v], the same move on the target
         for w, (a, s) in out_moves.items():
-            for v, d in jac[a].items():
-                moved_out[(w, v)] = d if s > 0 else -d
+            for v, d in rows[a].items():
+                moved_out[(w, v)] = (s, d)
         keys = moved_in.keys() | moved_out.keys()
         checks += len(keys)
-        if moved_in != moved_out:
-            zero = Polynomial.zero(F.nvars)
-            out, v = min(k for k in keys if moved_in.get(k, zero) != moved_out.get(k, zero))
+        differ = [k for k in keys if not _same_entry(moved_in.get(k), moved_out.get(k))]
+        if differ:
+            out, v = min(differ)
             witness = {
                 "lambda_mask": m,
                 "output": list(_variable_order(F.n, *F.target)[out]),
                 "input": list(F.var_order[v]),
-                "dF_of_lambda_tau": moved_in.get((out, v), zero).to_json(),
-                "lambda_dF_of_tau": moved_out.get((out, v), zero).to_json(),
+                "dF_of_lambda_tau": _dense(F.nvars, moved_in.get((out, v))).to_json(),
+                "lambda_dF_of_tau": _dense(F.nvars, moved_out.get((out, v))).to_json(),
             }
             return SmoothVerdict(passed=False, checks=checks, witness=witness)
     return SmoothVerdict(passed=True, checks=checks)

@@ -200,6 +200,22 @@ def assert_one_line_input_error(result):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "compose", "decompose", "chart", "verify"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_an_out_path_that_cannot_be_written_is_an_input_error(
+        tmp_path, capsys, scaling, point, chart_point, command, where):
+    # exit 1 would read as "verification failed", so a path is an input error
+    out = str(tmp_path / "missing" / "x.json") if where == "missing-directory" else str(tmp_path)
+    argv = {"eval": ["eval", scaling, point],
+            "compose": ["compose", scaling, scaling],
+            "decompose": ["decompose", scaling, "1"],
+            "chart": ["chart", chart_point, "--base", "[0,0,1]", "--inverse"],
+            "verify": ["verify", "grassmann", "--cases", "1"]}[command]
+    result = run(capsys, *argv, "--out", out)
+    assert_one_line_input_error(result)
+    assert f"cannot write {out}" in result[2]
+
+
 @pytest.mark.parametrize("cases", ["0", "-5"])
 def test_verify_refuses_an_empty_corpus(capsys, cases):
     assert_one_line_input_error(run(capsys, "verify", "grassmann", "--cases", cases))

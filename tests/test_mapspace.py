@@ -1,9 +1,10 @@
 """Mapping-space layer: pair encoding, functorial action, supersmoothness."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import superjet.suites as suites
 from superjet import (
@@ -29,7 +30,14 @@ from superjet import (
     supersmooth_check,
     top_order_cancellation,
 )
-from superjet.mapspace import _lambda_plan, _point_of, _symbolic_point, _variable_order
+from superjet.grassmann import _coerce
+from superjet.mapspace import (
+    SmoothVerdict,
+    _lambda_plan,
+    _point_of,
+    _symbolic_point,
+    _variable_order,
+)
 from superjet.polyalg import mi_unit
 from superjet.suites import (
     coefficient_squaring_map,
@@ -453,6 +461,93 @@ def test_the_generator_pairs_decide_what_every_even_monomial_decides():
         assert supersmooth_check(F).passed and every_even_monomial_commutes(F)
     for F in failing:
         assert not supersmooth_check(F).passed and not every_even_monomial_commutes(F)
+
+
+def dense_supersmooth_check(F) -> SmoothVerdict:
+    """supersmooth_check on dense exponent keys: one Polynomial per Jacobian
+    entry, keyed by exponent tuples F.nvars long, signed moves negated with -d
+    and the two sides compared with ==.  The reference for the sparse signed
+    rows, sharing the lambda-plan with them; every_even_monomial_commutes
+    stays the independent oracle."""
+    jac = []
+    for poly in F.outputs:
+        parts = {}
+        for e, c in poly.terms.items():
+            for v, k in enumerate(e):
+                if k:
+                    parts.setdefault(v, {})[e[:v] + (k - 1,) + e[v + 1:]] = _coerce(c * k)
+        jac.append({v: Polynomial._of(F.nvars, t) for v, t in parts.items()})
+    checks = 0
+    for (m, moves), (_, out_moves) in zip(_lambda_plan(F.n, *F.source),
+                                          _lambda_plan(F.n, *F.target)):
+        moved_in = {}
+        for out, row in enumerate(jac):
+            for w, d in row.items():
+                if w in moves:
+                    v, s = moves[w]
+                    moved_in[(out, v)] = d if s > 0 else -d
+        moved_out = {}
+        for w, (a, s) in out_moves.items():
+            for v, d in jac[a].items():
+                moved_out[(w, v)] = d if s > 0 else -d
+        keys = moved_in.keys() | moved_out.keys()
+        checks += len(keys)
+        if moved_in != moved_out:
+            zero = Polynomial.zero(F.nvars)
+            out, v = min(k for k in keys if moved_in.get(k, zero) != moved_out.get(k, zero))
+            return SmoothVerdict(False, checks, {
+                "lambda_mask": m,
+                "output": list(_variable_order(F.n, *F.target)[out]),
+                "input": list(F.var_order[v]),
+                "dF_of_lambda_tau": moved_in.get((out, v), zero).to_json(),
+                "lambda_dF_of_tau": moved_out.get((out, v), zero).to_json(),
+            })
+    return SmoothVerdict(True, checks)
+
+
+@st.composite
+def smooth_check_inputs(draw):
+    """The Lambda_n form of a random morphism (n <= 4, p, q <= 2), which
+    passes, or one of its cubic mutants, or a hand-built failing map."""
+    kind = draw(st.sampled_from(["morphism", "cubic", "squaring", "late"]))
+    if kind == "squaring":
+        return coefficient_squaring_map(draw(st.integers(2, 4)))
+    if kind == "late":
+        return late_failing_map()
+    rng = SplitMix64(draw(st.integers(min_value=0, max_value=2**32)))
+    source = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    target = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    F = lambda_point_map_of(random_morphism(rng, source, target, degree=2),
+                            draw(st.integers(0, 4)))
+    # a mutant needs a nilpotent even input and an even output
+    mutants = list(_cubic_mutants(F)) if kind == "cubic" and target[0] else []
+    return draw(st.sampled_from(mutants)) if mutants else F
+
+
+@settings(max_examples=60)
+@given(F=smooth_check_inputs())
+@example(F=coefficient_squaring_map())
+@example(F=late_failing_map())
+def test_sparse_signed_rows_decide_what_dense_polynomials_decide(F):
+    got, want = supersmooth_check(F), dense_supersmooth_check(F)
+    assert (got.passed, got.checks) == (want.passed, want.checks)
+    # the witness too, to the byte
+    assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+
+
+def test_a_passing_check_negates_and_compares_no_polynomial(monkeypatch):
+    # the slowest lift kind: R^{2|2} at level 4, 32 coefficient variables
+    rng = SplitMix64(54)
+    F = chart_transition_map(random_shear_chart(rng, 2, 2), random_shear_chart(rng, 2, 2), 4)
+    want = dense_supersmooth_check(F)
+
+    def refuse(*args):
+        raise AssertionError("a Polynomial was negated or compared")
+
+    monkeypatch.setattr(Polynomial, "__neg__", refuse)
+    monkeypatch.setattr(Polynomial, "__eq__", refuse)
+    verdict = supersmooth_check(F)
+    assert verdict.passed and verdict.checks == want.checks > 0
 
 
 def test_shear_charts_invert_exactly():

@@ -74,6 +74,34 @@ def test_a_kill_counts_only_when_every_seed_fails_a_law(monkeypatch):
         False)
 
 
+def test_named_entries_alone_are_swept_after_the_control_run(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "catalog", catalog)
+    runner = load("run")
+    first, second = catalog.MUTANTS[1], catalog.MUTANTS[4]
+    runs = []
+
+    def stub(src, seed):
+        # which entry this copy holds, None for the unmutated control copy
+        texts = {e[1]: (src / "superjet" / e[1]).read_text(encoding="utf-8")
+                 for e in (first, second)}
+        held = [e[0] for e in (first, second) if e[3] in texts[e[1]] and e[2] not in texts[e[1]]]
+        runs.append((held[0] if held else None, seed))
+        return {"law/x": 1} if held else {}
+
+    monkeypatch.setattr(runner, "verify", stub)
+    # given out of catalog order, swept in it
+    assert runner.main([second[0], first[0]]) == 0
+    assert runs == [(None, seed) for seed in runner.SEEDS] + [
+        (name, seed) for name in (first[0], second[0]) for seed in runner.SEEDS]
+    assert capsys.readouterr().out.splitlines() == [f"{first[0]}: law/x:1",
+                                                    f"{second[0]}: law/x:1"]
+
+    runs.clear()
+    assert runner.main([first[0], "no-such-mutant"]) == 2
+    assert runs == []
+    assert capsys.readouterr().err == "unknown mutant: no-such-mutant\n"
+
+
 def test_verify_counts_the_failed_cases_of_each_law(monkeypatch, tmp_path):
     monkeypatch.setitem(sys.modules, "catalog", catalog)
     runner = load("run")

@@ -11,7 +11,9 @@ in a subprocess for seeds 0 and 42.  It prints one line per mutant: each law
 that failed (the case ids without their running number) with its count of
 failed cases, as `jetcalc/shift:3`, "survived" when every seed passed, or
 "crashed" when a run exited with neither 0 nor 1, wrote no report, or ran past
-the timeout.  When the seeds' failures differ, in laws or in counts, the line
+the timeout.  Each run has a session of its own, and a run past the timeout is
+killed with its whole process group, so no worker that verify forked outlives
+it.  When the seeds' failures differ, in laws or in counts, the line
 lists them per seed.  A "killed" entry holds only when every seed fails
 some law, an "equivalent" one only when every seed passes.  A line ends in
 "unexpected" when the outcome contradicts the entry's `expect`; a crash is
@@ -32,6 +34,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -56,17 +59,32 @@ def copy_src(tmp: str) -> Path:
     return src
 
 
+def run_session(cmd: list, **kwargs):
+    """subprocess.run(cmd, capture_output=True, text=True, **kwargs) in a session
+    of its own, or None when it runs past TIMEOUT_S: then its whole process
+    group is killed, so a worker that verify forked dies with it, and reaped."""
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True, **kwargs) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass        # the group ended just now
+            proc.communicate()
+            return None
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 def verify(src: Path, seed: int):
     """{law id: failed cases} of one run, or None when it crashed or timed out."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "superjet.cli", "verify", "all", "--seed", str(seed),
-             "--cases", str(CASES)],
-            capture_output=True, text=True, env=env, cwd=src, check=False, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return None
-    if proc.returncode not in (0, 1):
+    proc = run_session(
+        [sys.executable, "-m", "superjet.cli", "verify", "all", "--seed", str(seed),
+         "--cases", str(CASES)],
+        env=env, cwd=src)
+    if proc is None or proc.returncode not in (0, 1):
         return None
     try:
         report = json.loads(proc.stdout)

@@ -23,7 +23,7 @@ from .errors import DimensionError, DomainError, InputError, SchemaError
 from .geometry import Sphere2Backend
 from .grassmann import float_from_json
 from .morphism import SuperMorphism, eta_decompose, morphism_compose, pushforward
-from .suites import SUITES, run_suite
+from .suites import SUITES, process_count, run_suite
 from .superfun import SuperPoint
 
 def _load(path: str) -> dict:
@@ -150,12 +150,14 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _at_least("--cases", args.cases, 1)
+    procs = process_count(len(SUITES) if args.suite == "all" else 1)
     start = time.perf_counter()
     report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     elapsed = time.perf_counter() - start
     _emit(report, args.out)
     # after the report, so an --out that cannot be written leaves one stderr line
-    print(f"suite {args.suite}: {elapsed:.3f}s", file=sys.stderr)
+    print(f"suite {args.suite}: {elapsed:.3f}s in {procs} process{'es' if procs > 1 else ''}",
+          file=sys.stderr)
     return 0 if report["failed"] == 0 else 1
 
 

@@ -23,10 +23,11 @@ Taylor shifts of each sigma_J.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement, MonomialTable, _coerce
+from .grassmann import GrassmannElement, MonomialTable, _accumulate, _coerce
 from .polyalg import (Polynomial, iter_multiindices, iter_multiindices_upto, mi_factorial,
                       taylor_shift)
 
@@ -88,16 +89,33 @@ def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap) -> TruncatedPolyMap:
 
 
 class _Jet(Polynomial):
-    """f cut at k in the ring of order-k jets: every product is cut at k by
-    `trunc_poly`, so no product in a table of jets holds a term above k."""
+    """f cut at k in the ring of order-k jets: every product is cut at k, so
+    no product in a table of jets holds a term above k."""
 
     __slots__ = ("k",)
 
     def __init__(self, f: Polynomial, k: int):
         self.p, self.terms, self.k = f.p, trunc_poly(f, k).terms, k
 
-    def __mul__(self, other):
-        return _Jet(Polynomial.__mul__(self, other), self.k)
+    def _product(self, other) -> "_Jet":
+        """trunc_poly(self * other, k) as a jet, key order and bits included: the
+        polynomial product's sum, in its order, over only the term pairs whose
+        degrees sum to at most k.  A key's degree is its pairs', so a pair
+        skipped feeds no key that is kept."""
+        k = self.k
+        upto = [[] for _ in range(k + 1)]       # other's terms of degree <= room, in order
+        for eb, cb in other.terms.items():
+            for room in range(sum(eb), k + 1):
+                upto[room].append((eb, cb))
+        terms: dict = {}
+        for ea, ca in self.terms.items():
+            room = k - sum(ea)
+            if room >= 0:
+                _accumulate(terms, ((tuple(map(operator.add, ea, eb)), cb)
+                                    for eb, cb in upto[room]), ca)
+        out = _Jet._of(self.p, terms)
+        out.k = k
+        return out
 
 
 def _read_at(table: MonomialTable, data: TruncatedPolyMap, k: int) -> list:

@@ -16,12 +16,28 @@ Lambda-point or a verdict) as its fields by name.  Wall time
 deliberately never enters the report body -- the CLI prints it to stderr --
 so reports stay byte-comparable across runs.
 
+`run_suite("all")` deals the suites round-robin over one process per usable
+CPU, at most one per suite: this process runs the last share, and each other
+share runs in a forked worker that sends its rows back over a pipe with
+`marshal`.  Every suite draws from its own stream and the report sorts its rows
+by id, so the report is byte-identical to a run in one process.  One process
+runs every suite where a single suite is asked for, where the platform cannot
+fork, where one CPU is usable, where a profiler or tracer is set, so that it
+sees every law, and where another thread runs, which a fork would not copy.  A worker that does not send all its rows gives one failed row
+`<suite>/draw` per suite of its share, naming its exit status or signal; no
+worker outlives `run_suite`, not even when this process's share raises.
+
 The random object generators at the top are shared with the test suite.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import signal
+import sys
+import threading
 from fractions import Fraction
 
 from .geometry import (
@@ -911,15 +927,97 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, cases: int = 100) -> dict:
-    """Run a named suite, or every suite for 'all', into one report dict; a
-    suite whose drawing raises ends in one failed row `<suite>/draw`."""
-    if name != "all" and name not in SUITES:
-        raise KeyError(name)
-    rec = Recorder(name, seed)
-    for suite in SUITES if name == "all" else [name]:
+def process_count(suites: int) -> int:
+    """How many processes run that many suites: one per usable CPU, at most one
+    per suite, and one where the platform cannot fork, a profiler or tracer is
+    set, or another thread runs (a fork copies no thread, but may copy a lock
+    that one holds)."""
+    if (suites < 2 or not hasattr(os, "fork") or sys.getprofile() or sys.gettrace()
+            or threading.active_count() > 1):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, suites)
+
+
+def _run_share(rec: Recorder, share: list, seed: int, cases: int) -> None:
+    for suite in share:
         try:
             SUITES[suite](rec, seed, cases)
         except Exception as exc:
             rec.rows.append((f"{suite}/draw", False, {"error": _error(exc)}))
+
+
+def _fork_worker(share: list, seed: int, cases: int):
+    """(pid, read end) of a forked worker that runs share into its own Recorder,
+    writes the marshalled rows to the pipe and leaves through os._exit: exit
+    status 0 only once every row is written."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            rec = Recorder("all", seed)
+            _run_share(rec, share, seed, cases)
+            data = memoryview(marshal.dumps(rec.rows))
+            while data:
+                data = data[os.write(write_fd, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _worker_rows(data: bytes, status: int, share: list) -> list:
+    """The rows a worker sent; one failed draw row per suite of its share
+    when it exited otherwise than with status 0 or its message is cut short."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        try:
+            return marshal.loads(data)
+        except (EOFError, ValueError):
+            pass
+    how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return [(f"{suite}/draw", False, {"error": f"worker {how}"}) for suite in share]
+
+
+def run_suite(name: str, seed: int = 0, cases: int = 100) -> dict:
+    """Run a named suite, or every suite for 'all', into one report dict; a
+    suite whose drawing raises ends in one failed row `<suite>/draw`.
+
+    For 'all' the suites are dealt round-robin over `process_count` processes:
+    this one runs the last share and forked workers the others, and their
+    rows join this Recorder's, so the report is the one-process report byte
+    for byte.  A worker that exits with a status other than 0, or is killed,
+    gives one failed draw row per suite of its share, with the error "worker
+    exited with status N" or "worker killed by signal N".  If anything
+    raises here, KeyboardInterrupt included, every worker is killed and reaped
+    before it propagates."""
+    if name != "all" and name not in SUITES:
+        raise KeyError(name)
+    names = list(SUITES) if name == "all" else [name]
+    procs = process_count(len(names))
+    shares = [names[i::procs] for i in range(procs)]
+    rec = Recorder(name, seed)
+    workers = []
+    try:
+        for share in shares[:-1]:
+            workers.append((*_fork_worker(share, seed, cases), share))
+        _run_share(rec, shares[-1], seed, cases)
+        while workers:
+            pid, pipe, share = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            rec.rows.extend(_worker_rows(data, status, share))
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass        # reaped just before the interruption
     return rec.report()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -429,7 +430,13 @@ def test_verify_suite_passes_and_reports(capsys):
     assert report["suite"] == "grassmann"
     assert report["failed"] == 0
     assert report["algorithm"] == "splitmix64"
-    assert "s" in err  # timing goes to stderr only
+    # timing goes to stderr only, with the number of processes that ran the suites
+    assert re.fullmatch(r"suite grassmann: \d+\.\d{3}s in 1 process\n", err)
+    code, out, err = run(capsys, "verify", "all", "--seed", "3", "--cases", "1")
+    assert code == 0 and json.loads(out)["suite"] == "all"
+    procs = suites.process_count(len(suites.SUITES))
+    word = "process" if procs == 1 else "processes"
+    assert re.fullmatch(rf"suite all: \d+\.\d{{3}}s in {procs} {word}\n", err)
 
 
 def test_verify_reports_are_byte_identical(tmp_path, capsys):

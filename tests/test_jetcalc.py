@@ -26,7 +26,7 @@ from superjet import (
     trunc_mul,
 )
 from superjet.grassmann import MonomialTable
-from superjet.jetcalc import trunc_poly
+from superjet.jetcalc import _Jet, trunc_poly
 from superjet.polyalg import iter_multiindices, iter_multiindices_upto, mi_factorial
 from superjet.suites import random_polynomial
 
@@ -104,6 +104,23 @@ def test_truncated_product_matches_polynomial_product(f, g, x0):
         lhs = trunc_mul(taylor_of([f], x0, k), taylor_of([g], x0, k))
         assert degree_at_most(lhs, k)
         assert lhs == taylor_of([f * g], x0, k)
+
+
+rational_or_float = st.one_of(small_fractions, floats)
+
+
+@given(polynomials(p=2, degree=4, max_terms=8, coefficients=rational_or_float),
+       polynomials(p=2, degree=4, max_terms=8, coefficients=rational_or_float),
+       st.integers(min_value=0, max_value=4))
+def test_a_jet_product_is_the_full_product_cut_at_its_order(f, g, k):
+    # keys in the plain product's order, each coefficient with its type and bits;
+    # the right factor also as a plain polynomial with terms above k
+    a = _Jet(f, k)
+    for b in (_Jet(g, k), g):
+        product = a * b
+        assert type(product) is _Jet and product.k == k
+        plain = Polynomial._of(a.p, a.terms) * Polynomial._of(b.p, b.terms)
+        assert fingerprint(product.terms) == fingerprint(trunc_poly(plain, k).terms)
 
 
 @given(polynomials(p=1, degree=2), polynomials(p=2, degree=2),

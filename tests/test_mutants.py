@@ -10,8 +10,10 @@ run through the sweep's own copy and verify call, at one seed.
 import ast
 import importlib.util
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,11 +110,49 @@ def test_verify_counts_the_failed_cases_of_each_law(monkeypatch, tmp_path):
     report = {"failures": [{"id": "jetcalc/shift-0003"}, {"id": "jetcalc/shift-0007"},
                            {"id": "superfun/canonical-0000"}, {"id": "morphism/sharp-hi0001"}]}
     done = subprocess.CompletedProcess([], 1, stdout=json.dumps(report), stderr="")
-    monkeypatch.setattr(runner.subprocess, "run", lambda *args, **kwargs: done)
+    monkeypatch.setattr(runner, "run_session", lambda *args, **kwargs: done)
     assert runner.verify(tmp_path, 0) == {"jetcalc/shift": 2, "superfun/canonical": 1,
                                           "morphism/sharp": 1}
     done.returncode = 2
     assert runner.verify(tmp_path, 0) is None
+
+
+def alive(pid: int) -> bool:
+    """Whether pid names a process that has not yet exited; a zombie has."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    try:
+        return stat.read_text().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def test_a_run_past_the_timeout_is_killed_with_its_whole_process_group(monkeypatch, tmp_path):
+    # a stand-in for verify that forks a worker which would outlive its parent
+    monkeypatch.setitem(sys.modules, "catalog", catalog)
+    runner = load("run")
+    monkeypatch.setattr(runner, "TIMEOUT_S", 1)
+    package = tmp_path / "src" / "superjet"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import os, time\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    time.sleep(60)\n"
+        "    os._exit(0)\n"
+        "with open('worker.pid', 'w') as fh:\n"
+        "    fh.write(str(pid))\n"
+        "time.sleep(60)\n")
+    assert runner.verify(package.parent, 0) is None
+    worker = int((package.parent / "worker.pid").read_text())
+    deadline = time.monotonic() + 10
+    while alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not alive(worker)
 
 
 @pytest.mark.parametrize("name, law", [

@@ -2,6 +2,11 @@
 
 import inspect
 import json
+import os
+import signal
+import sys
+import threading
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +31,7 @@ from superjet import (
     SuperPoint,
     TruncatedPolyMap,
 )
+from superjet.cli import main
 from superjet.suites import (
     LAWS,
     SUITES,
@@ -218,7 +224,8 @@ def test_a_failed_cancel_sharp_witness_keeps_its_inputs(monkeypatch):
         "n": [4, 6], "p": 2, "r": [1, 2], "cancelled_at": {"n": 4, "p": 2, "r": 1}}
 
 
-def test_every_case_id_has_a_law_and_every_law_is_reached(monkeypatch):
+def record_laws(monkeypatch) -> set:
+    """The set that each law, from now on, adds its key to when it runs in this process."""
     reached = set()
 
     def recording(key, law):
@@ -229,6 +236,12 @@ def test_every_case_id_has_a_law_and_every_law_is_reached(monkeypatch):
 
     for key, law in list(LAWS.items()):
         monkeypatch.setitem(LAWS, key, recording(key, law))
+    return reached
+
+
+def test_every_case_id_has_a_law_and_every_law_is_reached(monkeypatch):
+    reached = record_laws(monkeypatch)
+    monkeypatch.setattr(suites, "process_count", lambda count: 1)   # reached is this process's
     report = run_suite("all", seed=0, cases=1)
     assert report["failed"] == 0
     assert reached == set(LAWS)
@@ -267,6 +280,117 @@ def test_a_draw_that_raises_is_one_failed_row_and_the_next_suites_run(monkeypatc
     assert report["cases"] == 2 + sum(r["cases"] for r in others)
     assert report["failures"] == [{"id": "grassmann/draw",
                                    "witness": {"error": "RuntimeError: no more cases"}}]
+
+
+# -- "all" over forked workers: the one-process report, and no process left --------
+
+
+def with_processes(monkeypatch, procs: int) -> None:
+    monkeypatch.setattr(suites, "process_count", lambda count: procs)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_worker(parent: int, act):
+    """A suite that does act in a forked worker and fails in the parent process."""
+    def suite(rec, seed, cases):
+        assert os.getpid() != parent, "a worker's suite ran in the parent process"
+        act()
+    return suite
+
+
+@pytest.mark.parametrize("procs", [2, 3])
+def test_all_over_workers_is_the_one_process_report(monkeypatch, procs):
+    with_processes(monkeypatch, 1)
+    alone = {seed: run_suite("all", seed=seed, cases=2) for seed in (0, 5)}
+    text = json.dumps(run_suite("all", seed=42, cases=100), indent=2, sort_keys=True)
+    with_processes(monkeypatch, procs)
+    assert {seed: run_suite("all", seed=seed, cases=2) for seed in (0, 5)} == alone
+    assert json.dumps(run_suite("all", seed=42, cases=100), indent=2, sort_keys=True) == text
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_fails_each_suite_of_its_share(monkeypatch, capsys):
+    # with two processes the worker runs grassmann, morphism and geometry
+    with_processes(monkeypatch, 2)
+    parents = [run_suite(name, seed=0, cases=2) for name in ("superfun", "jetcalc", "mapspace")]
+    monkeypatch.setitem(SUITES, "morphism", in_worker(os.getpid(), lambda: os._exit(3)))
+    report = run_suite("all", seed=0, cases=2)
+    died = {"error": "worker exited with status 3"}
+    assert report["failures"] == [{"id": f"{name}/draw", "witness": died}
+                                  for name in ("geometry", "grassmann", "morphism")]
+    assert report["cases"] == 3 + sum(r["cases"] for r in parents)
+    assert report["passed"] == sum(r["passed"] for r in parents)
+    assert_no_child_left()
+
+    assert main(["verify", "all", "--seed", "0", "--cases", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == report
+    assert "Traceback" not in err and err.endswith(" in 2 processes\n")
+    assert_no_child_left()
+
+
+def test_a_killed_worker_is_named_by_its_signal(monkeypatch):
+    with_processes(monkeypatch, 2)
+    monkeypatch.setitem(SUITES, "grassmann",
+                        in_worker(os.getpid(), lambda: os.kill(os.getpid(), signal.SIGKILL)))
+    report = run_suite("all", seed=0, cases=1)
+    assert {f["id"]: f["witness"]["error"] for f in report["failures"]} == {
+        f"{name}/draw": f"worker killed by signal {int(signal.SIGKILL)}"
+        for name in ("grassmann", "morphism", "geometry")}
+    assert_no_child_left()
+
+
+def test_an_interrupt_in_this_process_kills_the_workers(monkeypatch):
+    with_processes(monkeypatch, 2)
+    monkeypatch.setitem(SUITES, "grassmann", in_worker(os.getpid(), lambda: time.sleep(60)))
+
+    def interrupted(rec, seed, cases):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(SUITES, "superfun", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("all", seed=0, cases=1)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("hook", [sys.setprofile, sys.settrace])
+def test_under_a_profiler_or_tracer_every_law_runs_in_this_process(monkeypatch, hook):
+    reached = record_laws(monkeypatch)
+    hook(lambda *args: None)
+    try:
+        assert suites.process_count(len(SUITES)) == 1
+        report = run_suite("all", seed=0, cases=1)
+    finally:
+        hook(None)
+    assert report["failed"] == 0
+    assert reached == set(LAWS)
+
+
+def test_one_process_for_one_suite_one_cpu_another_thread_or_no_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert [suites.process_count(count) for count in (1, 2, 6)] == [1, 2, 4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert suites.process_count(6) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert suites.process_count(6) == 3
+    released = threading.Event()
+    waiting = threading.Thread(target=released.wait, args=(10,))
+    waiting.start()
+    try:
+        assert suites.process_count(6) == 1
+    finally:
+        released.set()
+        waiting.join(10)
+    assert not waiting.is_alive() and suites.process_count(6) == 3
+    monkeypatch.delattr(os, "fork")
+    assert suites.process_count(6) == 1
 
 
 def test_an_unknown_suite_is_a_key_error():

@@ -140,8 +140,6 @@ def cmd_chart(args: argparse.Namespace) -> int:
         raise DimensionError(
             f"point has {point.p} even coordinates, not a positive multiple of 3"
         )
-    if len(base) != 3:
-        raise SchemaError("base must have 3 coordinates")
     backend = Sphere2Backend(bundle_rank=point.p // 3 - 1)
     fn = backend.superchart_pointwise_inv if args.inverse else backend.superchart_pointwise
     _emit(_finite(fn(base, point), "chart result").to_json(), args.out)

@@ -300,18 +300,20 @@ def float_from_json(value) -> float:
 
 def _sum_text(terms) -> str:
     """A sum of (coefficient, monomial name) terms as text, in the order given:
-    a constant bare where the name is empty, a coefficient of 1 or -1 left
-    out, "+ -" written "- ", and an empty sum "0"."""
+    a constant bare where the name is empty, a coefficient of 1 or -1 (or a
+    polynomial written so, which equals no number) left out, "+ -" written
+    "- ", and an empty sum "0"."""
     parts = []
     for c, mono in terms:
+        text = str(c)
         if not mono:
-            parts.append(str(c))
-        elif c == 1:
+            parts.append(text)
+        elif c == 1 or text == "1":
             parts.append(mono)
-        elif c == -1:
+        elif c == -1 or text == "-1":
             parts.append(f"-{mono}")
         else:
-            parts.append(f"{c} {mono}")
+            parts.append(f"{text} {mono}")
     return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
@@ -406,16 +408,6 @@ class GrassmannElement:
         # a float product can underflow to 0.0, so zeros are still dropped
         return GrassmannElement._of(self.n, {m: _coerce(w) for m, v in self.terms.items()
                                              if (w := c * v)})
-
-    def __pow__(self, k: int) -> "GrassmannElement":
-        if k < 0:
-            raise ValueError("negative Grassmann power")
-        out = GrassmannElement.one(self.n)
-        for _ in range(k):
-            out = out * self
-            if not out.terms:
-                break
-        return out
 
     def __eq__(self, other):
         if isinstance(other, GrassmannElement):

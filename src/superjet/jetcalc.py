@@ -7,7 +7,8 @@ term above degree k, so the map reads  f(x0 + h) ~ sum_{|I|<=k} c_I h^I.  The
 constant terms are the base value f(x0).  `taylor_of` builds each polynomial
 with one `polyalg.taylor_shift` (a binomial pass, no derivatives).  A jet
 carries its own order: `trunc_mul` and `trunc_compose` return the lower of
-their inputs' orders, through `trunc_poly`, the package's one truncation.
+their inputs' orders, through `_Jet`, the ring of order-k jets, whose product
+is the package's one truncated product.
 `faa_di_bruno` (the higher chain rule) and the sphere's Taylor tables in
 `geometry` are read off `trunc_compose`.
 
@@ -77,7 +78,8 @@ def trunc_poly(f: Polynomial, k: int) -> Polynomial:
 
 
 def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap) -> TruncatedPolyMap:
-    """Scalar-valued a times each component of b, at the lower of their orders."""
+    """Scalar-valued a times each component of b, at the lower of their orders:
+    one product each in the ring of order-k jets."""
     if a.m != b.m:
         raise DimensionError("source dimensions differ")
     if a.mt != 1:
@@ -85,34 +87,34 @@ def trunc_mul(a: TruncatedPolyMap, b: TruncatedPolyMap) -> TruncatedPolyMap:
     if a.base_point != b.base_point:
         raise DimensionError("jets based at different points")
     k = min(a.k, b.k)
-    return TruncatedPolyMap(k, a.base_point, tuple(trunc_poly(a.polys[0] * g, k) for g in b.polys))
+    f = _Jet(a.polys[0], k)
+    return TruncatedPolyMap(k, a.base_point, tuple(Polynomial._of(f.p, (f * g).terms)
+                                                   for g in b.polys))
 
 
 class _Jet(Polynomial):
-    """f cut at k in the ring of order-k jets: every product is cut at k, so
-    no product in a table of jets holds a term above k."""
+    """f cut at k in the ring of order-k jets, by `trunc_poly`; the product
+    of a jet and a polynomial is cut at k, so no product in a table of jets
+    holds a term above k."""
 
     __slots__ = ("k",)
 
     def __init__(self, f: Polynomial, k: int):
         self.p, self.terms, self.k = f.p, trunc_poly(f, k).terms, k
 
-    def _product(self, other) -> "_Jet":
+    def __mul__(self, other: Polynomial) -> "_Jet":
         """trunc_poly(self * other, k) as a jet, key order and bits included: the
         polynomial product's sum, in its order, over only the term pairs whose
         degrees sum to at most k.  A key's degree is its pairs', so a pair
         skipped feeds no key that is kept."""
+        self._check(other)
         k = self.k
-        upto = [[] for _ in range(k + 1)]       # other's terms of degree <= room, in order
-        for eb, cb in other.terms.items():
-            for room in range(sum(eb), k + 1):
-                upto[room].append((eb, cb))
+        right = [(eb, cb, sum(eb)) for eb, cb in other.terms.items()]
         terms: dict = {}
         for ea, ca in self.terms.items():
             room = k - sum(ea)
-            if room >= 0:
-                _accumulate(terms, ((tuple(map(operator.add, ea, eb)), cb)
-                                    for eb, cb in upto[room]), ca)
+            _accumulate(terms, ((tuple(map(operator.add, ea, eb)), cb)
+                                for eb, cb, d in right if d <= room), ca)
         out = _Jet._of(self.p, terms)
         out.k = k
         return out

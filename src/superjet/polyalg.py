@@ -164,10 +164,6 @@ class Polynomial:
                 e: w.numerator if type(w) is Fraction and w.denominator == 1 else w
                 for e, v in self.terms.items() if (w := v * c)})
         self._check(other)
-        return self._product(other)
-
-    def _product(self, other) -> "Polynomial":
-        """self * other for a Polynomial other; a subclass may cut the product."""
         # one double loop, summing in `_accumulate`'s order: got + ca * cb per key,
         # an integral Fraction stored as its int, a key whose sum is zero removed
         terms: dict = {}
@@ -190,8 +186,6 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.p == other.p and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(self.p, other)
         return NotImplemented
 
     def derive(self, I) -> "Polynomial":

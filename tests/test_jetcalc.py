@@ -14,6 +14,7 @@ from superjet import (
     SuperFunction,
     SuperMorphism,
     SuperPoint,
+    TruncatedPolyMap,
     exp_pair,
     faa_di_bruno,
     morphism_compose,
@@ -121,6 +122,16 @@ def test_a_jet_product_is_the_full_product_cut_at_its_order(f, g, k):
         assert type(product) is _Jet and product.k == k
         plain = Polynomial._of(a.p, a.terms) * Polynomial._of(b.p, b.terms)
         assert fingerprint(product.terms) == fingerprint(trunc_poly(plain, k).terms)
+    # trunc_mul is that product at the lower order, as plain polynomials, with
+    # terms above k in either factor
+    for ka, kb in ((k, 4), (4, k)):
+        a = TruncatedPolyMap(ka, (0, 0), (trunc_poly(f, ka),))
+        b = TruncatedPolyMap(kb, (0, 0), (trunc_poly(g, kb), trunc_poly(f, kb)))
+        product = trunc_mul(a, b)
+        assert product.k == k
+        for h, got in zip(b.polys, product.polys, strict=True):
+            assert type(got) is Polynomial
+            assert fingerprint(got.terms) == fingerprint(trunc_poly(a.polys[0] * h, k).terms)
 
 
 @given(polynomials(p=1, degree=2), polynomials(p=2, degree=2),
@@ -379,8 +390,14 @@ def _count_products(monkeypatch):
 
 def _nonzero_powers(even_args, top):
     """eps_i^e for 2 <= e <= top that do not vanish; taken before products are counted."""
-    powers = [arg ** e for arg in even_args for e in range(2, top + 1)]
-    return [power for power in powers if power]
+    powers = []
+    for arg in even_args:
+        power = arg
+        for _ in range(2, top + 1):
+            power = power * arg
+            if power:
+                powers.append(power)
+    return powers
 
 
 def _assert_shared_and_unit_free(products, powers, one):
@@ -469,15 +486,14 @@ def test_one_jet_compose_builds_each_increment_monomial_once_and_never_multiplie
     assert all(monomials) and len(set(map(str, monomials))) == len(monomials)
     expected = trunc_compose(outer, inner)
     products = []
-    mul = Polynomial.__mul__
+    mul = _Jet.__mul__
 
     def counted(a, b):
         out = mul(a, b)
-        if isinstance(b, Polynomial):
-            products.append((a, b, trunc_poly(out, k)))
+        products.append((a, b, out))
         return out
 
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(_Jet, "__mul__", counted)
     assert trunc_compose(outer, inner) == expected
     # one product per monomial, shared by both outer components
     assert len(products) == len(monomials)
